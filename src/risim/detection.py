@@ -1,12 +1,18 @@
 """Maximum-likelihood detection and capacity metrics.
 
-The detector scans a finite candidate codebook and returns the label whose
-hypothesis minimizes the Euclidean distance
+Every transmit model is linear, y = sqrt(snr) A(h) x_c + n.  Dropping
+||y||^2 from ||y - sqrt(snr) A x_c||^2 leaves the ML metric
+m(c) = snr Re<G, P_c> - 2 sqrt(snr) Re(z^H x_c) of the matched filter
+z = A^H y, the Gram matrix G = A^H A and P_c = x_c x_c^H.  G enters through
+its diagonal and the off-diagonal entries some P_c touches, so one-hot
+codebooks and per-subcarrier fading need only the column energies.  Cost:
+B C (|support| + dim) per batch, against B C n_rx dim for forming every
+hypothesis A x_c.
 
-    r(x) = sum_l | y_l - sum_i H_{l,i} x_i |^2.
-
-Ties break deterministically toward the lowest label (a measure-zero event
-under continuous noise; determinism keeps parallel runs reproducible).
+Ties go to the lowest label (argmin's first index), which keeps threaded
+runs reproducible.  The metric rounds differently from the Euclidean
+distance, so distances equal to within rounding (a measure-zero event under
+continuous noise) may be ordered differently by an exhaustive search.
 """
 
 from dataclasses import dataclass
@@ -14,6 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as channel_mod
+
+# (trials x codewords) metric entries per chunk; small enough that a chunk's
+# metric and cross terms stay in cache between the passes over them
+_HYPOTHESIS_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -48,6 +58,56 @@ class CandidateSet:
         return int(self.labels.size)
 
 
+class MetricTable:
+    """Codebook side of the ML metric, built once per codebook.
+
+    ``vectors`` (dim * slots, C) holds each codeword X_c, a dim x slots
+    matrix that A(h) acts on from the left, flattened row by row.  A
+    ``diagonal`` A(h) (one fading coefficient per resource) has no
+    off-diagonal Gram entries.  ``pairs`` lists the touched entries (i, j),
+    i < j; ``weights`` has one row per real Gram coordinate: sum_t |X_it|^2
+    per column energy, then 2 Re Q_ij and -2 Im Q_ij per pair, with
+    Q_ij = sum_t conj(X_it) X_jt.
+    """
+
+    def __init__(self, vectors, slots: int = 1, diagonal: bool = False):
+        self.x = np.asarray(vectors, dtype=complex)
+        blocks = self.x.reshape(-1, slots, self.x.shape[1])          # (dim, slots, C)
+        q = np.einsum("itc,jtc->ijc", blocks.conj(), blocks)
+        self.pairs = np.argwhere(np.triu(np.any(q != 0, axis=2), k=1) & (not diagonal))
+        off = q[self.pairs[:, 0], self.pairs[:, 1]]
+        self.weights = np.concatenate([
+            (np.abs(blocks) ** 2).sum(axis=1), 2.0 * off.real, -2.0 * off.imag
+        ])
+
+
+def matched_filter(y: np.ndarray, h: np.ndarray, table: MetricTable):
+    """z^H = y^H H (B, dim * slots) and the Gram coordinates of H for dense
+    models: ``h`` (B, n_rx, dim), ``y`` (B, n_rx) or (B, n_rx, slots)."""
+    zh = np.einsum("br...,bri->bi...", np.conj(y), h).reshape(len(y), -1)
+    energy = np.einsum("bri,bri->bi", h.real, h.real) + np.einsum("bri,bri->bi", h.imag, h.imag)
+    if not len(table.pairs):
+        return zh, energy
+    i, j = table.pairs.T
+    off = np.einsum("bri,bri->bi", np.conj(h[:, :, i]), h[:, :, j])
+    return zh, np.concatenate([energy, off.real, off.imag], axis=1)
+
+
+def ml_detect(zh: np.ndarray, gram: np.ndarray, table: MetricTable, snr: float) -> np.ndarray:
+    """Index of the ML codeword per trial, from z^H = y^H A (B, dim * slots),
+    the Gram coordinates of A and the SNR scaling the codeword by sqrt(snr)."""
+    amp = np.sqrt(snr)
+    out = np.empty(len(zh), dtype=np.int64)
+    step = max(1, _HYPOTHESIS_BUDGET // table.x.shape[1])
+    for lo in range(0, len(zh), step):
+        sl = slice(lo, lo + step)
+        metric = gram[sl] @ table.weights
+        metric *= snr
+        metric -= 2.0 * amp * (zh[sl] @ table.x).real
+        out[sl] = np.argmin(metric, axis=1)
+    return out
+
+
 def nearest_hypothesis(y: np.ndarray, hypotheses: np.ndarray) -> int:
     """Index of the column of ``hypotheses`` closest to ``y`` in Euclidean
     distance; first (lowest) index wins ties."""
@@ -64,7 +124,8 @@ def mld(y: np.ndarray, h: np.ndarray, candidates: CandidateSet) -> int:
             f"channel shape {h.shape} inconsistent with y ({y.size}) and "
             f"candidates ({candidates.vectors.shape[0]})"
         )
-    idx = nearest_hypothesis(y, h @ candidates.vectors)
+    table = MetricTable(candidates.vectors)
+    idx = ml_detect(*matched_filter(y[None], h[None], table), table, 1.0)[0]
     return int(candidates.labels[idx])
 
 
@@ -82,21 +143,10 @@ def detect_ofdm_im(y, h, scheme) -> np.ndarray:
             f"y/h must be (n_blocks, {scheme.block_size}), got {y.shape} and {h.shape}"
         )
     codebook = scheme.codebook()
-    x = codebook.vectors  # (n, C)
-    bits = []
-    for block in range(y.shape[0]):
-        hyp = h[block][:, None] * x
-        idx = nearest_hypothesis(y[block], hyp)
-        word = int(codebook.labels[idx])
-        bits.append(word)
-    out = np.concatenate(
-        [_word_bits(w, scheme.bits_per_interval) for w in bits]
-    )
-    return out
-
-
-def _word_bits(word: int, width: int) -> np.ndarray:
-    return np.array([(word >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.int8)
+    table = MetricTable(codebook.vectors, diagonal=True)
+    words = codebook.labels[ml_detect(np.conj(y) * h, np.abs(h) ** 2, table, 1.0)]
+    shifts = np.arange(scheme.bits_per_interval - 1, -1, -1)
+    return ((words[:, None] >> shifts) & 1).astype(np.int8).ravel()
 
 
 @dataclass(frozen=True)

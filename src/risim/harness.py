@@ -24,10 +24,6 @@ DEFAULT_MAX_TRIALS = 10_000_000
 DEFAULT_MIN_ERRORS = 200
 DEFAULT_BATCH_SIZE = 65_536
 
-# keep per-batch hypothesis tensors near this many complex entries
-_HYPOTHESIS_BUDGET = 1 << 21
-
-
 # --------------------------------------------------------------------------
 # configuration
 # --------------------------------------------------------------------------
@@ -91,8 +87,9 @@ class _Section:
                 raise ConfigError(f"missing required key: {self._name(key)}")
             return default
         value = self._data.pop(key)
-        if kind is not None and not isinstance(value, kind):
-            names = kind if isinstance(kind, tuple) else (kind,)
+        names = kind if isinstance(kind, tuple) else (kind,)
+        # exact types: JSON true/false would pass isinstance(value, int)
+        if kind is not None and type(value) not in names:
             raise ConfigError(
                 f"{self._name(key)} must be {'/'.join(k.__name__ for k in names)}"
             )
@@ -128,8 +125,8 @@ def _parse_channel(raw) -> ChannelSpec:
     los_structure = "dft"
     if model == "rician":
         k_factor = float(sec.take("K", required=True, kind=(int, float)))
-        if k_factor < 0:
-            raise ConfigError("channel.K must be >= 0")
+        if not math.isfinite(k_factor) or k_factor < 0:
+            raise ConfigError(f"channel.K must be a finite number >= 0, got {k_factor}")
         los_raw = sec.take("los")
         if los_raw is not None:
             los_sec = _Section(los_raw, "channel.los")
@@ -353,12 +350,11 @@ class _BerModel:
         self.n_rx = n_rx
         self.codebook = scheme.codebook()
         self.count = self.codebook.count
+        self.x = self.codebook.vectors                          # (n_tx or n, C)
         if scheme.model == "vector":
-            self.x = self.codebook.vectors                      # (n_tx, C)
             self.n_tx = self.x.shape[0]
             self.los = los_matrix(n_rx, self.n_tx, channel.los_structure)
         elif scheme.model == "subcarrier":
-            self.x = self.codebook.vectors                      # (n, C)
             self.block = self.x.shape[0]
         elif scheme.model == "matrix":
             self.mats = self.codebook.vectors.reshape(scheme.n_tx, scheme.n_slots, -1)
@@ -366,12 +362,13 @@ class _BerModel:
             self.n_slots = scheme.n_slots
             self.los = los_matrix(n_rx, self.n_tx, channel.los_structure)
         elif scheme.model == "state":
-            pairs = [scheme.state_and_symbol(w) for w in range(self.count)]
-            self.state_of = np.array([p[0] for p in pairs])
-            self.sym_of = np.array([p[1] for p in pairs])
+            self.state_of = np.argmax(self.x != 0, axis=0)      # codewords are one-hot
+            self.sym_of = self.x[self.state_of, np.arange(self.count)]
             self.num_states = scheme.num_states
         else:
             raise ConfigError(f"scheme model {scheme.model!r} has no BER transmit model")
+        self.table = detection.MetricTable(self.x, getattr(scheme, "n_slots", 1),
+                                           diagonal=scheme.model == "subcarrier")
 
     def _draw_channel(self, rng, shape):
         if self.channel.model == "awgn":
@@ -396,9 +393,7 @@ class _BerModel:
             h = self._draw_channel(rng, (batch, self.block))
             noise = _complex_normal(rng, (batch, self.block))
             y = amp * h * self.x[:, words].T + noise
-            cross = (np.conj(y) * h) @ self.x                    # (B, C)
-            power = (np.abs(h) ** 2) @ (np.abs(self.x) ** 2)
-            detected = np.argmin(snr_linear * power - 2.0 * amp * cross.real, axis=1)
+            detected = detection.ml_detect(np.conj(y) * h, np.abs(h) ** 2, self.table, snr_linear)
         elif self.scheme.model == "matrix":
             h = self._draw_channel(rng, (batch, self.n_rx, self.n_tx))
             noise = _complex_normal(rng, (batch, self.n_rx, self.n_slots))
@@ -413,41 +408,12 @@ class _BerModel:
             detected = self._detect_state(y, h, amp)
         return int(_popcount(words.astype(np.uint64) ^ detected.astype(np.uint64)).sum())
 
-    def _chunk(self, per_trial: int, batch: int) -> int:
-        return max(1, min(batch, _HYPOTHESIS_BUDGET // max(per_trial, 1)))
-
     def _detect_vector(self, y, h, amp):
-        batch = y.shape[0]
-        out = np.empty(batch, dtype=np.int64)
-        step = self._chunk(self.n_rx * self.count, batch)
-        for lo in range(0, batch, step):
-            sl = slice(lo, min(lo + step, batch))
-            mus = amp * np.einsum("bri,ic->brc", h[sl], self.x)
-            d = np.sum(np.abs(y[sl][:, :, None] - mus) ** 2, axis=1)
-            out[sl] = np.argmin(d, axis=1)
-        return out
+        """ML decisions of a dense model y = amp H x + n: x spread over slots
+        for the matrix model, H over the channel states for the state model."""
+        return detection.ml_detect(*detection.matched_filter(y, h, self.table), self.table, amp * amp)
 
-    def _detect_matrix(self, y, h, amp):
-        batch = y.shape[0]
-        out = np.empty(batch, dtype=np.int64)
-        step = self._chunk(self.n_rx * self.n_slots * self.count, batch)
-        for lo in range(0, batch, step):
-            sl = slice(lo, min(lo + step, batch))
-            mus = amp * np.einsum("bri,itc->brtc", h[sl], self.mats)
-            d = np.sum(np.abs(y[sl][:, :, :, None] - mus) ** 2, axis=(1, 2))
-            out[sl] = np.argmin(d, axis=1)
-        return out
-
-    def _detect_state(self, y, h, amp):
-        batch = y.shape[0]
-        out = np.empty(batch, dtype=np.int64)
-        step = self._chunk(self.n_rx * self.count, batch)
-        for lo in range(0, batch, step):
-            sl = slice(lo, min(lo + step, batch))
-            mus = amp * h[sl][:, :, self.state_of] * self.sym_of[None, None, :]
-            d = np.sum(np.abs(y[sl][:, :, None] - mus) ** 2, axis=1)
-            out[sl] = np.argmin(d, axis=1)
-        return out
+    _detect_matrix = _detect_state = _detect_vector
 
 
 def run_ber(config: ExperimentConfig, threads: int = 1) -> BerCurve:

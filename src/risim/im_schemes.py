@@ -632,10 +632,6 @@ class MediaBasedModulation(Scheme):
         x[symbol.indices[0]] = symbol.symbols[0]
         return x
 
-    def state_and_symbol(self, word: int) -> tuple[int, complex]:
-        sym = self.map_word(word)
-        return sym.indices[0], sym.symbols[0]
-
 
 def mbm_states_from_codings(codings, geom, n_rx: int, n_scatterers: int, seed: int) -> np.ndarray:
     """Channel states induced by distinct radiation patterns.

@@ -59,10 +59,6 @@ class ReflectionState:
             raise ValueError(f"amplitude {self.amplitude} outside [0, 1] (passive surface)")
         object.__setattr__(self, "phase", float(wrap_phase(self.phase)))
 
-    @classmethod
-    def from_complex(cls, gamma: complex) -> "ReflectionState":
-        return cls(abs(gamma), float(np.angle(gamma)))
-
     @property
     def value(self) -> complex:
         return self.amplitude * np.exp(1j * self.phase)

@@ -100,10 +100,3 @@ class Constellation:
         """Label of the nearest constellation point."""
         idx = int(np.argmin(np.abs(self.points - symbol)))
         return int(self._point_index_to_label[idx])
-
-    def labels_to_points(self, labels: np.ndarray) -> np.ndarray:
-        return self._label_to_point[np.asarray(labels, dtype=np.int64)]
-
-
-def make_constellation(kind: str, order: int) -> Constellation:
-    return Constellation(kind, order)

@@ -14,9 +14,5 @@ def db_to_linear(db):
     return 10.0 ** (np.asarray(db) / 10.0)
 
 
-def linear_to_db(x):
-    return 10.0 * np.log10(x)
-
-
 def mag_to_db(x):
     return 20.0 * np.log10(x)
