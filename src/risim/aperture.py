@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import SPEED_OF_LIGHT, mag_to_db, wrap_phase
+from .util import SPEED_OF_LIGHT, mag_to_db, wrap_phase, write_csv
 
 _CHUNK_DIRECTIONS = 65536
 
@@ -117,25 +117,25 @@ class FarFieldGrid:
         it, ip = np.unravel_index(np.argmax(np.abs(self.field)), self.field.shape)
         return float(self.theta[it]), float(self.phi[ip])
 
+    def mag_db(self) -> np.ndarray:
+        """|field| in dB, with exact zeros floored at -300 dB."""
+        mag = np.abs(self.field)
+        return np.where(mag > 0, mag_to_db(np.maximum(mag, 1e-15)), -300.0)
+
     def to_csv(self, path) -> None:
         """Rows of theta_deg,phi_deg,mag_db,phase_deg (floor at -300 dB)."""
         th, ph = np.meshgrid(np.rad2deg(self.theta), np.rad2deg(self.phi), indexing="ij")
-        mag = np.abs(self.field)
-        mag_db = np.where(mag > 0, mag_to_db(np.maximum(mag, 1e-15)), -300.0)
         phase = np.rad2deg(np.angle(self.field))
-        rows = np.column_stack([th.ravel(), ph.ravel(), mag_db.ravel(), phase.ravel()])
-        np.savetxt(path, rows, delimiter=",", fmt="%.6f",
-                   header="theta_deg,phi_deg,mag_db,phase_deg", comments="")
+        rows = np.column_stack([th.ravel(), ph.ravel(), self.mag_db().ravel(), phase.ravel()])
+        write_csv(path, rows, "%.6f", header="theta_deg,phi_deg,mag_db,phase_deg")
 
     def to_uv_csv(self, path) -> None:
         """Rows of u,v,mag_db with u = sin(theta)cos(phi), v = sin(theta)sin(phi)."""
         th, ph = np.meshgrid(self.theta, self.phi, indexing="ij")
         u = np.sin(th) * np.cos(ph)
         v = np.sin(th) * np.sin(ph)
-        mag = np.abs(self.field)
-        mag_db = np.where(mag > 0, mag_to_db(np.maximum(mag, 1e-15)), -300.0)
-        rows = np.column_stack([u.ravel(), v.ravel(), mag_db.ravel()])
-        np.savetxt(path, rows, delimiter=",", fmt="%.6f", header="u,v,mag_db", comments="")
+        rows = np.column_stack([u.ravel(), v.ravel(), self.mag_db().ravel()])
+        write_csv(path, rows, "%.6f", header="u,v,mag_db")
 
 
 def direction_grid(theta_step_deg: float = 1.0, phi_step_deg: float = 1.0):
@@ -319,4 +319,4 @@ def pseudo_random_codings(count: int, geom: ApertureGeometry, seed: int,
 
 def coding_to_csv(coding: PhaseCoding, path) -> None:
     """Write the phase matrix in degrees, one aperture row per CSV row."""
-    np.savetxt(path, np.rad2deg(coding.phase), delimiter=",", fmt="%.3f")
+    write_csv(path, np.rad2deg(coding.phase), "%.3f")

@@ -10,7 +10,7 @@ byte-identical result files.
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from . import aperture, detection, im_schemes, metaatom, spacetime
 from .channel import los_matrix, rician, stream_rng
 from .errors import ConfigError
-from .util import db_to_linear
+from .util import db_to_linear, write_csv
 
 DEFAULT_MAX_TRIALS = 10_000_000
 DEFAULT_MIN_ERRORS = 200
@@ -95,6 +95,16 @@ class _Section:
             )
         return value
 
+    def bounded(self, key, low, default=None, required=False, kind=(int, float),
+                strict=False):
+        """take() for a finite number >= low, or > low when ``strict``."""
+        value = self.take(key, default, required, kind)
+        if value is not None and not (
+                math.isfinite(value) and (value > low if strict else value >= low)):
+            raise ConfigError(
+                f"{self._name(key)} must be {'>' if strict else '>='} {low}, got {value!r}")
+        return value
+
     def finish(self):
         if self._data:
             extras = ", ".join(self._name(k) for k in sorted(self._data))
@@ -143,7 +153,7 @@ def _parse_snr_grid(raw) -> tuple:
         raise ConfigError("snr_db must be a non-empty list of numbers")
     values = []
     for v in raw:
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
+        if type(v) not in (int, float) or not math.isfinite(v):
             raise ConfigError(f"snr_db entries must be finite numbers, got {v!r}")
         values.append(float(v))
     return tuple(values)
@@ -208,7 +218,7 @@ def parse_config(source) -> ExperimentConfig:
         antennas = []
         for pair in antennas_raw:
             if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(v, int) and v >= 1 for v in pair)):
+                    or not all(type(v) is int and v >= 1 for v in pair)):
                 raise ConfigError(f"antennas entries must be [n_tx, n_rx] pairs, got {pair!r}")
             antennas.append((pair[0], pair[1]))
         channel = _parse_channel(sec.take("channel"))
@@ -229,32 +239,36 @@ def parse_config(source) -> ExperimentConfig:
     elif experiment == "pattern":
         geo_sec = _Section(sec.take("geometry", required=True), "geometry")
         geometry = {
-            "rows": geo_sec.take("rows", required=True, kind=int),
-            "cols": geo_sec.take("cols", required=True, kind=int),
-            "dx_mm": float(geo_sec.take("dx_mm", required=True, kind=(int, float))),
-            "dy_mm": float(geo_sec.take("dy_mm", required=True, kind=(int, float))),
-            "fc_ghz": float(geo_sec.take("fc_ghz", required=True, kind=(int, float))),
+            "rows": geo_sec.bounded("rows", 1, required=True, kind=int),
+            "cols": geo_sec.bounded("cols", 1, required=True, kind=int),
+            "dx_mm": float(geo_sec.bounded("dx_mm", 0, required=True, strict=True)),
+            "dy_mm": float(geo_sec.bounded("dy_mm", 0, required=True, strict=True)),
+            "fc_ghz": float(geo_sec.bounded("fc_ghz", 0, required=True, strict=True)),
         }
         geo_sec.finish()
         angles = sec.take("scan_angles_deg", required=True)
         if not isinstance(angles, list) or not angles:
             raise ConfigError("scan_angles_deg must be a non-empty list")
+        for a in angles:
+            # SteeringSpec takes a non-negative phase range, so only 0..90 deg steer
+            if type(a) not in (int, float) or not 0.0 <= a <= 90.0:
+                raise ConfigError(f"scan_angles_deg entries must be numbers in [0, 90], got {a!r}")
         grid_raw = sec.take("grid")
         theta_step, phi_step = 1.0, 1.0
         if grid_raw is not None:
             grid_sec = _Section(grid_raw, "grid")
-            theta_step = float(grid_sec.take("theta_step_deg", 1.0, kind=(int, float)))
-            phi_step = float(grid_sec.take("phi_step_deg", 1.0, kind=(int, float)))
+            theta_step = float(grid_sec.bounded("theta_step_deg", 0, 1.0, strict=True))
+            phi_step = float(grid_sec.bounded("phi_step_deg", 0, 1.0, strict=True))
             grid_sec.finish()
-        quantize_bits = sec.take("quantize_bits", kind=int)
+        quantize_bits = sec.bounded("quantize_bits", 1, kind=int)
         config = ExperimentConfig(
             experiment="pattern",
             seed=seed,
             geometry=geometry,
             scan_angles_deg=tuple(float(a) for a in angles),
-            period_cells=int(sec.take("period_cells", 4, kind=int)),
+            period_cells=int(sec.bounded("period_cells", 1, 4, kind=int)),
             grid_step_deg=(theta_step, phi_step),
-            element_exponent=float(sec.take("element_exponent", 0.0, kind=(int, float))),
+            element_exponent=float(sec.bounded("element_exponent", 0, 0.0)),
             couple_atom_loss=bool(sec.take("couple_atom_loss", False, kind=bool)),
             quantize_bits=quantize_bits,
             output_dir=sec.take("output_dir", "patterns", kind=str),
@@ -324,13 +338,9 @@ class BerCurve:
     points: tuple
 
     def to_csv(self, path) -> None:
-        lines = ["snr_db,trials,bit_errors,ber,ci_low,ci_high"]
-        for p in self.points:
-            lines.append(
-                f"{p.snr_db:.6f},{p.trials},{p.bit_errors},"
-                f"{p.ber:.10e},{p.ci_low:.10e},{p.ci_high:.10e}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_csv(path, [astuple(p) for p in self.points],
+                  ("%.6f", "%d", "%d", "%.10e", "%.10e", "%.10e"),
+                  header="snr_db,trials,bit_errors,ber,ci_low,ci_high")
 
 
 def _complex_normal(rng, shape):
@@ -488,10 +498,8 @@ def run_capacity(config: ExperimentConfig):
 
 
 def capacity_csv(rows, path) -> None:
-    lines = ["nt,nr,snr_db,capacity_bit_s_hz,std_err,trials"]
-    for n_tx, n_rx, snr_db, mean, err, trials in rows:
-        lines.append(f"{n_tx},{n_rx},{snr_db:.6f},{mean:.10e},{err:.10e},{trials}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, rows, ("%d", "%d", "%.6f", "%.10e", "%.10e", "%d"),
+              header="nt,nr,snr_db,capacity_bit_s_hz,std_err,trials")
 
 
 def _atom_loss_amplitudes(phases: np.ndarray, table, freq_ghz: float,
@@ -530,8 +538,7 @@ def run_pattern(config: ExperimentConfig, out_base: Path):
     out_dir = out_base / config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    summary = ["angle_cmd_deg,angle_pred_deg,peak_theta_deg,peak_phi_deg,"
-               "peak_directivity_dbi,normalization"]
+    summary = []
     written = []
     for angle_deg in config.scan_angles_deg:
         angle = np.deg2rad(angle_deg)
@@ -570,12 +577,12 @@ def run_pattern(config: ExperimentConfig, out_base: Path):
         grid.to_csv(field_path)
         grid.to_uv_csv(uv_path)
         written += [coding_path, field_path, uv_path]
-        summary.append(
-            f"{angle_deg:.3f},{np.rad2deg(predicted):.6f},{np.rad2deg(peak_theta):.6f},"
-            f"{np.rad2deg(peak_phi):.6f},{peak_dbi:.6f},{norm:.8f}"
-        )
+        summary.append((angle_deg, np.rad2deg(predicted), np.rad2deg(peak_theta),
+                        np.rad2deg(peak_phi), peak_dbi, norm))
     summary_path = out_dir / "summary.csv"
-    summary_path.write_text("\n".join(summary) + "\n")
+    write_csv(summary_path, summary, ("%.3f", "%.6f", "%.6f", "%.6f", "%.6f", "%.8f"),
+              header="angle_cmd_deg,angle_pred_deg,peak_theta_deg,peak_phi_deg,"
+                     "peak_directivity_dbi,normalization")
     return written + [summary_path]
 
 

@@ -744,9 +744,18 @@ def _build_mbm(cfg):
                                 cfg.pop("constellation", "psk"))
 
 
+def _reject_booleans(config: dict) -> None:
+    """No scheme key is boolean, and JSON true/false would pass as 1/0."""
+    for key, value in config.items():
+        if isinstance(value, bool) or (
+                isinstance(value, list) and any(isinstance(v, bool) for v in value)):
+            raise ConfigError(f"scheme.{key} must not be a boolean, got {value!r}")
+
+
 def build_scheme(config: dict) -> Scheme:
     """Instantiate a scheme from its config dict; unknown keys rejected."""
     cfg = dict(config)
+    _reject_booleans(cfg)
     kind = cfg.pop("type", None)
     if kind not in _SCHEME_BUILDERS:
         raise ConfigError(
@@ -773,6 +782,7 @@ def rate_of(config: dict) -> float:
     2 log2(nT) + log2(M) is evaluated directly so it stays defined for
     constellations the quadrature mapper itself cannot carry (e.g. BPSK).
     """
+    _reject_booleans(config)
     if config.get("type") == "ra_ssk":
         cfg = dict(config)
         cfg.pop("type")

@@ -164,23 +164,26 @@ class ResponseTable:
 
     @classmethod
     def from_csv(cls, path) -> "ResponseTable":
-        rows = np.genfromtxt(path, delimiter=",", names=True, dtype=float)
         expected = ("freq_ghz", "c_pf", "r_ohm", "mag_linear", "phase_deg")
-        if rows.dtype.names != expected:
-            raise ValueError(f"CSV header must be {','.join(expected)}, got {rows.dtype.names}")
-        freq = np.unique(rows["freq_ghz"])
-        cap = np.unique(rows["c_pf"])
-        res = np.unique(rows["r_ohm"])
+        with open(path) as fh:
+            names = tuple(name.strip() for name in fh.readline().split(","))
+            if names != expected:
+                raise ValueError(f"CSV header must be {','.join(expected)}, got {names}")
+            f_col, c_col, r_col, mag_col, phase_col = np.loadtxt(
+                fh, delimiter=",", ndmin=2).T
+        freq = np.unique(f_col)
+        cap = np.unique(c_col)
+        res = np.unique(r_col)
         shape = (len(freq), len(cap), len(res))
-        if len(rows) != np.prod(shape):
+        if len(f_col) != np.prod(shape):
             raise ValueError(f"CSV rows do not form a full {shape} grid")
         mag = np.full(shape, np.nan)
         phase = np.full(shape, np.nan)
-        fi = np.searchsorted(freq, rows["freq_ghz"])
-        ci = np.searchsorted(cap, rows["c_pf"])
-        ri = np.searchsorted(res, rows["r_ohm"])
-        mag[fi, ci, ri] = rows["mag_linear"]
-        phase[fi, ci, ri] = np.deg2rad(rows["phase_deg"])
+        fi = np.searchsorted(freq, f_col)
+        ci = np.searchsorted(cap, c_col)
+        ri = np.searchsorted(res, r_col)
+        mag[fi, ci, ri] = mag_col
+        phase[fi, ci, ri] = np.deg2rad(phase_col)
         if np.any(np.isnan(mag)):
             raise ValueError("CSV has duplicate or missing grid points")
         return cls(freq, cap, res, mag, phase)

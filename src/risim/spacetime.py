@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aperture import ApertureGeometry, FarFieldGrid, _array_factor
-from .util import mag_to_db
+from .util import mag_to_db, write_csv
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,7 @@ class HarmonicSpectrum:
             a = self.coeffs[m]
             mag_db_val = mag_to_db(abs(a)) if abs(a) > 1e-15 else -300.0
             rows.append((m, mag_db_val, np.rad2deg(np.angle(a))))
-        np.savetxt(path, rows, delimiter=",", fmt=("%d", "%.6f", "%.6f"),
-                   header="m,mag_db,phase_deg", comments="")
+        write_csv(path, rows, ("%d", "%.6f", "%.6f"), header="m,mag_db,phase_deg")
 
 
 def _coefficient_weights(num_steps: int, harmonics: np.ndarray) -> np.ndarray:
@@ -266,5 +265,4 @@ def sequence_to_csv(steps, path) -> None:
     rows = [
         (n + 1, np.rad2deg(np.angle(g)), abs(g)) for n, g in enumerate(steps)
     ]
-    np.savetxt(path, rows, delimiter=",", fmt=("%d", "%.6f", "%.6f"),
-               header="step,phase_deg,mag", comments="")
+    write_csv(path, rows, ("%d", "%.6f", "%.6f"), header="step,phase_deg,mag")

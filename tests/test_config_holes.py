@@ -42,3 +42,92 @@ def test_json_booleans_rejected_for_integer_keys(tmp_path, capsys, key):
     with pytest.raises(ConfigError, match=key):
         parse_config(cfg)
 
+
+
+def pattern_config(**changes):
+    cfg = {
+        "experiment": "pattern",
+        "geometry": {"rows": 4, "cols": 4, "dx_mm": 5.0, "dy_mm": 5.0, "fc_ghz": 28.0},
+        "scan_angles_deg": [10],
+        "grid": {"theta_step_deg": 10.0, "phi_step_deg": 30.0},
+        "output_dir": "patterns",
+    }
+    for key, value in changes.items():
+        section, _, name = key.rpartition(".")
+        (cfg[section] if section else cfg)[name] = value
+    return cfg
+
+
+def assert_exit_2(tmp_path, capsys, command, cfg, key):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))  # writes NaN / Infinity for non-finite floats
+    out = [] if command == "rate" else ["--out", str(tmp_path)]  # rate writes nothing
+    assert main([command, "--config", str(path), *out]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "patterns").exists()
+    with pytest.raises(ConfigError, match=key):
+        parse_config(cfg)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("geometry.rows", 0),
+    ("geometry.cols", -1),
+    ("geometry.dx_mm", 0.0),
+    ("geometry.dy_mm", -2.0),
+    ("geometry.fc_ghz", float("nan")),
+    ("geometry.fc_ghz", float("inf")),
+    ("grid.theta_step_deg", 0),
+    ("grid.phi_step_deg", float("nan")),
+    ("quantize_bits", 0),
+    ("period_cells", 0),
+    ("element_exponent", float("nan")),
+    ("scan_angles_deg", ["ten"]),
+    ("scan_angles_deg", [float("nan")]),
+    ("scan_angles_deg", [True]),
+    ("scan_angles_deg", [-5]),
+])
+def test_bad_pattern_values_exit_2(tmp_path, capsys, key, value):
+    assert_exit_2(tmp_path, capsys, "pattern", pattern_config(**{key: value}), key)
+
+
+def test_pattern_config_accepts_valid_edges():
+    cfg = pattern_config(scan_angles_deg=[0, 10.5], quantize_bits=1, period_cells=1,
+                         element_exponent=0)
+    parse_config(cfg)
+
+
+def test_json_boolean_snr_entry_rejected(tmp_path, capsys):
+    cfg = rician_config(1.0)
+    cfg["snr_db"] = [10, True]
+    assert_exit_2(tmp_path, capsys, "ber", cfg, "snr_db")
+
+
+@pytest.mark.parametrize("pair", [[True, 2], [2, True]])
+def test_json_boolean_antenna_count_rejected(tmp_path, capsys, pair):
+    cfg = {"experiment": "capacity", "antennas": [[1, 1], pair], "snr_db": [0],
+           "trials": 100, "output": "capacity.csv"}
+    assert_exit_2(tmp_path, capsys, "capacity", cfg, "antennas")
+
+
+@pytest.mark.parametrize("scheme, key", [
+    ({"type": "sm", "n_tx": True, "order": 2}, "scheme.n_tx"),
+    ({"type": "sm", "n_tx": 2, "order": True}, "scheme.order"),
+    ({"type": "ofdm_im", "n": 4, "k": True, "order": 2}, "scheme.k"),
+    ({"type": "stsk", "q_matrices": 4, "order": 2, "n_tx": 2, "n_slots": 2,
+      "dispersion_seed": False}, "scheme.dispersion_seed"),
+])
+def test_json_boolean_scheme_parameters_rejected(tmp_path, capsys, scheme, key):
+    cfg = rician_config(1.0)
+    cfg["channel"] = {"model": "rayleigh"}
+    cfg["scheme"] = scheme
+    assert_exit_2(tmp_path, capsys, "ber", cfg, key)
+
+
+@pytest.mark.parametrize("scheme, key", [
+    ({"type": "qsm", "n_tx": True, "order": 4}, "scheme.n_tx"),
+    ({"type": "ra_ssk", "n_tx": 2, "states_per_antenna": [2, True]},
+     "scheme.states_per_antenna"),
+])
+def test_json_boolean_rate_only_parameters_rejected(tmp_path, capsys, scheme, key):
+    cfg = {"experiment": "rate", "scheme": scheme}
+    assert_exit_2(tmp_path, capsys, "rate", cfg, key)
