@@ -44,9 +44,23 @@ def los_gain(spec: LosLinkSpec) -> complex:
     return amplitude * np.exp(-2j * np.pi * spec.distance / spec.wavelength)
 
 
+def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """i.i.d. CN(0, 1) samples of the given shape from one Gaussian draw.
+
+    Real parts come first in the stream, then imaginary parts, and the
+    scaling by 1/sqrt(2) is done in place: the result is bitwise equal to
+    (standard_normal(shape) + 1j * standard_normal(shape)) / sqrt(2).
+    """
+    planes = rng.standard_normal((2, *shape))
+    out = np.empty(shape, dtype=complex)
+    np.multiply(planes[0], 1 / np.sqrt(2.0), out=out.real)
+    np.multiply(planes[1], 1 / np.sqrt(2.0), out=out.imag)
+    return out
+
+
 def rayleigh(n_rx: int, n_tx: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. CN(0, 1) fading matrix of shape (n_rx, n_tx)."""
-    return (rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))) / np.sqrt(2.0)
+    return complex_normal(rng, (n_rx, n_tx))
 
 
 def rician(k_factor: float, h_los: np.ndarray, h_nlos: np.ndarray) -> np.ndarray:

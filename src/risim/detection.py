@@ -96,16 +96,22 @@ def matched_filter(y: np.ndarray, h: np.ndarray, table: MetricTable):
 def ml_detect(zh: np.ndarray, gram: np.ndarray, table: MetricTable, snr: float) -> np.ndarray:
     """Index of the ML codeword per trial, from z^H = y^H A (B, dim * slots),
     the Gram coordinates of A and the SNR scaling the codeword by sqrt(snr)."""
-    amp = np.sqrt(snr)
     out = np.empty(len(zh), dtype=np.int64)
-    step = max(1, _HYPOTHESIS_BUDGET // table.x.shape[1])
-    for lo in range(0, len(zh), step):
-        sl = slice(lo, lo + step)
-        metric = gram[sl] @ table.weights
-        metric *= snr
-        metric -= 2.0 * amp * (zh[sl] @ table.x).real
-        out[sl] = np.argmin(metric, axis=1)
+    # no chunk of one row: numpy multiplies it on its matrix-vector path,
+    # which rounds differently from the matrix-matrix path of the others
+    step = max(2, _HYPOTHESIS_BUDGET // table.x.shape[1])
+    edges = [*range(0, max(len(zh) - 1, 1), step), len(zh)]
+    for lo, hi in zip(edges, edges[1:]):
+        out[lo:hi] = np.argmin(_metric(zh[lo:hi], gram[lo:hi], table, snr), axis=1)
     return out
+
+
+def _metric(zh: np.ndarray, gram: np.ndarray, table: MetricTable, snr: float) -> np.ndarray:
+    """The (B, C) ML metric snr Re<G, P_c> - 2 sqrt(snr) Re(z^H x_c)."""
+    metric = gram @ table.weights
+    metric *= snr
+    metric -= 2.0 * np.sqrt(snr) * (zh @ table.x).real
+    return metric
 
 
 def nearest_hypothesis(y: np.ndarray, hypotheses: np.ndarray) -> int:
@@ -183,7 +189,7 @@ def ergodic_capacity(n_tx: int, n_rx: int, snr_linear: float, trials: int,
     eye = np.eye(n_rx)
     while done < trials:
         n = min(batch, trials - done)
-        h = (rng.standard_normal((n, n_rx, n_tx)) + 1j * rng.standard_normal((n, n_rx, n_tx))) / np.sqrt(2.0)
+        h = channel_mod.complex_normal(rng, (n, n_rx, n_tx))
         gram = eye[None] + (snr_linear / n_tx) * (h @ np.conj(np.transpose(h, (0, 2, 1))))
         _, logdet = np.linalg.slogdet(gram)
         values[done:done + n] = logdet / np.log(2.0)

@@ -9,20 +9,22 @@ byte-identical result files.
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import aperture, detection, im_schemes, metaatom, spacetime
-from .channel import los_matrix, rician, stream_rng
+from .channel import complex_normal, los_matrix, rician, stream_rng
 from .errors import ConfigError
 from .util import db_to_linear, write_csv
 
 DEFAULT_MAX_TRIALS = 10_000_000
 DEFAULT_MIN_ERRORS = 200
 DEFAULT_BATCH_SIZE = 65_536
+# 2**52 levels already space phases in [0, 2 pi) at about one double ulp
+MAX_QUANTIZE_BITS = 52
 
 # --------------------------------------------------------------------------
 # configuration
@@ -96,13 +98,19 @@ class _Section:
         return value
 
     def bounded(self, key, low, default=None, required=False, kind=(int, float),
-                strict=False):
-        """take() for a finite number >= low, or > low when ``strict``."""
+                strict=False, high=None, strict_high=False):
+        """take() for a finite number >= low (> low when ``strict``) and, given
+        ``high``, <= high (< high when ``strict_high``)."""
         value = self.take(key, default, required, kind)
-        if value is not None and not (
-                math.isfinite(value) and (value > low if strict else value >= low)):
-            raise ConfigError(
-                f"{self._name(key)} must be {'>' if strict else '>='} {low}, got {value!r}")
+        if value is None:
+            return value
+        above = value > low if strict else value >= low
+        below = high is None or (value < high if strict_high else value <= high)
+        if not (math.isfinite(value) and above and below):
+            limits = f"{'>' if strict else '>='} {low}"
+            if high is not None:
+                limits += f" and {'<' if strict_high else '<='} {high}"
+            raise ConfigError(f"{self._name(key)} must be {limits}, got {value!r}")
         return value
 
     def finish(self):
@@ -148,15 +156,57 @@ def _parse_channel(raw) -> ChannelSpec:
     return ChannelSpec(model, k_factor, los_structure)
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; true/false would pass isinstance(value, int)."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _parse_list(raw, key, non_empty=False) -> list:
+    if not isinstance(raw, list) or (non_empty and not raw):
+        raise ConfigError(f"{key} must be a {'non-empty ' if non_empty else ''}list")
+    return raw
+
+
 def _parse_snr_grid(raw) -> tuple:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("snr_db must be a non-empty list of numbers")
     values = []
-    for v in raw:
-        if type(v) not in (int, float) or not math.isfinite(v):
+    for v in _parse_list(raw, "snr_db", non_empty=True):
+        if not _is_number(v):
             raise ConfigError(f"snr_db entries must be finite numbers, got {v!r}")
         values.append(float(v))
     return tuple(values)
+
+
+def _parse_harmonic_targets(sec: _Section, num_steps: int) -> tuple:
+    """single_harmonics, shift_fractions and multi_targets of a harmonics run."""
+    def harmonic(m, key):
+        # the synthesized harmonic aliases from |m| = L/2 on
+        if type(m) is not int or abs(m) >= num_steps / 2:
+            raise ConfigError(f"{key}: harmonic {m!r} must be an integer with "
+                              f"|m| < num_steps/2 = {num_steps / 2:g}")
+        return m
+
+    singles = [harmonic(m, "single_harmonics")
+               for m in _parse_list(sec.take("single_harmonics", []), "single_harmonics")]
+    shifts = _parse_list(sec.take("shift_fractions", []), "shift_fractions")
+    for f in shifts:
+        if not _is_number(f):
+            raise ConfigError(f"shift_fractions entries must be finite numbers, got {f!r}")
+    targets = []
+    for group in _parse_list(sec.take("multi_targets", []), "multi_targets"):
+        one = []
+        for entry in _parse_list(group, "multi_targets groups"):
+            w = entry[1] if isinstance(entry, list) and len(entry) == 2 else None
+            parts = w if isinstance(w, list) and len(w) == 2 else [w]
+            if not all(_is_number(v) for v in parts):
+                raise ConfigError("multi_targets entries must be [m, weight] pairs with a "
+                                  f"number or [re, im] weight, got {entry!r}")
+            one.append((harmonic(entry[0], "multi_targets"), complex(*parts)))
+        if len({m for m, _ in one}) != len(one):
+            raise ConfigError(f"multi_targets group repeats a harmonic: {group!r}")
+        if sum(abs(w) ** 2 for _, w in one) > 1.0 + 1e-12:
+            raise ConfigError(f"multi_targets group asks for more than unit power: {group!r}")
+        targets.append(tuple(one))
+    return tuple(singles), tuple(float(f) for f in shifts), tuple(targets)
 
 
 def parse_config(source) -> ExperimentConfig:
@@ -246,21 +296,23 @@ def parse_config(source) -> ExperimentConfig:
             "fc_ghz": float(geo_sec.bounded("fc_ghz", 0, required=True, strict=True)),
         }
         geo_sec.finish()
-        angles = sec.take("scan_angles_deg", required=True)
-        if not isinstance(angles, list) or not angles:
-            raise ConfigError("scan_angles_deg must be a non-empty list")
+        angles = _parse_list(sec.take("scan_angles_deg", required=True), "scan_angles_deg",
+                             non_empty=True)
         for a in angles:
             # SteeringSpec takes a non-negative phase range, so only 0..90 deg steer
-            if type(a) not in (int, float) or not 0.0 <= a <= 90.0:
+            if not _is_number(a) or not 0.0 <= a <= 90.0:
                 raise ConfigError(f"scan_angles_deg entries must be numbers in [0, 90], got {a!r}")
         grid_raw = sec.take("grid")
         theta_step, phi_step = 1.0, 1.0
         if grid_raw is not None:
             grid_sec = _Section(grid_raw, "grid")
-            theta_step = float(grid_sec.bounded("theta_step_deg", 0, 1.0, strict=True))
-            phi_step = float(grid_sec.bounded("phi_step_deg", 0, 1.0, strict=True))
+            # at least two elevations in 0..90 deg and two azimuths in 0..360 deg
+            theta_step = float(grid_sec.bounded("theta_step_deg", 0, 1.0, strict=True,
+                                                high=90))
+            phi_step = float(grid_sec.bounded("phi_step_deg", 0, 1.0, strict=True,
+                                              high=360, strict_high=True))
             grid_sec.finish()
-        quantize_bits = sec.bounded("quantize_bits", 1, kind=int)
+        quantize_bits = sec.bounded("quantize_bits", 1, kind=int, high=MAX_QUANTIZE_BITS)
         config = ExperimentConfig(
             experiment="pattern",
             seed=seed,
@@ -274,30 +326,16 @@ def parse_config(source) -> ExperimentConfig:
             output_dir=sec.take("output_dir", "patterns", kind=str),
         )
     elif experiment == "harmonics":
-        num_steps = int(sec.take("num_steps", 16, kind=int))
-        if num_steps < 2:
-            raise ConfigError("num_steps must be >= 2")
-        singles = sec.take("single_harmonics", [])
-        shifts = sec.take("shift_fractions", [])
-        multi = sec.take("multi_targets", [])
-        targets = []
-        for group in multi:
-            one = []
-            for entry in group:
-                if not isinstance(entry, list) or len(entry) != 2:
-                    raise ConfigError("multi_targets entries must be [m, weight] pairs")
-                m, w = entry
-                weight = complex(w[0], w[1]) if isinstance(w, list) else complex(w)
-                one.append((int(m), weight))
-            targets.append(tuple(one))
+        num_steps = sec.bounded("num_steps", 2, 16, kind=int)
+        singles, shifts, targets = _parse_harmonic_targets(sec, num_steps)
         config = ExperimentConfig(
             experiment="harmonics",
             seed=seed,
             num_steps=num_steps,
-            single_harmonics=tuple(int(m) for m in singles),
-            shift_fractions=tuple(float(f) for f in shifts),
-            multi_targets=tuple(targets),
-            harmonic_range=sec.take("harmonic_range", kind=int),
+            single_harmonics=singles,
+            shift_fractions=shifts,
+            multi_targets=targets,
+            harmonic_range=sec.bounded("harmonic_range", 0, kind=int),
             output_dir=sec.take("output_dir", "harmonics", kind=str),
         )
     elif experiment in ("codebook", "rate"):
@@ -343,10 +381,6 @@ class BerCurve:
                   header="snr_db,trials,bit_errors,ber,ci_low,ci_high")
 
 
-def _complex_normal(rng, shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
 def _popcount(values: np.ndarray) -> np.ndarray:
     return np.bitwise_count(values.astype(np.uint64))
 
@@ -383,7 +417,7 @@ class _BerModel:
     def _draw_channel(self, rng, shape):
         if self.channel.model == "awgn":
             return np.ones(shape, dtype=complex)
-        h = _complex_normal(rng, shape)
+        h = complex_normal(rng, shape)
         if self.channel.model == "rician":
             los = self.los if len(shape) == 3 else np.ones(shape[-1], dtype=complex)
             return rician(self.channel.k_factor, np.broadcast_to(los, shape), h)
@@ -395,24 +429,24 @@ class _BerModel:
         amp = np.sqrt(snr_linear)
         if self.scheme.model == "vector":
             h = self._draw_channel(rng, (batch, self.n_rx, self.n_tx))
-            noise = _complex_normal(rng, (batch, self.n_rx))
+            noise = complex_normal(rng, (batch, self.n_rx))
             tx = self.x[:, words].T                              # (B, n_tx)
             y = amp * np.einsum("bri,bi->br", h, tx) + noise
             detected = self._detect_vector(y, h, amp)
         elif self.scheme.model == "subcarrier":
             h = self._draw_channel(rng, (batch, self.block))
-            noise = _complex_normal(rng, (batch, self.block))
+            noise = complex_normal(rng, (batch, self.block))
             y = amp * h * self.x[:, words].T + noise
             detected = detection.ml_detect(np.conj(y) * h, np.abs(h) ** 2, self.table, snr_linear)
         elif self.scheme.model == "matrix":
             h = self._draw_channel(rng, (batch, self.n_rx, self.n_tx))
-            noise = _complex_normal(rng, (batch, self.n_rx, self.n_slots))
+            noise = complex_normal(rng, (batch, self.n_rx, self.n_slots))
             tx = np.moveaxis(self.mats[:, :, words], 2, 0)       # (B, n_tx, n_slots)
             y = amp * np.einsum("bri,bit->brt", h, tx) + noise
             detected = self._detect_matrix(y, h, amp)
         else:  # state
-            h = _complex_normal(rng, (batch, self.n_rx, self.num_states))
-            noise = _complex_normal(rng, (batch, self.n_rx))
+            h = complex_normal(rng, (batch, self.n_rx, self.num_states))
+            noise = complex_normal(rng, (batch, self.n_rx))
             rows = np.arange(batch)
             y = amp * h[rows, :, self.state_of[words]] * self.sym_of[words][:, None] + noise
             detected = self._detect_state(y, h, amp)
@@ -430,48 +464,60 @@ def run_ber(config: ExperimentConfig, threads: int = 1) -> BerCurve:
     """BER curve over the configured SNR grid.
 
     Each trial maps a fresh uniform codeword, sends it through an
-    independent channel draw plus AWGN, detects with the exhaustive MLD,
+    independent channel draw plus AWGN, detects with the exact ML detector,
     and counts errored bits (index and symbol bits alike).
+
+    One pool of ``threads`` workers serves the whole curve.  Every point
+    runs in waves of ``threads`` consecutive batches; a finished wave is
+    folded in index order and, unless the point has stopped, its next wave
+    is queued behind the other points' work, so waves of different points
+    overlap.  Batches past the stop in a wave are computed but never counted.
     """
     scheme = im_schemes.build_scheme(config.scheme)
     model = _BerModel(scheme, config.channel, config.n_rx)
     bits = scheme.bits_per_interval
-    points = []
-    for p_idx, snr_db in enumerate(config.snr_db):
-        snr = db_to_linear(snr_db)
-        policy = config.trials
-        n_batches = math.ceil(policy.max_trials / policy.batch_size)
+    policy = config.trials
+    n_batches = math.ceil(policy.max_trials / policy.batch_size)
+    width = max(1, threads)
+    snrs = [db_to_linear(snr_db) for snr_db in config.snr_db]
+    trials = [0] * len(snrs)
+    errors = [0] * len(snrs)
 
-        def batch_sizes(b):
-            return min(policy.batch_size, policy.max_trials - b * policy.batch_size)
+    def batch_size(b):
+        return min(policy.batch_size, policy.max_trials - b * policy.batch_size)
 
-        def run_batch(b):
-            rng = stream_rng(config.seed, p_idx, b)
-            return model.simulate(rng, batch_sizes(b), snr)
+    def run_batch(p, b):
+        return model.simulate(stream_rng(config.seed, p, b), batch_size(b), snrs[p])
 
-        trials = errors = 0
-        if threads <= 1:
-            for b in range(n_batches):
-                errors += run_batch(b)
-                trials += batch_sizes(b)
-                if errors >= policy.min_errors:
-                    break
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                done = False
-                for wave_start in range(0, n_batches, threads):
-                    wave = range(wave_start, min(wave_start + threads, n_batches))
-                    for b, result in zip(wave, pool.map(run_batch, wave)):
-                        if done:
-                            continue  # computed but never counted: keeps prefix rule exact
-                        errors += result
-                        trials += batch_sizes(b)
-                        if errors >= policy.min_errors:
-                            done = True
-                    if done:
+    pool = ThreadPoolExecutor(max_workers=width)
+    try:
+        def submit_wave(p, start):
+            wave = range(start, min(start + width, n_batches))
+            return start, [pool.submit(run_batch, p, b) for b in wave]
+
+        waves = {p: submit_wave(p, 0) for p in range(len(snrs))}
+        pending = {f for _, futures in waves.values() for f in futures}
+        while pending:
+            # finished futures must leave the set, or wait() returns at once
+            _, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for p, (start, futures) in list(waves.items()):
+                if not all(f.done() for f in futures):
+                    continue
+                del waves[p]
+                results = [f.result() for f in futures]  # a failed batch raises here
+                for b, result in enumerate(results, start):
+                    errors[p] += result
+                    trials[p] += batch_size(b)
+                    if errors[p] >= policy.min_errors:
                         break
-        points.append(_ber_point(snr_db, trials, errors, bits))
-    return BerCurve(config.scheme.get("type", "?"), bits, tuple(points))
+                else:
+                    if start + width < n_batches:
+                        waves[p] = submit_wave(p, start + width)
+                        pending.update(waves[p][1])
+    finally:
+        pool.shutdown(cancel_futures=True)
+    points = tuple(_ber_point(*point, bits) for point in zip(config.snr_db, trials, errors))
+    return BerCurve(config.scheme.get("type", "?"), bits, points)
 
 
 def _ber_point(snr_db: float, trials: int, errors: int, bits_per_trial: int) -> BerPoint:

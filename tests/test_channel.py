@@ -6,6 +6,7 @@ from risim.channel import (
     RisLink,
     align_and_snr,
     awgn,
+    complex_normal,
     instantaneous_snr,
     los_gain,
     los_matrix,
@@ -164,3 +165,16 @@ class TestRisLink:
 def test_stream_rng_rejects_negative_keys():
     with pytest.raises(ValueError):
         stream_rng(1, -2)
+
+
+@pytest.mark.parametrize("shape", [(65536, 2, 4), (65536, 2), (4096, 16, 16), (3,), ()])
+def test_complex_normal_bitwise_equals_two_draws(shape):
+    one = complex_normal(stream_rng(9, 1), shape)
+    rng = stream_rng(9, 1)
+    two = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    assert one.shape == two.shape and one.dtype == two.dtype
+    assert one.tobytes() == two.tobytes()
+
+
+def test_rayleigh_is_one_complex_normal_draw():
+    assert rayleigh(3, 5, stream_rng(2)).tobytes() == complex_normal(stream_rng(2), (3, 5)).tobytes()

@@ -131,3 +131,62 @@ def test_json_boolean_scheme_parameters_rejected(tmp_path, capsys, scheme, key):
 def test_json_boolean_rate_only_parameters_rejected(tmp_path, capsys, scheme, key):
     cfg = {"experiment": "rate", "scheme": scheme}
     assert_exit_2(tmp_path, capsys, "rate", cfg, key)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grid.theta_step_deg", 120),
+    ("grid.theta_step_deg", 90.5),
+    ("grid.phi_step_deg", 400),
+    ("grid.phi_step_deg", 360),
+    ("quantize_bits", 2000),
+    ("quantize_bits", 53),
+])
+def test_pattern_values_above_their_bounds_exit_2(tmp_path, capsys, key, value):
+    assert_exit_2(tmp_path, capsys, "pattern", pattern_config(**{key: value}), key)
+
+
+def test_pattern_upper_edges_run(tmp_path):
+    cfg = pattern_config(quantize_bits=52, **{"grid.theta_step_deg": 90,
+                                              "grid.phi_step_deg": 359.5})
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["pattern", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+def harmonics_config(**changes):
+    return {"experiment": "harmonics", "num_steps": 16, "output_dir": "patterns", **changes}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("single_harmonics", [True]),
+    ("single_harmonics", [1.5]),
+    ("single_harmonics", 3),
+    ("single_harmonics", [8]),
+    ("single_harmonics", [-8]),
+    ("shift_fractions", [True]),
+    ("shift_fractions", [float("nan")]),
+    ("shift_fractions", 0.25),
+    ("multi_targets", 5),
+    ("multi_targets", [5]),
+    ("multi_targets", [[5]]),
+    ("multi_targets", [[[True, 0.5]]]),
+    ("multi_targets", [[[1, False]]]),
+    ("multi_targets", [[[1, [0.5, True]]]]),
+    ("multi_targets", [[[1, "0.5"]]]),
+    ("multi_targets", [[[8, 0.5]]]),
+    ("multi_targets", [[[1, 0.6], [1, 0.1]]]),
+    ("multi_targets", [[[1, 0.8], [2, 0.8]]]),
+    ("harmonic_range", -1),
+    ("num_steps", 1),
+])
+def test_bad_harmonics_values_exit_2(tmp_path, capsys, key, value):
+    # output_dir "patterns" lets assert_exit_2 check that nothing was written
+    assert_exit_2(tmp_path, capsys, "harmonics", harmonics_config(**{key: value}), key)
+
+
+def test_harmonics_config_accepts_valid_edges():
+    config = parse_config(harmonics_config(
+        single_harmonics=[-7, 0, 7], shift_fractions=[0, 0.5],
+        multi_targets=[[[7, [0.6, 0.0]], [-7, 0.8]], []], harmonic_range=0))
+    assert config.single_harmonics == (-7, 0, 7)
+    assert config.multi_targets == (((7, 0.6 + 0j), (-7, 0.8 + 0j)), ())

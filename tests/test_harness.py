@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from risim.channel import stream_rng
 from risim.errors import ConfigError
 from risim.harness import (
     BerCurve,
@@ -325,3 +326,84 @@ def test_ber_curve_csv_format(tmp_path):
     fields = lines[1].split(",")
     assert len(fields) == 6
     assert int(fields[1]) == 10_000
+
+
+class _KeyedGenerator:
+    """A stream generator that remembers its (seed, point, batch) key."""
+
+    def __init__(self, *key):
+        self.key = key
+        self._rng = stream_rng(*key)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestBatchScheduler:
+    # AWGN BPSK, 1024-trial batches, at most 7 (the last one short): -10 dB
+    # stops in its first batch, 0 dB after about 4, 3 dB and 30 dB run to
+    # max_trials
+    CONFIG = dict(max_trials=7 * 1024 - 100, min_errors=300, batch_size=1024)
+    SNR_DB = [-10.0, 0.0, 3.0, 30.0, -10.0]
+
+    def run(self, monkeypatch, threads):
+        from risim import harness
+
+        computed = []
+        simulate = harness._BerModel.simulate
+
+        def recording(model, rng, batch, snr):
+            computed.append(rng.key[1:])
+            return simulate(model, rng, batch, snr)
+
+        monkeypatch.setattr(harness, "stream_rng", _KeyedGenerator)
+        monkeypatch.setattr(harness._BerModel, "simulate", recording)
+        config = ber_config({"type": "psk", "order": 2}, {"model": "awgn"}, self.SNR_DB,
+                            **self.CONFIG)
+        return run_ber(config, threads=threads), computed
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_computed_batches_follow_the_wave_rule(self, monkeypatch, threads):
+        curve, computed = self.run(monkeypatch, threads)
+        n_batches = 7
+        folded = [math.ceil(p.trials / 1024) for p in curve.points]
+        assert folded[0] == 1 and 1 < folded[1] < n_batches and folded[2] == n_batches
+        expected = {(p, b) for p, n in enumerate(folded)
+                    for b in range(min(n_batches, math.ceil(n / threads) * threads))}
+        assert len(computed) == len(set(computed))
+        assert set(computed) == expected
+
+    def test_results_identical_at_every_thread_count(self, monkeypatch, tmp_path):
+        outputs = []
+        for threads in (1, 2, 3, 4):
+            path = tmp_path / f"t{threads}.csv"
+            self.run(monkeypatch, threads)[0].to_csv(path)
+            outputs.append(path.read_bytes())
+        assert outputs == [outputs[0]] * 4
+
+    def test_batch_failure_propagates(self, monkeypatch):
+        from risim import harness
+
+        def failing(model, rng, batch, snr):
+            raise RuntimeError("batch failed")
+
+        monkeypatch.setattr(harness._BerModel, "simulate", failing)
+        config = ber_config({"type": "psk", "order": 2}, {"model": "awgn"}, self.SNR_DB,
+                            **self.CONFIG)
+        with pytest.raises(RuntimeError, match="batch failed"):
+            run_ber(config, threads=2)
+
+
+@pytest.mark.parametrize("k_factor", [None, 0.0])
+def test_channel_draw_bitwise_equals_two_normal_draws(k_factor):
+    from risim.harness import ChannelSpec, _BerModel
+    from risim.im_schemes import SpatialModulation
+
+    channel = (ChannelSpec("rayleigh") if k_factor is None
+               else ChannelSpec("rician", k_factor))
+    model = _BerModel(SpatialModulation(2, 2), channel, 2)
+    shape = (4096, 2, 2)
+    h = model._draw_channel(stream_rng(5, 0, 0), shape)
+    rng = stream_rng(5, 0, 0)
+    old = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    assert h.tobytes() == old.tobytes()

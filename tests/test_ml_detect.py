@@ -129,3 +129,30 @@ def test_decisions_do_not_depend_on_chunking(monkeypatch):
         monkeypatch.setattr(detection, "_HYPOTHESIS_BUDGET", budget)
         decisions.append(ml_detect(*matched_filter(y, h, table), table, 10.0))
     assert np.array_equal(*decisions)
+
+
+@pytest.mark.parametrize("extra", [1, 2])
+def test_chunked_metric_bitwise_equals_one_evaluation(monkeypatch, extra):
+    # a dense random codebook makes the Gram side a real matrix product,
+    # whose one-row (matrix-vector) evaluation rounds differently
+    from risim import detection
+
+    rng = stream_rng(104)
+    table = MetricTable(cn(rng, (4, 16)))
+    h, y = cn(rng, (4 * 7 + extra, 3, 4)), cn(rng, (4 * 7 + extra, 3))
+    zh, gram = matched_filter(y, h, table)
+    whole = detection._metric(zh, gram, table, 10.0)
+
+    chunks = []
+    metric = detection._metric
+
+    def recording(*args):
+        chunks.append(metric(*args))
+        return chunks[-1]
+
+    monkeypatch.setattr(detection, "_metric", recording)
+    monkeypatch.setattr(detection, "_HYPOTHESIS_BUDGET", 4 * table.x.shape[1])  # 4 trials
+    decisions = ml_detect(zh, gram, table, 10.0)
+    assert min(len(c) for c in chunks) >= 2
+    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+    assert np.array_equal(decisions, np.argmin(whole, axis=1))
