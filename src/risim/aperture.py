@@ -12,13 +12,18 @@ phi = 180 deg half-plane (the array-factor phase grows with +x, so the
 positive surface gradient compensates it on the -x side).
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .util import SPEED_OF_LIGHT, mag_to_db, wrap_phase, write_csv
+from .util import SPEED_OF_LIGHT, mag_to_db, row_templates, wrap_phase, write_csv
 
 _CHUNK_DIRECTIONS = 65536
+# Upper bound on the text GridText keeps per direction: "90.000000,359.000000,"
+# and "-0.999848,-0.999848," plus their "%.6f" fields come to at most 56 bytes.
+_TEXT_BYTES_PER_DIRECTION = 64
 
 
 class UnsteerableGradientError(ValueError):
@@ -122,27 +127,83 @@ class FarFieldGrid:
         mag = np.abs(self.field)
         return np.where(mag > 0, mag_to_db(np.maximum(mag, 1e-15)), -300.0)
 
-    def to_csv(self, path) -> None:
-        """Rows of theta_deg,phi_deg,mag_db,phase_deg (floor at -300 dB)."""
-        th, ph = np.meshgrid(np.rad2deg(self.theta), np.rad2deg(self.phi), indexing="ij")
-        phase = np.rad2deg(np.angle(self.field))
-        rows = np.column_stack([th.ravel(), ph.ravel(), self.mag_db().ravel(), phase.ravel()])
-        write_csv(path, rows, "%.6f", header="theta_deg,phi_deg,mag_db,phase_deg")
+    def to_csv(self, path, text=None) -> None:
+        """Rows of theta_deg,phi_deg,mag_db,phase_deg (floor at -300 dB).
 
-    def to_uv_csv(self, path) -> None:
-        """Rows of u,v,mag_db with u = sin(theta)cos(phi), v = sin(theta)sin(phi)."""
-        th, ph = np.meshgrid(self.theta, self.phi, indexing="ij")
-        u = np.sin(th) * np.cos(ph)
-        v = np.sin(th) * np.sin(ph)
-        rows = np.column_stack([u.ravel(), v.ravel(), self.mag_db().ravel()])
-        write_csv(path, rows, "%.6f", header="u,v,mag_db")
+        ``text``, a :class:`GridText` of this grid, supplies the formatted
+        theta/phi columns; without it they are formatted here.
+        """
+        text = self._text(text)
+        phase = np.rad2deg(np.angle(self.field))
+        rows = np.column_stack([self.mag_db().ravel(), phase.ravel()])
+        write_csv(path, rows, "%.6f", header="theta_deg,phi_deg,mag_db,phase_deg",
+                  templates=text.field_rows)
+
+    def to_uv_csv(self, path, text=None) -> None:
+        """Rows of u,v,mag_db with u = sin(theta)cos(phi), v = sin(theta)sin(phi);
+        ``text`` as in :meth:`to_csv`."""
+        text = self._text(text)
+        write_csv(path, self.mag_db().ravel(), "%.6f", header="u,v,mag_db",
+                  templates=text.uv_rows)
+
+    def _text(self, text):
+        if text is None:
+            return GridText(self.theta, self.phi)
+        if not (np.array_equal(text.theta, self.theta) and np.array_equal(text.phi, self.phi)):
+            raise ValueError("grid text was formatted for a different (theta, phi) grid")
+        return text
+
+
+def direction_cosines(theta, phi):
+    """u = sin(theta)cos(phi) and v = sin(theta)sin(phi) of every grid
+    direction, flattened theta-major."""
+    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    return (np.sin(th) * np.cos(ph)).ravel(), (np.sin(th) * np.sin(ph)).ravel()
+
+
+class GridText:
+    """The grid columns of the far-field CSVs, formatted once per grid.
+
+    theta_deg,phi_deg come from one string per axis value and u,v from one
+    string per direction; each is held as :func:`util.row_templates` with
+    the per-pattern fields left open, so a sweep that writes many patterns
+    on one grid formats only mag_db and phase_deg per pattern.  Each set is
+    formatted on first use.
+    """
+
+    def __init__(self, theta, phi):
+        self.theta = np.asarray(theta, dtype=float)
+        self.phi = np.asarray(phi, dtype=float)
+
+    @cached_property
+    def field_rows(self) -> list:
+        th_text = ["%.6f," % t for t in np.rad2deg(self.theta).tolist()]
+        ph_text = ["%.6f," % p for p in np.rad2deg(self.phi).tolist()]
+        return row_templates((t + p for t in th_text for p in ph_text), "%.6f", 2)
+
+    @cached_property
+    def uv_rows(self) -> list:
+        u, v = direction_cosines(self.theta, self.phi)
+        return row_templates(("%.6f,%.6f," % uv for uv in zip(u.tolist(), v.tolist())),
+                             "%.6f", 1)
+
+
+_THETA_STOP_DEG = 90.0 + 1e-9   # theta includes 90 deg
+_PHI_STOP_DEG = 360.0
 
 
 def direction_grid(theta_step_deg: float = 1.0, phi_step_deg: float = 1.0):
     """Default hemisphere grid: theta 0..90 deg inclusive, phi 0..360 deg exclusive."""
-    theta = np.deg2rad(np.arange(0.0, 90.0 + 1e-9, theta_step_deg))
-    phi = np.deg2rad(np.arange(0.0, 360.0, phi_step_deg))
+    theta = np.deg2rad(np.arange(0.0, _THETA_STOP_DEG, theta_step_deg))
+    phi = np.deg2rad(np.arange(0.0, _PHI_STOP_DEG, phi_step_deg))
     return theta, phi
+
+
+def direction_count(theta_step_deg: float, phi_step_deg: float) -> int:
+    """Directions of :func:`direction_grid`, without building it (np.arange
+    has ceil((stop - start) / step) entries)."""
+    return (math.ceil(_THETA_STOP_DEG / theta_step_deg)
+            * math.ceil(_PHI_STOP_DEG / phi_step_deg))
 
 
 def scan_angle(spec: SteeringSpec, wavelength: float) -> float:
@@ -212,30 +273,69 @@ def compose_phase(modulation, steering, farfield, amplitude=None) -> PhaseCoding
     return PhaseCoding(amplitude, total)
 
 
-def _array_factor(excitation: np.ndarray, geom: ApertureGeometry, theta, phi,
-                  element_exponent: float = 0.0) -> FarFieldGrid:
-    """Coherent sum over elements for every grid direction (chunked over
-    directions so large grids stay within memory; order-independent)."""
+def sweep_bytes(rows: int, cols: int, directions: int) -> int:
+    """Memory a pattern sweep holds for its whole run: the :class:`ArrayKernels`
+    of a rows x cols aperture plus the :class:`GridText` of its grid."""
+    return directions * (16 * (rows + cols) + _TEXT_BYTES_PER_DIRECTION)
+
+
+def _kernel_chunks(geom: ApertureGeometry, theta, phi):
+    """(slice, exp(j kc x u), exp(j kc y v)) per chunk of grid directions."""
+    u, v = direction_cosines(theta, phi)
+    kc = geom.wavenumber
+    x = np.arange(geom.rows) * geom.dx
+    y = np.arange(geom.cols) * geom.dy
+    for start in range(0, u.size, _CHUNK_DIRECTIONS):
+        sl = slice(start, min(start + _CHUNK_DIRECTIONS, u.size))
+        yield (sl, np.exp(1j * kc * np.outer(x, u[sl])),     # (rows, D)
+               np.exp(1j * kc * np.outer(y, v[sl])))         # (cols, D)
+
+
+class ArrayKernels:
+    """The excitation-independent part of the array factor of one geometry
+    on one direction grid, every chunk held at once.
+
+    Build it once and pass it to :func:`radiation_pattern` (or
+    :func:`spacetime.harmonic_pattern`) for each excitation on that grid;
+    the fields are bitwise equal to those computed without it.  It holds
+    16 * (rows + cols) bytes per direction.
+    """
+
+    def __init__(self, geom: ApertureGeometry, theta, phi):
+        self.geom = geom
+        self.theta = np.asarray(theta, dtype=float)
+        self.phi = np.asarray(phi, dtype=float)
+        self.chunks = list(_kernel_chunks(geom, self.theta, self.phi))
+
+
+def _array_factor(excitation: np.ndarray, geom: ApertureGeometry, theta=None, phi=None,
+                  element_exponent: float = 0.0, kernels: ArrayKernels | None = None
+                  ) -> FarFieldGrid:
+    """Coherent sum over elements for every grid direction (default grid:
+    :func:`direction_grid`).  Without ``kernels`` the kernels are computed
+    one chunk of directions at a time, so large grids stay within memory."""
     excitation = np.asarray(excitation, dtype=complex)
     if excitation.shape != (geom.rows, geom.cols):
         raise ValueError(
             f"excitation shape {excitation.shape} does not match geometry "
             f"({geom.rows}, {geom.cols})"
         )
+    if theta is None or phi is None:
+        default_theta, default_phi = direction_grid()
+        theta = default_theta if theta is None else theta
+        phi = default_phi if phi is None else phi
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
-    u = (np.sin(th) * np.cos(ph)).ravel()
-    v = (np.sin(th) * np.sin(ph)).ravel()
+    if kernels is None:
+        chunks = _kernel_chunks(geom, theta, phi)
+    elif (kernels.geom == geom and np.array_equal(kernels.theta, theta)
+          and np.array_equal(kernels.phi, phi)):
+        chunks = kernels.chunks
+    else:
+        raise ValueError("array kernels were built for a different geometry or grid")
 
-    kc = geom.wavenumber
-    x = np.arange(geom.rows) * geom.dx
-    y = np.arange(geom.cols) * geom.dy
-    out = np.empty(u.size, dtype=complex)
-    for start in range(0, u.size, _CHUNK_DIRECTIONS):
-        sl = slice(start, min(start + _CHUNK_DIRECTIONS, u.size))
-        ex = np.exp(1j * kc * np.outer(x, u[sl]))         # (rows, D)
-        ey = np.exp(1j * kc * np.outer(y, v[sl]))         # (cols, D)
+    out = np.empty(theta.size * phi.size, dtype=complex)
+    for sl, ex, ey in chunks:
         out[sl] = np.einsum("qd,qd->d", excitation.T @ ex, ey)
 
     field = out.reshape(len(theta), len(phi))
@@ -245,18 +345,17 @@ def _array_factor(excitation: np.ndarray, geom: ApertureGeometry, theta, phi,
 
 
 def radiation_pattern(coding: PhaseCoding, geom: ApertureGeometry,
-                      theta=None, phi=None, element_exponent: float = 0.0) -> FarFieldGrid:
+                      theta=None, phi=None, element_exponent: float = 0.0,
+                      kernels: ArrayKernels | None = None) -> FarFieldGrid:
     """Reflected far-field pattern of one aperture state.
 
     f(theta, phi) = sum_pq a_e(p,q) exp(j phi_e(p,q))
                     exp(j kc sin(theta) (x_p cos(phi) + y_q sin(phi)))
     with an optional cos(theta)**q element factor (isotropic by default).
+    ``kernels`` built for (geom, theta, phi) saves recomputing the
+    direction terms when many states share one grid.
     """
-    if theta is None or phi is None:
-        default_theta, default_phi = direction_grid()
-        theta = default_theta if theta is None else theta
-        phi = default_phi if phi is None else phi
-    return _array_factor(coding.excitation, geom, theta, phi, element_exponent)
+    return _array_factor(coding.excitation, geom, theta, phi, element_exponent, kernels)
 
 
 def directivity_map(grid: FarFieldGrid) -> np.ndarray:

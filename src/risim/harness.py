@@ -25,6 +25,12 @@ DEFAULT_MIN_ERRORS = 200
 DEFAULT_BATCH_SIZE = 65_536
 # 2**52 levels already space phases in [0, 2 pi) at about one double ulp
 MAX_QUANTIZE_BITS = 52
+# bytes of array kernels and grid text a pattern sweep keeps for its whole run
+MAX_PATTERN_SWEEP_BYTES = 1 << 29
+# the BER engine and the codebook export hold every codeword, and the
+# trial draws of one batch are not chunked
+MAX_CODEWORDS = 1 << 16
+MAX_BATCH_SIZE = 1 << 20
 
 # --------------------------------------------------------------------------
 # configuration
@@ -131,7 +137,19 @@ def _parse_trials(raw) -> TrialPolicy:
     sec.finish()
     if policy.max_trials < 1 or policy.min_errors < 1 or policy.batch_size < 1:
         raise ConfigError("trials.* values must be >= 1")
+    if policy.batch_size > MAX_BATCH_SIZE:
+        raise ConfigError(f"trials.batch_size must be <= {MAX_BATCH_SIZE}, "
+                          f"got {policy.batch_size}")
     return policy
+
+
+def _parse_scheme(raw) -> im_schemes.Scheme:
+    """A scheme whose whole codebook may be built."""
+    scheme = im_schemes.build_scheme(raw)
+    if 1 << scheme.bits_per_interval > MAX_CODEWORDS:
+        raise ConfigError(f"scheme has 2^{scheme.bits_per_interval} codewords; "
+                          f"at most {MAX_CODEWORDS} are supported")
+    return scheme
 
 
 def _parse_channel(raw) -> ChannelSpec:
@@ -232,7 +250,7 @@ def parse_config(source) -> ExperimentConfig:
 
     if experiment == "ber":
         scheme_cfg = sec.take("scheme", required=True)
-        scheme = im_schemes.build_scheme(scheme_cfg)  # validates feasibility
+        scheme = _parse_scheme(scheme_cfg)  # validates feasibility
         if scheme.model == "analytic":
             raise ConfigError(
                 f"scheme type {scheme_cfg.get('type')!r} has no statistical-channel "
@@ -312,6 +330,14 @@ def parse_config(source) -> ExperimentConfig:
             phi_step = float(grid_sec.bounded("phi_step_deg", 0, 1.0, strict=True,
                                               high=360, strict_high=True))
             grid_sec.finish()
+        directions = aperture.direction_count(theta_step, phi_step)
+        need = aperture.sweep_bytes(geometry["rows"], geometry["cols"], directions)
+        if need > MAX_PATTERN_SWEEP_BYTES:
+            raise ConfigError(
+                f"grid: {directions} directions on a {geometry['rows']}x{geometry['cols']} "
+                f"aperture need {need} bytes of shared kernels and text, over the budget "
+                f"of {MAX_PATTERN_SWEEP_BYTES}; use coarser grid steps"
+            )
         quantize_bits = sec.bounded("quantize_bits", 1, kind=int, high=MAX_QUANTIZE_BITS)
         config = ExperimentConfig(
             experiment="pattern",
@@ -340,7 +366,10 @@ def parse_config(source) -> ExperimentConfig:
         )
     elif experiment in ("codebook", "rate"):
         scheme_cfg = sec.take("scheme", required=True)
-        im_schemes.rate_of(scheme_cfg)  # full validation
+        if experiment == "codebook":
+            _parse_scheme(scheme_cfg)
+        else:
+            im_schemes.rate_of(scheme_cfg)  # formula only: no codebook is built
         config = ExperimentConfig(
             experiment=experiment,
             seed=seed,
@@ -580,6 +609,9 @@ def run_pattern(config: ExperimentConfig, out_base: Path):
         geo["fc_ghz"] * 1e9,
     )
     theta, phi = aperture.direction_grid(*config.grid_step_deg)
+    # what every scan angle shares: the array kernels and the grid-column text
+    kernels = aperture.ArrayKernels(geom, theta, phi)
+    text = aperture.GridText(theta, phi)
     table = metaatom.default_response_table() if config.couple_atom_loss else None
     out_dir = out_base / config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -610,7 +642,7 @@ def run_pattern(config: ExperimentConfig, out_base: Path):
         coding = aperture.PhaseCoding(amplitude, phase)
 
         grid = aperture.radiation_pattern(coding, geom, theta, phi,
-                                          config.element_exponent)
+                                          config.element_exponent, kernels=kernels)
         peak_theta, peak_phi = grid.peak_direction()
         peak_lin, peak_dbi = aperture.peak_directivity(grid)
         norm = aperture.directivity_normalization(grid)
@@ -620,8 +652,8 @@ def run_pattern(config: ExperimentConfig, out_base: Path):
         field_path = out_dir / f"farfield_{tag}.csv"
         uv_path = out_dir / f"farfield_uv_{tag}.csv"
         aperture.coding_to_csv(coding, coding_path)
-        grid.to_csv(field_path)
-        grid.to_uv_csv(uv_path)
+        grid.to_csv(field_path, text)
+        grid.to_uv_csv(uv_path, text)
         written += [coding_path, field_path, uv_path]
         summary.append((angle_deg, np.rad2deg(predicted), np.rad2deg(peak_theta),
                         np.rad2deg(peak_phi), peak_dbi, norm))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aperture import ApertureGeometry, FarFieldGrid, _array_factor
+from .aperture import ApertureGeometry, ArrayKernels, FarFieldGrid, _array_factor
 from .util import mag_to_db, write_csv
 
 
@@ -235,13 +235,15 @@ def element_harmonic_amplitudes(sequences, m: int) -> np.ndarray:
 
 
 def harmonic_pattern(sequences, m: int, geom: ApertureGeometry,
-                     theta=None, phi=None, element_exponent: float = 0.0) -> FarFieldGrid:
+                     theta=None, phi=None, element_exponent: float = 0.0,
+                     kernels: ArrayKernels | None = None) -> FarFieldGrid:
     """Far-field pattern of the aperture at harmonic m.
 
     ``sequences`` holds one L-step coding per element, shape
     (rows, cols, L); the per-element a^m replace the static reflection
     coefficients in the aperture sum, so harmonic 0 of static codings
-    reproduces the ordinary radiation pattern.
+    reproduces the ordinary radiation pattern.  ``kernels`` are as in
+    :func:`aperture.radiation_pattern`.
     """
     arr = np.asarray(sequences)
     if arr.dtype == object or arr.ndim != 3:
@@ -250,13 +252,7 @@ def harmonic_pattern(sequences, m: int, geom: ApertureGeometry,
             "across elements are not representable"
         )
     amplitudes = element_harmonic_amplitudes(arr, m)
-    if theta is None or phi is None:
-        from .aperture import direction_grid
-
-        default_theta, default_phi = direction_grid()
-        theta = default_theta if theta is None else theta
-        phi = default_phi if phi is None else phi
-    return _array_factor(amplitudes, geom, theta, phi, element_exponent)
+    return _array_factor(amplitudes, geom, theta, phi, element_exponent, kernels)
 
 
 def sequence_to_csv(steps, path) -> None:

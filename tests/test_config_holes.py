@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from risim import aperture
 from risim.cli import main
 from risim.errors import ConfigError
-from risim.harness import parse_config
+from risim.harness import MAX_BATCH_SIZE, MAX_PATTERN_SWEEP_BYTES, parse_config
 
 
 def rician_config(k):
@@ -190,3 +191,67 @@ def test_harmonics_config_accepts_valid_edges():
         multi_targets=[[[7, [0.6, 0.0]], [-7, 0.8]], []], harmonic_range=0))
     assert config.single_harmonics == (-7, 0, 7)
     assert config.multi_targets == (((7, 0.6 + 0j), (-7, 0.8 + 0j)), ())
+
+
+def test_pattern_over_the_sweep_budget_exits_2(tmp_path, capsys):
+    # 1 deg grid: 32,760 directions at 16 * (rows + cols) + 64 bytes each
+    cfg = pattern_config(**{"geometry.rows": 1001, "geometry.cols": 20,
+                            "grid.theta_step_deg": 1.0, "grid.phi_step_deg": 1.0})
+    assert aperture.sweep_bytes(1001, 20, 32_760) > MAX_PATTERN_SWEEP_BYTES
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["pattern", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "grid" in err and str(MAX_PATTERN_SWEEP_BYTES) in err
+    assert not (tmp_path / "patterns").exists()
+
+
+def test_pattern_just_under_the_sweep_budget_parses():
+    cfg = pattern_config(**{"geometry.rows": 1000, "geometry.cols": 20,
+                            "grid.theta_step_deg": 1.0, "grid.phi_step_deg": 1.0})
+    assert aperture.sweep_bytes(1000, 20, 32_760) <= MAX_PATTERN_SWEEP_BYTES
+    parse_config(cfg)
+
+
+@pytest.mark.parametrize("steps", [(1.0, 1.0), (0.5, 0.75), (0.3, 0.7), (7.0, 359.5),
+                                   (90.0, 0.11), (1 / 3, 1 / 3)])
+def test_direction_count_matches_direction_grid(steps):
+    theta, phi = aperture.direction_grid(*steps)
+    assert aperture.direction_count(*steps) == theta.size * phi.size
+
+
+def ber_config(scheme, **trials):
+    return {"experiment": "ber", "scheme": scheme, "channel": {"model": "rayleigh"},
+            "snr_db": [10], "trials": {"max_trials": 1000, "min_errors": 10, **trials},
+            "output": "curve.csv"}
+
+
+BIG_GSM = {"type": "gsm", "n_tx": 30, "n_active": 15, "order": 4}  # 2^29 codewords
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("ber", ber_config(BIG_GSM)),
+    ("ber", ber_config({"type": "psk", "order": 1 << 17})),
+    ("codebook", {"experiment": "codebook", "scheme": BIG_GSM, "output": "book.csv"}),
+])
+def test_scheme_with_too_many_codewords_exits_2(tmp_path, capsys, command, cfg):
+    assert_exit_2(tmp_path, capsys, command, cfg, "scheme")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("batch_size", [MAX_BATCH_SIZE + 1, 4_000_000_000])
+def test_batch_size_over_its_bound_exits_2(tmp_path, capsys, batch_size):
+    cfg = ber_config({"type": "psk", "order": 2}, batch_size=batch_size)
+    assert_exit_2(tmp_path, capsys, "ber", cfg, "trials.batch_size")
+
+
+def test_ber_size_guards_accept_their_edges(tmp_path, capsys):
+    config = parse_config(ber_config({"type": "psk", "order": 1 << 16},
+                                     batch_size=MAX_BATCH_SIZE))
+    assert config.trials.batch_size == MAX_BATCH_SIZE
+    parse_config({"experiment": "codebook", "scheme": {"type": "psk", "order": 1 << 16}})
+    # rate is formula-only, so the codebook bound does not apply
+    path = tmp_path / "rate.json"
+    path.write_text(json.dumps({"experiment": "rate", "scheme": BIG_GSM}))
+    assert main(["rate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "29.000000"
