@@ -24,6 +24,8 @@ _CHUNK_DIRECTIONS = 65536
 # Upper bound on the text GridText keeps per direction: "90.000000,359.000000,"
 # and "-0.999848,-0.999848," plus their "%.6f" fields come to at most 56 bytes.
 _TEXT_BYTES_PER_DIRECTION = 64
+# per element and scan angle: about eight arrays of up to 16 bytes each
+_ELEMENT_BYTES = 128
 
 
 class UnsteerableGradientError(ValueError):
@@ -277,6 +279,12 @@ def sweep_bytes(rows: int, cols: int, directions: int) -> int:
     """Memory a pattern sweep holds for its whole run: the :class:`ArrayKernels`
     of a rows x cols aperture plus the :class:`GridText` of its grid."""
     return directions * (16 * (rows + cols) + _TEXT_BYTES_PER_DIRECTION)
+
+
+def element_bytes(rows: int, cols: int) -> int:
+    """Memory one scan angle's element arrays take on a rows x cols aperture:
+    its phase, amplitude, excitation and coding-text arrays."""
+    return rows * cols * _ELEMENT_BYTES
 
 
 def _kernel_chunks(geom: ApertureGeometry, theta, phi):

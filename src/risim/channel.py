@@ -51,8 +51,13 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     scaling by 1/sqrt(2) is done in place: the result is bitwise equal to
     (standard_normal(shape) + 1j * standard_normal(shape)) / sqrt(2).
     """
-    planes = rng.standard_normal((2, *shape))
-    out = np.empty(shape, dtype=complex)
+    return complex_from_planes(rng.standard_normal((2, *shape)))
+
+
+def complex_from_planes(planes: np.ndarray) -> np.ndarray:
+    """CN(0, 1) samples from a (2, ...) standard-normal draw: planes[0] / sqrt(2)
+    as the real parts, planes[1] / sqrt(2) as the imaginary parts."""
+    out = np.empty(planes.shape[1:], dtype=complex)
     np.multiply(planes[0], 1 / np.sqrt(2.0), out=out.real)
     np.multiply(planes[1], 1 / np.sqrt(2.0), out=out.imag)
     return out

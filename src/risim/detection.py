@@ -24,6 +24,11 @@ from . import channel as channel_mod
 # (trials x codewords) metric entries per chunk; small enough that a chunk's
 # metric and cross terms stay in cache between the passes over them
 _HYPOTHESIS_BUDGET = 1 << 16
+# trials per Gaussian draw of the capacity engine; part of its random stream
+CAPACITY_BATCH = 4096
+# complex channel entries per capacity block (1 MB), so that a block's
+# channel, Gram matrix and Cholesky factor stay in L2 together
+_CAPACITY_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -162,13 +167,33 @@ class CapacityEstimate:
     trials: int
 
 
+def _log2_det_gram(h: np.ndarray, snr_linear: float) -> np.ndarray:
+    """log2 det(I + snr/Nt H H^H) of each matrix H in ``h`` (..., n_rx, n_tx).
+
+    The Gram matrix is Hermitian with every eigenvalue >= 1, so its Cholesky
+    factor L exists and the log-determinant is 2 sum log2 diag(L).
+    """
+    n_rx, n_tx = h.shape[-2:]
+    gram = h @ np.conj(np.swapaxes(h, -1, -2))
+    gram *= snr_linear / n_tx
+    d = np.arange(n_rx)
+    gram[..., d, d] += 1.0
+    diag = np.linalg.cholesky(gram)[..., d, d].real
+    return 2.0 * np.log2(diag).sum(axis=-1)
+
+
+def capacity_batch_bytes(n_tx: int, n_rx: int, trials: int) -> int:
+    """Bytes :func:`ergodic_capacity` holds at once besides its per-trial
+    values: one batch's Gaussian draw plus one block's channel, conjugate
+    transpose, Gram matrix and Cholesky factor."""
+    n = min(CAPACITY_BATCH, trials)
+    k = min(n, max(1, _CAPACITY_BLOCK // (n_rx * n_tx)))
+    return 16 * (n * n_rx * n_tx + k * n_rx * (2 * n_tx + 3 * n_rx))
+
+
 def instantaneous_capacity(h: np.ndarray, snr_linear: float) -> float:
     """log2 det(I + gamma/Nt * H H^H) for one channel realization."""
-    h = np.asarray(h, dtype=complex)
-    n_rx, n_tx = h.shape
-    gram = np.eye(n_rx) + (snr_linear / n_tx) * (h @ h.conj().T)
-    sign, logdet = np.linalg.slogdet(gram)
-    return float(logdet / np.log(2.0))
+    return float(_log2_det_gram(np.asarray(h, dtype=complex), snr_linear))
 
 
 def ergodic_capacity(n_tx: int, n_rx: int, snr_linear: float, trials: int,
@@ -176,24 +201,22 @@ def ergodic_capacity(n_tx: int, n_rx: int, snr_linear: float, trials: int,
     """Monte Carlo mean of the instantaneous capacity over channel draws.
 
     Reports the standard error of the mean so consumers can set principled
-    tolerances.  Deterministic in (seed, n_tx, n_rx, trials).
+    tolerances.  Deterministic in (seed, n_tx, n_rx, trials).  Each batch of
+    CAPACITY_BATCH trials is one Gaussian draw; its log-determinants are taken
+    in blocks of at most _CAPACITY_BLOCK channel entries.
     """
     if model != "rayleigh":
         raise ValueError(f"unsupported capacity channel model {model!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = channel_mod.stream_rng(seed, n_tx, n_rx)
-    batch = 4096
+    block = max(1, _CAPACITY_BLOCK // (n_rx * n_tx))
     values = np.empty(trials)
-    done = 0
-    eye = np.eye(n_rx)
-    while done < trials:
-        n = min(batch, trials - done)
-        h = channel_mod.complex_normal(rng, (n, n_rx, n_tx))
-        gram = eye[None] + (snr_linear / n_tx) * (h @ np.conj(np.transpose(h, (0, 2, 1))))
-        _, logdet = np.linalg.slogdet(gram)
-        values[done:done + n] = logdet / np.log(2.0)
-        done += n
+    for done in range(0, trials, CAPACITY_BATCH):
+        planes = rng.standard_normal((2, min(CAPACITY_BATCH, trials - done), n_rx, n_tx))
+        for lo in range(0, planes.shape[1], block):
+            h = channel_mod.complex_from_planes(planes[:, lo:lo + block])
+            values[done + lo:done + lo + len(h)] = _log2_det_gram(h, snr_linear)
     mean = float(values.mean())
     std_err = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
     return CapacityEstimate(mean, std_err, trials)

@@ -25,8 +25,11 @@ DEFAULT_MIN_ERRORS = 200
 DEFAULT_BATCH_SIZE = 65_536
 # 2**52 levels already space phases in [0, 2 pi) at about one double ulp
 MAX_QUANTIZE_BITS = 52
-# bytes of array kernels and grid text a pattern sweep keeps for its whole run
-MAX_PATTERN_SWEEP_BYTES = 1 << 29
+# bytes one run may hold in any of its largest arrays, estimated from the
+# config at parse time: a pattern sweep's kernels and text, one angle's
+# element arrays, a BER codebook or batch draw, a capacity batch or values
+MAX_RUN_BYTES = 1 << 29
+MAX_PATTERN_SWEEP_BYTES = MAX_RUN_BYTES
 # the BER engine and the codebook export hold every codeword, and the
 # trial draws of one batch are not chunked
 MAX_CODEWORDS = 1 << 16
@@ -152,6 +155,21 @@ def _parse_scheme(raw) -> im_schemes.Scheme:
     return scheme
 
 
+def _check_bytes(key: str, need: int, what: str) -> None:
+    if need > MAX_RUN_BYTES:
+        raise ConfigError(f"{key}: {what} would take {need} bytes, over the budget "
+                          f"of {MAX_RUN_BYTES}")
+
+
+def _codeword_length(scheme) -> int:
+    """Entries of one codeword, from the scheme's parameters alone."""
+    if scheme.model == "subcarrier":
+        return scheme.block_size
+    if scheme.model == "state":
+        return scheme.num_states
+    return scheme.n_tx * getattr(scheme, "n_slots", 1)
+
+
 def _parse_channel(raw) -> ChannelSpec:
     sec = _Section(raw if raw is not None else {"model": "rayleigh"}, "channel")
     model = sec.take("model", required=True, kind=str)
@@ -269,6 +287,13 @@ def parse_config(source) -> ExperimentConfig:
                 "channel-state schemes define their own per-state fading draws; "
                 "use the rayleigh model"
             )
+        trials = _parse_trials(sec.take("trials"))
+        dim, count = _codeword_length(scheme), 1 << scheme.bits_per_interval
+        _check_bytes("scheme", 16 * dim * count,
+                     f"a codebook of {count} codewords of length {dim}")
+        batch = min(trials.batch_size, trials.max_trials)
+        _check_bytes("n_rx", 16 * batch * n_rx * dim,
+                     f"one batch's channel draw ({batch} x {n_rx} x {dim})")
         config = ExperimentConfig(
             experiment="ber",
             seed=seed,
@@ -276,7 +301,7 @@ def parse_config(source) -> ExperimentConfig:
             channel=channel,
             n_rx=n_rx,
             snr_db=_parse_snr_grid(sec.take("snr_db", required=True)),
-            trials=_parse_trials(sec.take("trials")),
+            trials=trials,
             output=sec.take("output", kind=str),
         )
     elif experiment == "capacity":
@@ -295,6 +320,10 @@ def parse_config(source) -> ExperimentConfig:
         trials = int(sec.take("trials", 50_000, kind=int))
         if trials < 2:
             raise ConfigError("trials must be >= 2")
+        _check_bytes("trials", 8 * trials, f"one capacity value per trial ({trials})")
+        for n_tx, n_rx in antennas:
+            _check_bytes("antennas", detection.capacity_batch_bytes(n_tx, n_rx, trials),
+                         f"one batch of {n_tx}x{n_rx} channels")
         config = ExperimentConfig(
             experiment="capacity",
             seed=seed,
@@ -314,6 +343,9 @@ def parse_config(source) -> ExperimentConfig:
             "fc_ghz": float(geo_sec.bounded("fc_ghz", 0, required=True, strict=True)),
         }
         geo_sec.finish()
+        rows, cols = geometry["rows"], geometry["cols"]
+        _check_bytes("geometry", aperture.element_bytes(rows, cols),
+                     f"the per-angle element arrays of a {rows}x{cols} aperture")
         angles = _parse_list(sec.take("scan_angles_deg", required=True), "scan_angles_deg",
                              non_empty=True)
         for a in angles:
@@ -331,13 +363,9 @@ def parse_config(source) -> ExperimentConfig:
                                               high=360, strict_high=True))
             grid_sec.finish()
         directions = aperture.direction_count(theta_step, phi_step)
-        need = aperture.sweep_bytes(geometry["rows"], geometry["cols"], directions)
-        if need > MAX_PATTERN_SWEEP_BYTES:
-            raise ConfigError(
-                f"grid: {directions} directions on a {geometry['rows']}x{geometry['cols']} "
-                f"aperture need {need} bytes of shared kernels and text, over the budget "
-                f"of {MAX_PATTERN_SWEEP_BYTES}; use coarser grid steps"
-            )
+        _check_bytes("grid", aperture.sweep_bytes(rows, cols, directions),
+                     f"the shared kernels and text of {directions} directions on a "
+                     f"{rows}x{cols} aperture")
         quantize_bits = sec.bounded("quantize_bits", 1, kind=int, high=MAX_QUANTIZE_BITS)
         config = ExperimentConfig(
             experiment="pattern",

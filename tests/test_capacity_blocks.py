@@ -1,0 +1,90 @@
+"""The blocked capacity engine against a whole-batch slogdet reference."""
+
+import numpy as np
+import pytest
+
+from risim import channel, detection
+from risim.channel import complex_from_planes, complex_normal, stream_rng
+from risim.detection import CAPACITY_BATCH, ergodic_capacity, instantaneous_capacity
+
+
+def slogdet_reference(n_tx, n_rx, snr, trials, seed):
+    """Mean and standard error from whole-batch draws and np.linalg.slogdet."""
+    rng = stream_rng(seed, n_tx, n_rx)
+    values = []
+    for done in range(0, trials, 4096):
+        h = complex_normal(rng, (min(4096, trials - done), n_rx, n_tx))
+        gram = np.eye(n_rx) + (snr / n_tx) * (h @ np.conj(np.swapaxes(h, 1, 2)))
+        values.append(np.linalg.slogdet(gram)[1] / np.log(2.0))
+    values = np.concatenate(values)
+    return values.mean(), values.std(ddof=1) / np.sqrt(trials)
+
+
+@pytest.mark.parametrize("shape", [(4096, 16, 16), (4097, 5, 17), (3, 2, 3), (1, 1, 1)])
+@pytest.mark.parametrize("block", [1, 255, 256, 4096])
+def test_block_assembly_is_bitwise_complex_normal(shape, block):
+    whole = complex_normal(np.random.default_rng(4), shape)
+    planes = np.random.default_rng(4).standard_normal((2, *shape))
+    parts = [complex_from_planes(planes[:, lo:lo + block]) for lo in range(0, shape[0], block)]
+    assert np.array_equal(np.concatenate(parts).view(np.float64), whole.view(np.float64))
+
+
+@pytest.mark.parametrize("n_tx, n_rx", [(1, 1), (2, 3), (3, 2), (16, 16), (5, 17)])
+@pytest.mark.parametrize("trials", [2, 4095, 4096, 4097, 8193])
+def test_ergodic_capacity_matches_slogdet_reference(n_tx, n_rx, trials):
+    est = ergodic_capacity(n_tx, n_rx, 10.0, trials, seed=5)
+    mean, std_err = slogdet_reference(n_tx, n_rx, 10.0, trials, seed=5)
+    assert est.trials == trials
+    assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)
+    assert est.std_err == pytest.approx(std_err, rel=1e-12, abs=0)
+
+
+class RecordingGenerator:
+    def __init__(self, generator, calls):
+        self._generator = generator
+        self._calls = calls
+
+    def standard_normal(self, size):
+        self._calls.append(tuple(size))
+        return self._generator.standard_normal(size)
+
+    def __getattr__(self, name):
+        raise AssertionError(f"capacity drew through Generator.{name}")
+
+
+@pytest.mark.parametrize("n_tx, n_rx, trials", [(16, 16, 8193), (5, 17, 4096), (2, 3, 2)])
+def test_one_gaussian_draw_per_batch(monkeypatch, n_tx, n_rx, trials):
+    calls = []
+    original = channel.stream_rng
+    monkeypatch.setattr(channel, "stream_rng",
+                        lambda *key: RecordingGenerator(original(*key), calls))
+    ergodic_capacity(n_tx, n_rx, 10.0, trials, seed=1)
+    sizes = [min(CAPACITY_BATCH, trials - done) for done in range(0, trials, CAPACITY_BATCH)]
+    assert calls == [(2, n, n_rx, n_tx) for n in sizes]
+
+
+@pytest.mark.parametrize("n_tx, n_rx", [(16, 16), (5, 17), (1, 1), (300, 300)])
+def test_log_determinants_run_on_cache_sized_blocks(monkeypatch, n_tx, n_rx):
+    shapes = []
+    original = detection._log2_det_gram
+
+    def recording(h, snr):
+        shapes.append(h.shape)
+        return original(h, snr)
+
+    monkeypatch.setattr(detection, "_log2_det_gram", recording)
+    trials = 4097 if n_tx * n_rx <= 256 else 3
+    ergodic_capacity(n_tx, n_rx, 10.0, trials, seed=1)
+    assert sum(s[0] for s in shapes) == trials
+    assert all(s[1:] == (n_rx, n_tx) for s in shapes)
+    # one matrix per block once a single matrix exceeds the block
+    limit = max(detection._CAPACITY_BLOCK, n_tx * n_rx)
+    assert all(np.prod(s) <= limit for s in shapes)
+
+
+@pytest.mark.parametrize("n_rx, n_tx", [(1, 1), (3, 2), (2, 3), (8, 8)])
+def test_instantaneous_capacity_matches_slogdet(n_rx, n_tx):
+    h = complex_normal(np.random.default_rng(n_rx * 10 + n_tx), (n_rx, n_tx))
+    gram = np.eye(n_rx) + (7.0 / n_tx) * (h @ h.conj().T)
+    expected = np.linalg.slogdet(gram)[1] / np.log(2.0)
+    assert instantaneous_capacity(h, 7.0) == pytest.approx(expected, rel=1e-13)

@@ -1,13 +1,15 @@
 """Malformed values that must fail at parse time with exit code 2."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from risim import aperture
+from risim import aperture, detection, im_schemes
 from risim.cli import main
 from risim.errors import ConfigError
-from risim.harness import MAX_BATCH_SIZE, MAX_PATTERN_SWEEP_BYTES, parse_config
+from risim.harness import (MAX_BATCH_SIZE, MAX_PATTERN_SWEEP_BYTES, MAX_RUN_BYTES,
+                           _codeword_length, parse_config)
 
 
 def rician_config(k):
@@ -255,3 +257,97 @@ def test_ber_size_guards_accept_their_edges(tmp_path, capsys):
     path.write_text(json.dumps({"experiment": "rate", "scheme": BIG_GSM}))
     assert main(["rate", "--config", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "29.000000"
+
+
+def capacity_config(antennas, trials):
+    return {"experiment": "capacity", "antennas": antennas, "snr_db": [0],
+            "trials": trials, "output": "capacity.csv"}
+
+
+@pytest.mark.parametrize("trials", [(MAX_RUN_BYTES // 8) + 1, 1_000_000_000_000])
+def test_capacity_trials_over_the_byte_budget_exit_2(tmp_path, capsys, trials):
+    assert_exit_2(tmp_path, capsys, "capacity", capacity_config([[1, 1]], trials), "trials")
+    assert not (tmp_path / "capacity.csv").exists()
+
+
+@pytest.mark.parametrize("pair, trials", [([91, 91], 20_000), ([4096, 4096], 50_000),
+                                          ([1, 2365], 2)])
+def test_capacity_antennas_over_the_byte_budget_exit_2(tmp_path, capsys, pair, trials):
+    assert detection.capacity_batch_bytes(*pair, trials) > MAX_RUN_BYTES
+    cfg = capacity_config([[1, 1], pair], trials)
+    assert_exit_2(tmp_path, capsys, "capacity", cfg, "antennas")
+    assert not (tmp_path / "capacity.csv").exists()
+
+
+@pytest.mark.parametrize("pair, trials", [([90, 90], 20_000), ([1, 2364], 2),
+                                          ([1, 1], MAX_RUN_BYTES // 8)])
+def test_capacity_just_under_the_byte_budget_parses(pair, trials):
+    assert detection.capacity_batch_bytes(*pair, trials) <= MAX_RUN_BYTES
+    config = parse_config(capacity_config([pair], trials))
+    assert config.antennas == (tuple(pair),) and config.capacity_trials == trials
+
+
+@pytest.mark.parametrize("scheme", [
+    {"type": "ssk", "n_tx": 65536},                      # 2^16 codewords of 2^16 entries
+    {"type": "sm", "n_tx": 4096, "order": 4},            # 16 * 2^12 * 2^14 = 2^30 bytes
+])
+def test_ber_codebook_over_the_byte_budget_exits_2(tmp_path, capsys, scheme):
+    cfg = ber_config(scheme, max_trials=1, batch_size=1)
+    assert_exit_2(tmp_path, capsys, "ber", cfg, "scheme")
+    assert not (tmp_path / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("n_rx", [513, 1_000_000])
+def test_ber_channel_draw_over_the_byte_budget_exits_2(tmp_path, capsys, n_rx):
+    # BPSK at 2^16 trials per batch: 16 * 2^16 * n_rx bytes, 2^29 at n_rx = 512
+    cfg = ber_config({"type": "psk", "order": 2}, max_trials=1 << 20, batch_size=1 << 16)
+    cfg["n_rx"] = n_rx
+    assert_exit_2(tmp_path, capsys, "ber", cfg, "n_rx")
+    assert not (tmp_path / "curve.csv").exists()
+
+
+def test_ber_byte_budget_accepts_its_edges():
+    # 16 * 2^12 * 2^13 = 2^29 bytes of codebook
+    parse_config(ber_config({"type": "sm", "n_tx": 4096, "order": 2},
+                            max_trials=1, batch_size=1))
+    cfg = ber_config({"type": "psk", "order": 2}, max_trials=1 << 20, batch_size=1 << 16)
+    cfg["n_rx"] = 512
+    assert parse_config(cfg).n_rx == 512
+    # a batch never holds more than max_trials trials
+    cfg["n_rx"], cfg["trials"]["max_trials"] = 1024, 1 << 15
+    assert parse_config(cfg).n_rx == 1024
+
+
+@pytest.mark.parametrize("rows, cols", [(2048, 2049), (100_000, 100_000)])
+def test_pattern_elements_over_the_byte_budget_exit_2(tmp_path, capsys, rows, cols):
+    # 4 directions, so only the element arrays can exceed the budget
+    cfg = pattern_config(**{"geometry.rows": rows, "geometry.cols": cols,
+                            "grid.theta_step_deg": 90, "grid.phi_step_deg": 359.5})
+    assert aperture.element_bytes(rows, cols) > MAX_RUN_BYTES
+    assert_exit_2(tmp_path, capsys, "pattern", cfg, "geometry")
+
+
+def test_pattern_elements_just_under_the_byte_budget_parse():
+    cfg = pattern_config(**{"geometry.rows": 2048, "geometry.cols": 2048,
+                            "grid.theta_step_deg": 90, "grid.phi_step_deg": 359.5})
+    assert aperture.element_bytes(2048, 2048) == MAX_RUN_BYTES
+    assert parse_config(cfg).geometry["rows"] == 2048
+
+
+def test_shipped_configs_stay_far_inside_the_byte_budget():
+    for path in sorted((Path(__file__).parents[1] / "configs").glob("*.json")):
+        config = parse_config(path)
+        if config.experiment == "ber":
+            scheme = im_schemes.build_scheme(config.scheme)
+            dim = _codeword_length(scheme)
+            assert dim == scheme.codebook().vectors.shape[0]
+            batch = min(config.trials.batch_size, config.trials.max_trials)
+            need = 16 * dim * max(1 << scheme.bits_per_interval, batch * config.n_rx)
+        elif config.experiment == "capacity":
+            need = max(detection.capacity_batch_bytes(*pair, config.capacity_trials)
+                       for pair in config.antennas)
+        elif config.experiment == "pattern":
+            need = aperture.element_bytes(config.geometry["rows"], config.geometry["cols"])
+        else:
+            continue
+        assert need <= MAX_RUN_BYTES // 16, path.name
