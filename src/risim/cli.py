@@ -21,7 +21,7 @@ def _out_base(out) -> Path:
     return Path(os.environ.get("RISIM_OUT_DIR", "."))
 
 
-def _load(config_path, seed) -> harness.ExperimentConfig:
+def _load(config_path, seed, experiment) -> harness.ExperimentConfig:
     config = harness.parse_config(config_path)
     if seed is not None:
         if seed < 0:
@@ -29,6 +29,8 @@ def _load(config_path, seed) -> harness.ExperimentConfig:
         config = harness.ExperimentConfig(
             **{**config.__dict__, "seed": seed}
         )
+    if config.experiment != experiment:
+        raise ConfigError(f"config is a {config.experiment!r} experiment, expected {experiment!r}")
     return config
 
 
@@ -61,9 +63,7 @@ def cli():
               help="worker threads over trial batches (results are identical)")
 def ber(config_path, seed, out, threads):
     """Monte Carlo bit-error-rate sweep."""
-    config = _load(config_path, seed)
-    if config.experiment != "ber":
-        raise ConfigError(f"config is a {config.experiment!r} experiment, expected 'ber'")
+    config = _load(config_path, seed, "ber")
     if threads < 1:
         raise ConfigError("--threads must be >= 1")
     curve = harness.run_ber(config, threads=threads)
@@ -78,9 +78,7 @@ def ber(config_path, seed, out, threads):
 @out_option
 def capacity(config_path, seed, out):
     """Ergodic capacity sweep over antenna counts and SNR."""
-    config = _load(config_path, seed)
-    if config.experiment != "capacity":
-        raise ConfigError(f"config is a {config.experiment!r} experiment, expected 'capacity'")
+    config = _load(config_path, seed, "capacity")
     rows = harness.run_capacity(config)
     path = _resolve_output(config, out, "capacity.csv")
     harness.capacity_csv(rows, path)
@@ -93,9 +91,7 @@ def capacity(config_path, seed, out):
 @out_option
 def pattern(config_path, seed, out):
     """Far-field pattern exports for commanded scan angles."""
-    config = _load(config_path, seed)
-    if config.experiment != "pattern":
-        raise ConfigError(f"config is a {config.experiment!r} experiment, expected 'pattern'")
+    config = _load(config_path, seed, "pattern")
     files = harness.run_pattern(config, _out_base(out))
     for f in files:
         click.echo(f"wrote {f}")
@@ -107,9 +103,7 @@ def pattern(config_path, seed, out):
 @out_option
 def harmonics(config_path, seed, out):
     """Harmonic spectrum exports (single tones, shifts, multi-tone)."""
-    config = _load(config_path, seed)
-    if config.experiment != "harmonics":
-        raise ConfigError(f"config is a {config.experiment!r} experiment, expected 'harmonics'")
+    config = _load(config_path, seed, "harmonics")
     files = harness.run_harmonics(config, _out_base(out))
     for f in files:
         click.echo(f"wrote {f}")

@@ -72,7 +72,8 @@ class MetricTable:
     off-diagonal Gram entries.  ``pairs`` lists the touched entries (i, j),
     i < j; ``weights`` has one row per real Gram coordinate: sum_t |X_it|^2
     per column energy, then 2 Re Q_ij and -2 Im Q_ij per pair, with
-    Q_ij = sum_t conj(X_it) X_jt.
+    Q_ij = sum_t conj(X_it) X_jt.  ``x_pairs`` (2 * dim * slots, C) holds
+    Re X and -Im X interleaved by row, to meet z^H viewed as (re, im) pairs.
     """
 
     def __init__(self, vectors, slots: int = 1, diagonal: bool = False):
@@ -84,13 +85,16 @@ class MetricTable:
         self.weights = np.concatenate([
             (np.abs(blocks) ** 2).sum(axis=1), 2.0 * off.real, -2.0 * off.imag
         ])
+        self.x_pairs = np.stack([self.x.real, -self.x.imag], axis=1).reshape(-1, self.x.shape[1])
 
 
 def matched_filter(y: np.ndarray, h: np.ndarray, table: MetricTable):
     """z^H = y^H H (B, dim * slots) and the Gram coordinates of H for dense
     models: ``h`` (B, n_rx, dim), ``y`` (B, n_rx) or (B, n_rx, slots)."""
     zh = np.einsum("br...,bri->bi...", np.conj(y), h).reshape(len(y), -1)
-    energy = np.einsum("bri,bri->bi", h.real, h.real) + np.einsum("bri,bri->bi", h.imag, h.imag)
+    pairs = h.view(np.float64)                                   # (re, im) pairs
+    squares = np.einsum("brj,brj->bj", pairs, pairs)
+    energy = squares[:, 0::2] + squares[:, 1::2]
     if not len(table.pairs):
         return zh, energy
     i, j = table.pairs.T
@@ -102,21 +106,26 @@ def ml_detect(zh: np.ndarray, gram: np.ndarray, table: MetricTable, snr: float) 
     """Index of the ML codeword per trial, from z^H = y^H A (B, dim * slots),
     the Gram coordinates of A and the SNR scaling the codeword by sqrt(snr)."""
     out = np.empty(len(zh), dtype=np.int64)
-    # no chunk of one row: numpy multiplies it on its matrix-vector path,
-    # which rounds differently from the matrix-matrix path of the others
-    step = max(2, _HYPOTHESIS_BUDGET // table.x.shape[1])
-    edges = [*range(0, max(len(zh) - 1, 1), step), len(zh)]
+    edges = chunk_edges(len(zh), table.x.shape[1])
     for lo, hi in zip(edges, edges[1:]):
         out[lo:hi] = np.argmin(_metric(zh[lo:hi], gram[lo:hi], table, snr), axis=1)
     return out
 
 
+def chunk_edges(rows: int, count: int) -> list:
+    """Row edges of the detector's chunks of about _HYPOTHESIS_BUDGET metric
+    entries over ``count`` codewords.  No chunk has one row unless ``rows``
+    is 1: numpy multiplies one row on its matrix-vector path, which rounds
+    differently from the matrix-matrix path of the others."""
+    step = max(2, _HYPOTHESIS_BUDGET // count)
+    return [*range(0, max(rows - 1, 1), step), rows]
+
+
 def _metric(zh: np.ndarray, gram: np.ndarray, table: MetricTable, snr: float) -> np.ndarray:
-    """The (B, C) ML metric snr Re<G, P_c> - 2 sqrt(snr) Re(z^H x_c)."""
-    metric = gram @ table.weights
-    metric *= snr
-    metric -= 2.0 * np.sqrt(snr) * (zh @ table.x).real
-    return metric
+    """The (B, C) ML metric snr Re<G, P_c> - 2 sqrt(snr) Re(z^H x_c), as one
+    real product [G | z^H as (re, im) pairs] @ [snr weights ; -2 sqrt(snr) x_pairs]."""
+    stats = np.concatenate([gram, zh.view(np.float64)], axis=1)
+    return stats @ np.concatenate([snr * table.weights, -2.0 * np.sqrt(snr) * table.x_pairs])
 
 
 def nearest_hypothesis(y: np.ndarray, hypotheses: np.ndarray) -> int:
@@ -129,7 +138,7 @@ def nearest_hypothesis(y: np.ndarray, hypotheses: np.ndarray) -> int:
 def mld(y: np.ndarray, h: np.ndarray, candidates: CandidateSet) -> int:
     """Maximum-likelihood label for received vector y under channel h."""
     y = np.asarray(y, dtype=complex).reshape(-1)
-    h = np.asarray(h, dtype=complex)
+    h = np.ascontiguousarray(h, dtype=complex)   # viewed as (re, im) pairs
     if h.shape != (y.size, candidates.vectors.shape[0]):
         raise ValueError(
             f"channel shape {h.shape} inconsistent with y ({y.size}) and "

@@ -278,6 +278,8 @@ def parse_config(source) -> ExperimentConfig:
         n_rx = int(sec.take("n_rx", 1, kind=int))
         if n_rx < 1:
             raise ConfigError("n_rx must be >= 1")
+        if scheme.model == "subcarrier" and n_rx != 1:
+            raise ConfigError(f"n_rx must be 1 for subcarrier schemes, got {n_rx}")
         if channel.model == "awgn" and scheme.model not in ("vector", "subcarrier"):
             raise ConfigError("awgn channel supports only single-stream schemes")
         if channel.model == "awgn" and getattr(scheme, "n_tx", 1) != 1:
@@ -443,7 +445,11 @@ def _popcount(values: np.ndarray) -> np.ndarray:
 
 
 class _BerModel:
-    """Precomputed transmit codebook plus one vectorized batch simulator."""
+    """Precomputed transmit codebook plus one vectorized batch simulator.
+
+    Each transmit model fixes the per-trial shapes of its channel and noise,
+    how one block of trials propagates (``_propagate``) and its detector.
+    """
 
     def __init__(self, scheme, channel: ChannelSpec, n_rx: int):
         self.scheme = scheme
@@ -451,23 +457,30 @@ class _BerModel:
         self.n_rx = n_rx
         self.codebook = scheme.codebook()
         self.count = self.codebook.count
-        self.x = self.codebook.vectors                          # (n_tx or n, C)
+        self.x = self.codebook.vectors                          # (dim * slots, C)
+        xt = np.ascontiguousarray(self.x.T)                     # one codeword per row
+        self.detector = f"_detect_{scheme.model}"
         if scheme.model == "vector":
-            self.n_tx = self.x.shape[0]
-            self.los = los_matrix(n_rx, self.n_tx, channel.los_structure)
+            self.h_shape, self.noise_shape = (n_rx, self.x.shape[0]), (n_rx,)
+            self._propagate = lambda h, w, amp: amp * np.einsum("bri,bi->br", h, xt[w])
         elif scheme.model == "subcarrier":
-            self.block = self.x.shape[0]
+            self.h_shape = self.noise_shape = (self.x.shape[0],)
+            self._propagate = lambda h, w, amp: amp * h * xt[w]
         elif scheme.model == "matrix":
-            self.mats = self.codebook.vectors.reshape(scheme.n_tx, scheme.n_slots, -1)
-            self.n_tx = scheme.n_tx
-            self.n_slots = scheme.n_slots
-            self.los = los_matrix(n_rx, self.n_tx, channel.los_structure)
+            mats = xt.reshape(self.count, scheme.n_tx, scheme.n_slots)
+            self.h_shape, self.noise_shape = (n_rx, scheme.n_tx), (n_rx, scheme.n_slots)
+            self._propagate = lambda h, w, amp: amp * np.einsum("bri,bit->brt", h, mats[w])
         elif scheme.model == "state":
-            self.state_of = np.argmax(self.x != 0, axis=0)      # codewords are one-hot
-            self.sym_of = self.x[self.state_of, np.arange(self.count)]
-            self.num_states = scheme.num_states
+            state_of = np.argmax(self.x != 0, axis=0)           # codewords are one-hot
+            sym_of = self.x[state_of, np.arange(self.count)]
+            self.h_shape, self.noise_shape = (n_rx, scheme.num_states), (n_rx,)
+            self._propagate = lambda h, w, amp: (
+                amp * h[np.arange(len(w)), :, state_of[w]] * sym_of[w][:, None])
         else:
             raise ConfigError(f"scheme model {scheme.model!r} has no BER transmit model")
+        if channel.model == "rician":
+            self.los = (los_matrix(n_rx, self.h_shape[1], channel.los_structure)
+                        if len(self.h_shape) == 2 else np.ones(self.h_shape, dtype=complex))
         self.table = detection.MetricTable(self.x, getattr(scheme, "n_slots", 1),
                                            diagonal=scheme.model == "subcarrier")
 
@@ -476,38 +489,28 @@ class _BerModel:
             return np.ones(shape, dtype=complex)
         h = complex_normal(rng, shape)
         if self.channel.model == "rician":
-            los = self.los if len(shape) == 3 else np.ones(shape[-1], dtype=complex)
-            return rician(self.channel.k_factor, np.broadcast_to(los, shape), h)
+            return rician(self.channel.k_factor, np.broadcast_to(self.los, shape), h)
         return h
 
     def simulate(self, rng, batch: int, snr_linear: float) -> int:
-        """Bit errors over one batch of independent trials."""
+        """Bit errors over one batch of independent trials.
+
+        Words, channels and noise are drawn for the whole batch, in that
+        order.  Propagation and detection then run one detector chunk of
+        trials at a time, so their temporaries stay cache-sized.
+        """
         words = rng.integers(0, self.count, batch)
+        h = self._draw_channel(rng, (batch, *self.h_shape))
+        noise = complex_normal(rng, (batch, *self.noise_shape))
         amp = np.sqrt(snr_linear)
-        if self.scheme.model == "vector":
-            h = self._draw_channel(rng, (batch, self.n_rx, self.n_tx))
-            noise = complex_normal(rng, (batch, self.n_rx))
-            tx = self.x[:, words].T                              # (B, n_tx)
-            y = amp * np.einsum("bri,bi->br", h, tx) + noise
-            detected = self._detect_vector(y, h, amp)
-        elif self.scheme.model == "subcarrier":
-            h = self._draw_channel(rng, (batch, self.block))
-            noise = complex_normal(rng, (batch, self.block))
-            y = amp * h * self.x[:, words].T + noise
-            detected = detection.ml_detect(np.conj(y) * h, np.abs(h) ** 2, self.table, snr_linear)
-        elif self.scheme.model == "matrix":
-            h = self._draw_channel(rng, (batch, self.n_rx, self.n_tx))
-            noise = complex_normal(rng, (batch, self.n_rx, self.n_slots))
-            tx = np.moveaxis(self.mats[:, :, words], 2, 0)       # (B, n_tx, n_slots)
-            y = amp * np.einsum("bri,bit->brt", h, tx) + noise
-            detected = self._detect_matrix(y, h, amp)
-        else:  # state
-            h = complex_normal(rng, (batch, self.n_rx, self.num_states))
-            noise = complex_normal(rng, (batch, self.n_rx))
-            rows = np.arange(batch)
-            y = amp * h[rows, :, self.state_of[words]] * self.sym_of[words][:, None] + noise
-            detected = self._detect_state(y, h, amp)
-        return int(_popcount(words.astype(np.uint64) ^ detected.astype(np.uint64)).sum())
+        detect = getattr(self, self.detector)
+        detected = np.empty(batch, dtype=np.int64)
+        edges = detection.chunk_edges(batch, self.count)
+        for lo, hi in zip(edges, edges[1:]):
+            y = self._propagate(h[lo:hi], words[lo:hi], amp)
+            y += noise[lo:hi]
+            detected[lo:hi] = detect(y, h[lo:hi], amp)
+        return int(_popcount(words ^ detected).sum())
 
     def _detect_vector(self, y, h, amp):
         """ML decisions of a dense model y = amp H x + n: x spread over slots
@@ -515,6 +518,10 @@ class _BerModel:
         return detection.ml_detect(*detection.matched_filter(y, h, self.table), self.table, amp * amp)
 
     _detect_matrix = _detect_state = _detect_vector
+
+    def _detect_subcarrier(self, y, h, amp):
+        """ML decisions of the diagonal model y = amp diag(h) x + n."""
+        return detection.ml_detect(np.conj(y) * h, np.abs(h) ** 2, self.table, amp * amp)
 
 
 def run_ber(config: ExperimentConfig, threads: int = 1) -> BerCurve:
@@ -617,12 +624,17 @@ def _atom_loss_amplitudes(phases: np.ndarray, table, freq_ghz: float,
         table.lookup(freq_ghz, metaatom.DiodeState(float(c), resistance_ohm))
         for c in table.c_pf
     ]
-    available = np.array([s.phase for s in states])
-    amps = np.array([s.amplitude for s in states])
-    distance = np.abs(
-        np.angle(np.exp(1j * (phases.reshape(-1)[:, None] - available[None, :])))
-    )
-    return amps[np.argmin(distance, axis=1)].reshape(phases.shape)
+    # a running argmin over the states (the first state wins ties, as in
+    # np.argmin) keeps the work arrays to a few per element instead of one
+    # per element and state
+    best = np.full(phases.shape, np.inf)
+    amplitude = np.full(phases.shape, states[0].amplitude)
+    for state in states:
+        distance = np.abs(np.angle(np.exp(1j * (phases - state.phase))))
+        closer = distance < best
+        best[closer] = distance[closer]
+        amplitude[closer] = state.amplitude
+    return amplitude
 
 
 def run_pattern(config: ExperimentConfig, out_base: Path):

@@ -351,3 +351,16 @@ def test_shipped_configs_stay_far_inside_the_byte_budget():
         else:
             continue
         assert need <= MAX_RUN_BYTES // 16, path.name
+
+
+@pytest.mark.parametrize("scheme", [{"type": "ofdm_im", "n": 4, "k": 2, "order": 2},
+                                    {"type": "sc_im", "slots": 4, "k": 2, "order": 2,
+                                     "symbols_per_frame": 16, "cp_length": 4}])
+@pytest.mark.parametrize("n_rx", [2, 4])
+def test_subcarrier_schemes_with_several_receive_antennas_exit_2(tmp_path, capsys,
+                                                                 scheme, n_rx):
+    # their channel is one coefficient per subcarrier: more antennas would be
+    # silently ignored
+    cfg = {**ber_config(scheme), "n_rx": n_rx}
+    assert_exit_2(tmp_path, capsys, "ber", cfg, "n_rx")
+    assert parse_config({**cfg, "n_rx": 1}).n_rx == 1

@@ -11,10 +11,18 @@ equal:
     python3 tools/output_digests.py > after.txt    # in each checkout
     diff before.txt after.txt
 
+``--threads N`` is passed to every ``ber`` run, so the listings at two
+thread counts of one checkout must be identical as well:
+
+    python3 tools/output_digests.py --threads 1 > t1.txt
+    python3 tools/output_digests.py --threads 2 > t2.txt
+    diff t1.txt t2.txt
+
 A config whose run does not exit 0 is reported on stderr and makes the
 script exit 1.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -29,11 +37,13 @@ sys.path.insert(0, str(ROOT / "src"))
 from risim.cli import main  # noqa: E402
 
 
-def run_config(config: Path, out_dir: Path) -> int:
+def run_config(config: Path, out_dir: Path, threads: int) -> int:
     experiment = json.loads(config.read_text())["experiment"]
     argv = [experiment, "--config", str(config)]
     if experiment != "rate":  # rate prints its number and writes no file
         argv += ["--out", str(out_dir)]
+    if experiment == "ber":
+        argv += ["--threads", str(threads)]
     with contextlib.redirect_stdout(io.StringIO()):
         return main(argv)
 
@@ -43,12 +53,16 @@ def digests(out_base: Path):
         yield hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out_base)
 
 
-def run() -> int:
+def run(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="sha256 of every file the shipped configs write")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads of every ber run (default 1)")
+    threads = parser.parse_args(argv).threads
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         out_base = Path(tmp)
         for config in sorted((ROOT / "configs").glob("*.json")):
-            if run_config(config, out_base / config.stem) != 0:
+            if run_config(config, out_base / config.stem, threads) != 0:
                 failed.append(config.name)
         for digest, rel in digests(out_base):
             print(f"{digest}  {rel.as_posix()}")
