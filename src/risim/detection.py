@@ -66,33 +66,43 @@ class CandidateSet:
 class MetricTable:
     """Codebook side of the ML metric, built once per codebook.
 
-    ``vectors`` (dim * slots, C) holds each codeword X_c, a dim x slots
-    matrix that A(h) acts on from the left, flattened row by row.  A
-    ``diagonal`` A(h) (one fading coefficient per resource) has no
-    off-diagonal Gram entries.  ``pairs`` lists the touched entries (i, j),
-    i < j; ``weights`` has one row per real Gram coordinate: sum_t |X_it|^2
-    per column energy, then 2 Re Q_ij and -2 Im Q_ij per pair, with
-    Q_ij = sum_t conj(X_it) X_jt.  ``x_pairs`` (2 * dim * slots, C) holds
-    Re X and -Im X interleaved by row, to meet z^H viewed as (re, im) pairs.
+    Each codeword X_c is a dim x slots matrix that A(h) acts on from the
+    left, flattened row by row into dim * slots entries.  A ``diagonal``
+    A(h) (one fading coefficient per resource) has no off-diagonal Gram
+    entries.  ``pairs`` lists the touched entries (i, j), i < j; ``weights``
+    has one row per real Gram coordinate: sum_t |X_it|^2 per column energy,
+    then 2 Re Q_ij and -2 Im Q_ij per pair, with Q_ij = sum_t conj(X_it) X_jt.
+
+    ``rows`` (C, K + 2 * dim * slots) is the only copy kept: per codeword its
+    K weights, then its entries as (re, im) pairs.  ``weights`` (K, C),
+    ``codewords`` (C, dim * slots) and ``x`` (dim * slots, C) are views of it.
     """
 
     def __init__(self, vectors, slots: int = 1, diagonal: bool = False):
-        self.x = np.asarray(vectors, dtype=complex)
-        blocks = self.x.reshape(-1, slots, self.x.shape[1])          # (dim, slots, C)
-        q = np.einsum("itc,jtc->ijc", blocks.conj(), blocks)
-        self.pairs = np.argwhere(np.triu(np.any(q != 0, axis=2), k=1) & (not diagonal))
-        off = q[self.pairs[:, 0], self.pairs[:, 1]]
-        self.weights = np.concatenate([
+        vectors = np.asarray(vectors, dtype=complex)
+        blocks = vectors.reshape(-1, slots, vectors.shape[1])       # (dim, slots, C)
+        # only pairs of columns that some codeword uses together can touch Q
+        used = np.any(blocks != 0, axis=1).astype(np.float32)       # (dim, C)
+        pairs = np.argwhere(np.triu(used @ used.T > 0, k=1) & (not diagonal))
+        q = np.einsum("ptc,ptc->pc", blocks[pairs[:, 0]].conj(), blocks[pairs[:, 1]])
+        touched = np.any(q != 0, axis=1)
+        self.pairs, off = pairs[touched], q[touched]
+        k = len(blocks) + 2 * len(self.pairs)
+        self.rows = np.empty((vectors.shape[1], k + 2 * len(vectors)))
+        self.weights = self.rows[:, :k].T
+        self.weights[:] = np.concatenate([
             (np.abs(blocks) ** 2).sum(axis=1), 2.0 * off.real, -2.0 * off.imag
         ])
-        self.x_pairs = np.stack([self.x.real, -self.x.imag], axis=1).reshape(-1, self.x.shape[1])
+        self.codewords = self.rows[:, k:].view(complex)
+        self.codewords[:] = vectors.T
+        self.x = self.codewords.T
 
 
 def matched_filter(y: np.ndarray, h: np.ndarray, table: MetricTable):
     """z^H = y^H H (B, dim * slots) and the Gram coordinates of H for dense
     models: ``h`` (B, n_rx, dim), ``y`` (B, n_rx) or (B, n_rx, slots)."""
     zh = np.einsum("br...,bri->bi...", np.conj(y), h).reshape(len(y), -1)
-    pairs = h.view(np.float64)                                   # (re, im) pairs
+    pairs = np.ascontiguousarray(h, dtype=complex).view(np.float64)   # (re, im) pairs
     squares = np.einsum("brj,brj->bj", pairs, pairs)
     energy = squares[:, 0::2] + squares[:, 1::2]
     if not len(table.pairs):
@@ -123,9 +133,10 @@ def chunk_edges(rows: int, count: int) -> list:
 
 def _metric(zh: np.ndarray, gram: np.ndarray, table: MetricTable, snr: float) -> np.ndarray:
     """The (B, C) ML metric snr Re<G, P_c> - 2 sqrt(snr) Re(z^H x_c), as one
-    real product [G | z^H as (re, im) pairs] @ [snr weights ; -2 sqrt(snr) x_pairs]."""
-    stats = np.concatenate([gram, zh.view(np.float64)], axis=1)
-    return stats @ np.concatenate([snr * table.weights, -2.0 * np.sqrt(snr) * table.x_pairs])
+    real product of [snr G | -2 sqrt(snr) conj(z^H) as (re, im) pairs] with
+    the table's rows; the SNR scales the chunk, so the table stays as built."""
+    scaled = np.multiply(np.conj(zh), -2.0 * np.sqrt(snr), dtype=complex)
+    return np.concatenate([snr * gram, scaled.view(np.float64)], axis=1) @ table.rows.T
 
 
 def nearest_hypothesis(y: np.ndarray, hypotheses: np.ndarray) -> int:
@@ -138,7 +149,7 @@ def nearest_hypothesis(y: np.ndarray, hypotheses: np.ndarray) -> int:
 def mld(y: np.ndarray, h: np.ndarray, candidates: CandidateSet) -> int:
     """Maximum-likelihood label for received vector y under channel h."""
     y = np.asarray(y, dtype=complex).reshape(-1)
-    h = np.ascontiguousarray(h, dtype=complex)   # viewed as (re, im) pairs
+    h = np.asarray(h, dtype=complex)
     if h.shape != (y.size, candidates.vectors.shape[0]):
         raise ValueError(
             f"channel shape {h.shape} inconsistent with y ({y.size}) and "

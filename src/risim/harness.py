@@ -455,10 +455,12 @@ class _BerModel:
         self.scheme = scheme
         self.channel = channel
         self.n_rx = n_rx
-        self.codebook = scheme.codebook()
-        self.count = self.codebook.count
-        self.x = self.codebook.vectors                          # (dim * slots, C)
-        xt = np.ascontiguousarray(self.x.T)                     # one codeword per row
+        self.table = detection.MetricTable(scheme.codebook().vectors,
+                                           getattr(scheme, "n_slots", 1),
+                                           diagonal=scheme.model == "subcarrier")
+        self.x = self.table.x                                   # (dim * slots, C)
+        self.count = self.x.shape[1]
+        xt = self.table.codewords                               # one codeword per row
         self.detector = f"_detect_{scheme.model}"
         if scheme.model == "vector":
             self.h_shape, self.noise_shape = (n_rx, self.x.shape[0]), (n_rx,)
@@ -481,8 +483,6 @@ class _BerModel:
         if channel.model == "rician":
             self.los = (los_matrix(n_rx, self.h_shape[1], channel.los_structure)
                         if len(self.h_shape) == 2 else np.ones(self.h_shape, dtype=complex))
-        self.table = detection.MetricTable(self.x, getattr(scheme, "n_slots", 1),
-                                           diagonal=scheme.model == "subcarrier")
 
     def _draw_channel(self, rng, shape):
         if self.channel.model == "awgn":

@@ -173,3 +173,85 @@ def test_batch_holds_its_draws_plus_one_block(case):
     finally:
         tracemalloc.stop()
     assert peak <= draws + (2 << 20)
+
+
+def all_pairs_table(vectors, slots, diagonal):
+    """Pairs and weights from Q formed over every pair of columns (dim x dim x C)."""
+    blocks = vectors.reshape(-1, slots, vectors.shape[1])
+    q = np.einsum("itc,jtc->ijc", blocks.conj(), blocks)
+    pairs = np.argwhere(np.triu(np.any(q != 0, axis=2), k=1) & (not diagonal))
+    off = q[pairs[:, 0], pairs[:, 1]]
+    return pairs, np.concatenate([(np.abs(blocks) ** 2).sum(axis=1), 2.0 * off.real,
+                                  -2.0 * off.imag])
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + ["gsm", "dense_slots"])
+def test_table_equals_the_all_pairs_search_and_keeps_one_copy(case):
+    if case in CASES:
+        scheme = model_of(case).scheme
+        vectors, slots = scheme.codebook().vectors, getattr(scheme, "n_slots", 1)
+        diagonal = scheme.model == "subcarrier"
+    elif case == "gsm":
+        vectors = build_scheme({"type": "gsm", "n_tx": 5, "n_active": 2, "order": 4}) \
+            .codebook().vectors
+        slots, diagonal = 1, False
+    else:
+        vectors, slots, diagonal = complex_normal(stream_rng(27), (6, 16)), 2, False
+    table = MetricTable(vectors, slots, diagonal)
+    pairs, weights = all_pairs_table(vectors, slots, diagonal)
+    assert np.array_equal(table.pairs, pairs)
+    assert table.weights.tobytes() == weights.tobytes()
+    assert table.x.tobytes() == vectors.tobytes()
+    assert table.codewords.tobytes() == vectors.T.tobytes()
+    for view in (table.weights, table.x, table.codewords):
+        assert np.shares_memory(view, table.rows)
+    assert table.rows.nbytes == 8 * vectors.shape[1] * (len(weights) + 2 * len(vectors))
+
+
+def test_matched_filter_accepts_a_strided_channel():
+    h = complex_normal(stream_rng(28), (64, 3, 8))[:, :, ::2]    # last axis not contiguous
+    y = complex_normal(stream_rng(29), (64, 3))
+    table = MetricTable(build_scheme({"type": "qsm", "n_tx": 4, "order": 4}).codebook().vectors)
+    for got, want in zip(matched_filter(y, h, table), matched_filter(y, h.copy(), table)):
+        assert got.tobytes() == want.tobytes()
+
+
+# codebooks far past the shipped ones: many entries per codeword, 2^12
+# codewords, and 2^16 codewords (detector blocks of two trials)
+LARGE = {"sm256_qpsk": {"type": "sm", "n_tx": 256, "order": 4},
+         "sm16_256": {"type": "sm", "n_tx": 16, "order": 256},
+         "psk_65536": {"type": "psk", "order": 1 << 16}}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE))
+def test_large_codebook_detects_exactly_within_its_draws(case):
+    model = _BerModel(build_scheme(dict(LARGE[case])), ChannelSpec("rayleigh"), 1)
+    check = 16 if model.count > 4096 else 256
+    assert (model.simulate(stream_rng(30, 0, check), check, SNR)
+            == reference_errors(model, stream_rng(30, 0, check), check, SNR))
+    batch = 4096
+    model.simulate(stream_rng(31), batch, SNR)
+    h_entries, noise_entries = np.prod(model.h_shape), np.prod(model.noise_shape)
+    draws = batch * (16 * (h_entries + noise_entries + max(h_entries, noise_entries)) + 16)
+    tracemalloc.start()
+    try:
+        model.simulate(stream_rng(31), batch, SNR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a codebook-sized matrix per block (SNR-scaled weights, say) breaks this
+    assert peak <= draws + (2 << 20)
+
+
+def test_large_codebook_table_stays_a_few_codebooks_while_built():
+    # Q over every pair of columns would be 256 x 256 x 1024 complex (1 GiB)
+    scheme = build_scheme(dict(LARGE["sm256_qpsk"]))
+    codebook_bytes = 16 * 256 * 1024
+    tracemalloc.start()
+    try:
+        model = _BerModel(scheme, ChannelSpec("rayleigh"), 1)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * codebook_bytes
+    assert kept <= model.table.rows.nbytes + (2 << 20)
