@@ -18,11 +18,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .util import SPEED_OF_LIGHT, mag_to_db, row_templates, wrap_phase, write_csv
+from .util import (SPEED_OF_LIGHT, mag_to_db, row_templates, text_column, text_rows,
+                   wrap_phase, write_csv)
 
 _CHUNK_DIRECTIONS = 65536
-# Upper bound on the text GridText keeps per direction: "90.000000,359.000000,"
-# and "-0.999848,-0.999848," plus their "%.6f" fields come to at most 56 bytes.
+# Upper bound on the text GridText keeps per direction: its text matrices hold
+# "90.000000,359.000000," and "-0.999848,-0.999848," at most, 41 bytes.
 _TEXT_BYTES_PER_DIRECTION = 64
 # per element and scan angle: about eight arrays of up to 16 bytes each
 _ELEMENT_BYTES = 128
@@ -166,11 +167,11 @@ def direction_cosines(theta, phi):
 class GridText:
     """The grid columns of the far-field CSVs, formatted once per grid.
 
-    theta_deg,phi_deg come from one string per axis value and u,v from one
-    string per direction; each is held as :func:`util.row_templates` with
-    the per-pattern fields left open, so a sweep that writes many patterns
-    on one grid formats only mag_db and phase_deg per pattern.  Each set is
-    formatted on first use.
+    theta_deg,phi_deg are expanded from one text row per axis value and u,v
+    come from one per direction; each is held as :func:`util.row_templates`
+    (text matrices of the leading columns), so a sweep that writes many
+    patterns on one grid formats only mag_db and phase_deg per pattern.
+    Each set is formatted on first use.
     """
 
     def __init__(self, theta, phi):
@@ -179,15 +180,16 @@ class GridText:
 
     @cached_property
     def field_rows(self) -> list:
-        th_text = ["%.6f," % t for t in np.rad2deg(self.theta).tolist()]
-        ph_text = ["%.6f," % p for p in np.rad2deg(self.phi).tolist()]
-        return row_templates((t + p for t in th_text for p in ph_text), "%.6f", 2)
+        th = text_column(np.rad2deg(self.theta), "%.6f")
+        ph = text_column(np.rad2deg(self.phi), "%.6f")
+        lead = text_rows([th[:, None], ph[None]], end=b",")   # (theta, phi, width)
+        return row_templates(lead.reshape(th.shape[0] * ph.shape[0], -1), "%.6f", 2)
 
     @cached_property
     def uv_rows(self) -> list:
         u, v = direction_cosines(self.theta, self.phi)
-        return row_templates(("%.6f,%.6f," % uv for uv in zip(u.tolist(), v.tolist())),
-                             "%.6f", 1)
+        columns = [text_column(u, "%.6f"), text_column(v, "%.6f")]
+        return row_templates(text_rows(columns, end=b","), "%.6f", 1)
 
 
 _THETA_STOP_DEG = 90.0 + 1e-9   # theta includes 90 deg
@@ -287,6 +289,17 @@ def element_bytes(rows: int, cols: int) -> int:
     return rows * cols * _ELEMENT_BYTES
 
 
+def _kernel(pos, cosines, kc) -> np.ndarray:
+    """exp(j kc pos cosines) over the outer product, built in place: the
+    phase goes into the imaginary part, where ``+= 0.0`` turns -0 into the
+    +0 that 1j * kc * outer gives, and exp overwrites it."""
+    k = np.zeros((len(pos), len(cosines)), dtype=complex)
+    np.multiply.outer(pos, cosines, out=k.imag)
+    k.imag *= kc
+    k.imag += 0.0
+    return np.exp(k, out=k)
+
+
 def _kernel_chunks(geom: ApertureGeometry, theta, phi):
     """(slice, exp(j kc x u), exp(j kc y v)) per chunk of grid directions."""
     u, v = direction_cosines(theta, phi)
@@ -295,8 +308,7 @@ def _kernel_chunks(geom: ApertureGeometry, theta, phi):
     y = np.arange(geom.cols) * geom.dy
     for start in range(0, u.size, _CHUNK_DIRECTIONS):
         sl = slice(start, min(start + _CHUNK_DIRECTIONS, u.size))
-        yield (sl, np.exp(1j * kc * np.outer(x, u[sl])),     # (rows, D)
-               np.exp(1j * kc * np.outer(y, v[sl])))         # (cols, D)
+        yield sl, _kernel(x, u[sl], kc), _kernel(y, v[sl], kc)   # (rows, D), (cols, D)
 
 
 class ArrayKernels:

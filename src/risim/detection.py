@@ -237,6 +237,7 @@ def ergodic_capacity(n_tx: int, n_rx: int, snr_linear: float, trials: int,
         for lo in range(0, planes.shape[1], block):
             h = channel_mod.complex_from_planes(planes[:, lo:lo + block])
             values[done + lo:done + lo + len(h)] = _log2_det_gram(h, snr_linear)
+        del planes   # free this batch's draw before the next one is made
     mean = float(values.mean())
     std_err = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
     return CapacityEstimate(mean, std_err, trials)

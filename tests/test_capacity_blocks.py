@@ -1,11 +1,14 @@
 """The blocked capacity engine against a whole-batch slogdet reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from risim import channel, detection
 from risim.channel import complex_from_planes, complex_normal, stream_rng
-from risim.detection import CAPACITY_BATCH, ergodic_capacity, instantaneous_capacity
+from risim.detection import (CAPACITY_BATCH, capacity_batch_bytes, ergodic_capacity,
+                             instantaneous_capacity)
 
 
 def slogdet_reference(n_tx, n_rx, snr, trials, seed):
@@ -88,3 +91,17 @@ def test_instantaneous_capacity_matches_slogdet(n_rx, n_tx):
     gram = np.eye(n_rx) + (7.0 / n_tx) * (h @ h.conj().T)
     expected = np.linalg.slogdet(gram)[1] / np.log(2.0)
     assert instantaneous_capacity(h, 7.0) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("n_tx, n_rx", [(16, 16), (5, 17), (17, 5)])
+def test_traced_peak_stays_within_the_batch_estimate(n_tx, n_rx):
+    # two batches: the first draw must be gone before the second is made
+    trials = 8193
+    tracemalloc.start()
+    try:
+        ergodic_capacity(n_tx, n_rx, 10.0, trials, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the estimate counts everything but the 8-byte per-trial values
+    assert peak <= capacity_batch_bytes(n_tx, n_rx, trials) + 8 * trials

@@ -1,6 +1,8 @@
 """Patterns computed and written with per-sweep shared work are bitwise equal
 to the ones computed and written without it."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,44 @@ def test_harmonic_pattern_with_shared_kernels():
         shared = harmonic_pattern(sequences, m, GEOM_B, theta, phi, 1.0, kernels=kernels)
         alone = harmonic_pattern(sequences, m, GEOM_B, theta, phi, 1.0)
         assert np.array_equal(shared.field, alone.field)
+
+
+def reference_kernels(geom, theta, phi, chunk):
+    """The kernels as one expression per chunk, with the temporaries it makes."""
+    u, v = direction_cosines(theta, phi)
+    x = np.arange(geom.rows) * geom.dx
+    y = np.arange(geom.cols) * geom.dy
+    kc = geom.wavenumber
+    return [(np.exp(1j * kc * np.outer(x, u[s:s + chunk])),
+             np.exp(1j * kc * np.outer(y, v[s:s + chunk]))) for s in range(0, u.size, chunk)]
+
+
+@pytest.mark.parametrize("geom, steps", [(GEOM_A, (1.0, 1.0)), (GEOM_B, (3.0, 3.0)),
+                                         (ApertureGeometry(4, 5, 2.8e-3, 2.8e-3, 28e9),
+                                          (0.5, 0.75))])
+def test_kernels_built_in_place_are_bitwise_the_expression(geom, steps):
+    theta, phi = direction_grid(*steps)
+    kernels = ArrayKernels(geom, theta, phi)
+    want = reference_kernels(geom, theta, phi, kernels.chunks[0][1].shape[1])
+    assert len(kernels.chunks) == len(want)
+    for (_, ex, ey), (wx, wy) in zip(kernels.chunks, want):
+        assert np.array_equal(ex.view(np.uint64), wx.view(np.uint64))
+        assert np.array_equal(ey.view(np.uint64), wy.view(np.uint64))
+
+
+@pytest.mark.parametrize("geom, steps", [(GEOM_A, (1.0, 1.0)),
+                                         (ApertureGeometry(4, 5, 2.8e-3, 2.8e-3, 28e9),
+                                          (0.5, 0.75))])
+def test_kernel_build_peak_stays_near_what_is_held(geom, steps):
+    theta, phi = direction_grid(*steps)
+    tracemalloc.start()
+    try:
+        kernels = ArrayKernels(geom, theta, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(ex.nbytes + ey.nbytes for _, ex, ey in kernels.chunks)
+    assert peak <= held + (2 << 20)
 
 
 def column_stack_bytes(tmp_path, grid):
