@@ -23,7 +23,9 @@ from .util import (SPEED_OF_LIGHT, mag_to_db, row_templates, text_column, text_r
 
 _CHUNK_DIRECTIONS = 65536
 # Upper bound on the text GridText keeps per direction: its text matrices hold
-# "90.000000,359.000000," and "-0.999848,-0.999848," at most, 41 bytes.
+# "90.000000,359.000000," and "-0.999848,-0.999848," at most, 41 bytes.  It
+# stays at the 64 the earlier string rows took, so that sweep_bytes and the
+# parse-time pattern limits derived from it do not move.
 _TEXT_BYTES_PER_DIRECTION = 64
 # per element and scan angle: about eight arrays of up to 16 bytes each
 _ELEMENT_BYTES = 128

@@ -124,18 +124,17 @@ def text_column(values, fmt) -> np.ndarray:
     return text
 
 
-def text_rows(columns, end=b"\n", lead=None, rows=None) -> np.ndarray:
+def text_rows(columns, end=b"\n", lead=None) -> np.ndarray:
     """One text matrix: ``lead`` (text ending in a comma, if given), then
     ``columns`` with a comma after each but the last, then ``end``.  The
-    parts broadcast over all but their last axis; ``rows`` gives the row
-    count when no part has one."""
+    parts broadcast over all but their last axis."""
     parts = [] if lead is None else [lead]
     for column in columns:
         parts += [column, _COMMA]
     if columns:
         parts.pop()
     parts.append(np.frombuffer(end, np.uint8))
-    shape = (rows,) if rows is not None else np.broadcast_shapes(*(p.shape[:-1] for p in parts))
+    shape = np.broadcast_shapes(*(p.shape[:-1] for p in parts))
     text = np.empty((*shape, sum(p.shape[-1] for p in parts)), np.uint8)
     at = 0
     for part in parts:
@@ -178,8 +177,8 @@ def _block_bytes(block, formats, template) -> bytes:
         for values in block.tolist():   # raise what np.savetxt raises, at its value
             row % tuple(values)
         raise
-    text = text_rows(columns, lead=None if template is None else template.lead,
-                     rows=len(block))
+    lead = np.empty((len(block), 0), np.uint8) if template is None else template.lead
+    text = text_rows(columns, lead=lead)
     return text[text != 0].tobytes()
 
 

@@ -90,8 +90,7 @@ def test_row_templates_write_the_bytes_of_savetxt(tmp_path_factory, table, lead_
     lead = np.array(data.draw(st.lists(doubles, min_size=size, max_size=size)),
                     dtype=float).reshape(len(tail), lead_cols)
     if as_matrix:   # as GridText holds its columns
-        prefixes = text_rows([text_column(c, lead_fmt) for c in lead.T], end=b",",
-                             rows=len(tail))
+        prefixes = text_rows([text_column(c, lead_fmt) for c in lead.T], end=b",")
     else:
         prefixes = [(lead_fmt + ",") * lead_cols % tuple(r) for r in lead.tolist()]
     templates = row_templates(prefixes, formats, len(formats))
@@ -125,3 +124,11 @@ def test_the_first_failing_value_in_row_order_decides_the_error(tmp_path, bad, e
             savetxt(tmp_path / "want.csv", rows, formats, "")
         with pytest.raises(error):
             write_csv(tmp_path / "got.csv", rows, formats)
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 2), (0, 0)])
+def test_empty_tables_write_the_bytes_of_savetxt(tmp_path, shape):
+    # rows with no columns are still written, one empty line each
+    savetxt(tmp_path / "want.csv", np.zeros(shape), "%.6f", "")
+    write_csv(tmp_path / "got.csv", np.zeros(shape), "%.6f")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -18,13 +18,6 @@ thread counts of one checkout must be identical as well:
     python3 tools/output_digests.py --threads 2 > t2.txt
     diff t1.txt t2.txt
 
-``--check LISTING`` compares this checkout's listing with one saved
-earlier, prints every changed, missing and extra path, and exits 1 on any
-difference:
-
-    python3 tools/output_digests.py > before.txt   # in one checkout
-    python3 tools/output_digests.py --check before.txt   # in the other
-
 A config whose run does not exit 0 is reported on stderr and makes the
 script exit 1.
 """
@@ -60,45 +53,22 @@ def digests(out_base: Path):
         yield hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out_base)
 
 
-def compare(saved: dict, listing: dict) -> list:
-    """Lines naming every path whose digest differs between two listings."""
-    return ([f"changed: {p}" for p in sorted(saved.keys() & listing.keys())
-             if saved[p] != listing[p]]
-            + [f"missing: {p}" for p in sorted(saved.keys() - listing.keys())]
-            + [f"extra: {p}" for p in sorted(listing.keys() - saved.keys())])
-
-
-def parse_listing(text: str) -> dict:
-    """The path -> digest map of a saved listing."""
-    pairs = (line.split("  ", 1) for line in text.splitlines() if line.strip())
-    return {path: digest for digest, path in pairs}
-
-
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description="sha256 of every file the shipped configs write")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads of every ber run (default 1)")
-    parser.add_argument("--check", type=Path, metavar="LISTING",
-                        help="compare with a saved listing instead of printing this one")
-    args = parser.parse_args(argv)
+    threads = parser.parse_args(argv).threads
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         out_base = Path(tmp)
         for config in sorted((ROOT / "configs").glob("*.json")):
-            if run_config(config, out_base / config.stem, args.threads) != 0:
+            if run_config(config, out_base / config.stem, threads) != 0:
                 failed.append(config.name)
-        listing = {rel.as_posix(): digest for digest, rel in digests(out_base)}
+        for digest, rel in digests(out_base):
+            print(f"{digest}  {rel.as_posix()}")
     for name in failed:
         print(f"run failed: configs/{name}", file=sys.stderr)
-    if args.check is None:
-        for path, digest in listing.items():
-            print(f"{digest}  {path}")
-        return 1 if failed else 0
-    differences = compare(parse_listing(args.check.read_text()), listing)
-    for line in differences:
-        print(line)
-    print(f"{len(listing)} files, {len(differences)} differences")
-    return 1 if failed or differences else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
