@@ -22,6 +22,12 @@ from .util import (SPEED_OF_LIGHT, mag_to_db, row_templates, text_column, text_r
                    wrap_phase, write_csv)
 
 _CHUNK_DIRECTIONS = 65536
+# complex entries of one block's excitation.T @ ex product (1 MB).  BLAS
+# treats a product's columns in groups, so blocks are whole multiples of
+# _BLOCK_ALIGN directions: each direction then takes the same path as in one
+# product over its whole chunk, and the fields stay bitwise equal.
+_BLOCK_ENTRIES = 1 << 16
+_BLOCK_ALIGN = 64
 # Upper bound on the text GridText keeps per direction: its text matrices hold
 # "90.000000,359.000000," and "-0.999848,-0.999848," at most, 41 bytes.  It
 # stays at the 64 the earlier string rows took, so that sweep_bytes and the
@@ -330,6 +336,15 @@ class ArrayKernels:
         self.chunks = list(_kernel_chunks(geom, self.theta, self.phi))
 
 
+def _block_edges(directions: int, cols: int) -> list:
+    """Direction edges of the array-factor blocks of one chunk: about
+    _BLOCK_ENTRIES / cols directions, rounded down to a multiple of
+    _BLOCK_ALIGN.  A last block of one direction joins the one before it,
+    since numpy multiplies one column on its matrix-vector path."""
+    step = max(_BLOCK_ALIGN, _BLOCK_ENTRIES // cols // _BLOCK_ALIGN * _BLOCK_ALIGN)
+    return [*range(0, max(directions - 1, 1), step), directions]
+
+
 def _array_factor(excitation: np.ndarray, geom: ApertureGeometry, theta=None, phi=None,
                   element_exponent: float = 0.0, kernels: ArrayKernels | None = None
                   ) -> FarFieldGrid:
@@ -358,7 +373,10 @@ def _array_factor(excitation: np.ndarray, geom: ApertureGeometry, theta=None, ph
 
     out = np.empty(theta.size * phi.size, dtype=complex)
     for sl, ex, ey in chunks:
-        out[sl] = np.einsum("qd,qd->d", excitation.T @ ex, ey)
+        edges = _block_edges(ex.shape[1], geom.cols)
+        for lo, hi in zip(edges, edges[1:]):
+            out[sl.start + lo:sl.start + hi] = np.einsum(
+                "qd,qd->d", excitation.T @ ex[:, lo:hi], ey[:, lo:hi])
 
     field = out.reshape(len(theta), len(phi))
     if element_exponent > 0:

@@ -20,6 +20,10 @@ def stream_rng(*key) -> np.random.Generator:
     return np.random.default_rng(key)
 
 
+# Gaussian values per draw of complex_normal: its buffer is 256 kB
+_NORMAL_CHUNK = 1 << 15
+
+
 @dataclass(frozen=True)
 class LosLinkSpec:
     """Geometry of a direct line-of-sight link."""
@@ -45,13 +49,23 @@ def los_gain(spec: LosLinkSpec) -> complex:
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """i.i.d. CN(0, 1) samples of the given shape from one Gaussian draw.
+    """i.i.d. CN(0, 1) samples of the given shape, drawn into the result.
 
-    Real parts come first in the stream, then imaginary parts, and the
-    scaling by 1/sqrt(2) is done in place: the result is bitwise equal to
-    (standard_normal(shape) + 1j * standard_normal(shape)) / sqrt(2).
+    Real parts come first in the stream, then imaginary parts.  Each part is
+    drawn in chunks of _NORMAL_CHUNK values into one reused buffer and scaled
+    by 1/sqrt(2) into the result, so nothing but the result is sample-sized.
+    Chunked draws continue one stream, so the result is bitwise equal to
+    (standard_normal(shape) + 1j * standard_normal(shape)) / sqrt(2) and the
+    generator ends where that expression leaves it.
     """
-    return complex_from_planes(rng.standard_normal((2, *shape)))
+    out = np.empty(shape, dtype=complex)
+    flat = out.reshape(-1)
+    buf = np.empty(min(flat.size, _NORMAL_CHUNK))
+    for part in (flat.real, flat.imag):
+        for lo in range(0, flat.size, _NORMAL_CHUNK):
+            draw = rng.standard_normal(out=buf[:min(_NORMAL_CHUNK, flat.size - lo)])
+            np.multiply(draw, 1 / np.sqrt(2.0), out=part[lo:lo + len(draw)])
+    return out
 
 
 def complex_from_planes(planes: np.ndarray) -> np.ndarray:

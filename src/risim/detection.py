@@ -134,16 +134,13 @@ def chunk_edges(rows: int, count: int) -> list:
 def _metric(zh: np.ndarray, gram: np.ndarray, table: MetricTable, snr: float) -> np.ndarray:
     """The (B, C) ML metric snr Re<G, P_c> - 2 sqrt(snr) Re(z^H x_c), as one
     real product of [snr G | -2 sqrt(snr) conj(z^H) as (re, im) pairs] with
-    the table's rows; the SNR scales the chunk, so the table stays as built."""
-    scaled = np.multiply(np.conj(zh), -2.0 * np.sqrt(snr), dtype=complex)
-    return np.concatenate([snr * gram, scaled.view(np.float64)], axis=1) @ table.rows.T
-
-
-def nearest_hypothesis(y: np.ndarray, hypotheses: np.ndarray) -> int:
-    """Index of the column of ``hypotheses`` closest to ``y`` in Euclidean
-    distance; first (lowest) index wins ties."""
-    d = np.sum(np.abs(y[:, None] - hypotheses) ** 2, axis=0)
-    return int(np.argmin(d))
+    the table's rows; the SNR scales the chunk, so the table stays as built.
+    Both parts are written into the one left-hand matrix."""
+    k = gram.shape[1]
+    left = np.empty((len(zh), k + 2 * zh.shape[1]))
+    np.multiply(gram, snr, out=left[:, :k])
+    np.multiply(np.conj(zh), -2.0 * np.sqrt(snr), out=left[:, k:].view(complex))
+    return left @ table.rows.T
 
 
 def mld(y: np.ndarray, h: np.ndarray, candidates: CandidateSet) -> int:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import aperture, detection, im_schemes, metaatom, spacetime
-from .channel import complex_normal, los_matrix, rician, stream_rng
+from .channel import complex_normal, los_matrix, stream_rng
 from .errors import ConfigError
 from .util import db_to_linear, write_csv
 
@@ -440,10 +440,6 @@ class BerCurve:
                   header="snr_db,trials,bit_errors,ber,ci_low,ci_high")
 
 
-def _popcount(values: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(values.astype(np.uint64))
-
-
 class _BerModel:
     """Precomputed transmit codebook plus one vectorized batch simulator.
 
@@ -488,29 +484,38 @@ class _BerModel:
         if self.channel.model == "awgn":
             return np.ones(shape, dtype=complex)
         h = complex_normal(rng, shape)
-        if self.channel.model == "rician":
-            return rician(self.channel.k_factor, np.broadcast_to(self.los, shape), h)
+        k = self.channel.k_factor
+        if self.channel.model == "rician" and k > 0:
+            # channel.rician(k, los, h) in place; K = 0 leaves h as drawn
+            h *= np.sqrt(1.0 / (k + 1.0))
+            h += np.sqrt(k / (k + 1.0)) * self.los
         return h
 
     def simulate(self, rng, batch: int, snr_linear: float) -> int:
         """Bit errors over one batch of independent trials.
 
-        Words, channels and noise are drawn for the whole batch, in that
-        order.  Propagation and detection then run one detector chunk of
-        trials at a time, so their temporaries stay cache-sized.
+        Words, channels and the real parts of the noise are drawn for the
+        whole batch, in that order.  Propagation and detection then run one
+        detector chunk of trials at a time, so their temporaries stay
+        cache-sized; each chunk draws the imaginary parts of its noise and
+        counts its bit errors.  The chunks continue one stream, so the noise
+        is that of one whole-batch complex_normal draw.
         """
         words = rng.integers(0, self.count, batch)
         h = self._draw_channel(rng, (batch, *self.h_shape))
-        noise = complex_normal(rng, (batch, *self.noise_shape))
+        scale = 1 / np.sqrt(2.0)
+        noise_real = rng.standard_normal((batch, *self.noise_shape))
+        noise_real *= scale
         amp = np.sqrt(snr_linear)
         detect = getattr(self, self.detector)
-        detected = np.empty(batch, dtype=np.int64)
+        errors = 0
         edges = detection.chunk_edges(batch, self.count)
         for lo, hi in zip(edges, edges[1:]):
             y = self._propagate(h[lo:hi], words[lo:hi], amp)
-            y += noise[lo:hi]
-            detected[lo:hi] = detect(y, h[lo:hi], amp)
-        return int(_popcount(words ^ detected).sum())
+            y.real += noise_real[lo:hi]
+            y.imag += rng.standard_normal(y.shape) * scale
+            errors += int(np.bitwise_count(words[lo:hi] ^ detect(y, h[lo:hi], amp)).sum())
+        return errors
 
     def _detect_vector(self, y, h, amp):
         """ML decisions of a dense model y = amp H x + n: x spread over slots

@@ -1,7 +1,6 @@
 """Small numeric helpers shared across modules."""
 
 import re
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -143,21 +142,14 @@ def text_rows(columns, end=b"\n", lead=None) -> np.ndarray:
     return text
 
 
-def row_templates(prefixes, fmt, width) -> list:
+def row_templates(prefixes: np.ndarray, fmt, width) -> list:
     """Leading columns for :func:`write_csv`, one :class:`RowTemplate` per
     block of rows: row i starts with ``prefixes[i]`` (leading columns already
     formatted, ending in a comma) and goes on with ``width`` fields of
-    ``fmt``.  ``prefixes`` is a text matrix from :func:`text_rows`, or an
-    iterable of strings, consumed one block at a time."""
+    ``fmt``.  ``prefixes`` is a text matrix from :func:`text_rows`."""
     formats = _formats(fmt, width)
-    if isinstance(prefixes, np.ndarray):
-        return [RowTemplate(prefixes[s:s + _CSV_BLOCK_ROWS], formats)
-                for s in range(0, len(prefixes), _CSV_BLOCK_ROWS)]
-    prefixes = iter(prefixes)
-    blocks = []
-    while block := list(islice(prefixes, _CSV_BLOCK_ROWS)):
-        blocks.append(RowTemplate(_strings_text(block), formats))
-    return blocks
+    return [RowTemplate(prefixes[s:s + _CSV_BLOCK_ROWS], formats)
+            for s in range(0, len(prefixes), _CSV_BLOCK_ROWS)]
 
 
 def _block_bytes(block, formats, template) -> bytes:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from risim import detection
-from risim.channel import complex_normal, stream_rng
+from risim.channel import complex_normal, rician, stream_rng
 from risim.detection import MetricTable, chunk_edges, matched_filter
 from risim.harness import ChannelSpec, _BerModel
 from risim.im_schemes import build_scheme
@@ -255,3 +255,79 @@ def test_large_codebook_table_stays_a_few_codebooks_while_built():
         tracemalloc.stop()
     assert peak <= 6 * codebook_bytes
     assert kept <= model.table.rows.nbytes + (2 << 20)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def held_draws(model, batch):
+    """The channel, the noise's real plane and the words of one batch."""
+    h_entries, noise_entries = np.prod(model.h_shape), np.prod(model.noise_shape)
+    return batch * (16 * h_entries + 8 * noise_entries + 8)
+
+
+@pytest.mark.parametrize("case", ["sm_rayleigh", "ofdm_im_rayleigh", "stsk_rayleigh",
+                                  "mbm_rayleigh", "qsm_rician", "ofdm_im_rician",
+                                  "stsk_rician"])
+def test_batch_holds_each_draw_once(case):
+    # a second copy of the channel draw, a whole-batch complex noise or
+    # whole-batch decisions each add at least 4 MB here
+    model = model_of(case)
+    batch = 1 << 16
+    model.simulate(stream_rng(26), batch, SNR)
+    peak = traced_peak(lambda: model.simulate(stream_rng(26), batch, SNR))
+    assert peak <= held_draws(model, batch) + (3 << 20)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_batch_draws_the_stream_of_whole_batch_draws(case):
+    # words, channel, then one complex_normal draw of the whole noise: the
+    # per-block imaginary parts must leave the generator where it leaves it
+    model = model_of(case)
+    ours, theirs = stream_rng(32), stream_rng(32)
+    model.simulate(ours, 1001, SNR)
+    theirs.integers(0, model.count, 1001)
+    model._draw_channel(theirs, (1001, *model.h_shape))
+    complex_normal(theirs, (1001, *model.noise_shape))
+    assert ours.standard_normal(3).tobytes() == theirs.standard_normal(3).tobytes()
+
+
+# the K values of the shipped Rician configs, and one above them
+@pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("structure", ["dft", "ones"])
+def test_rician_mixing_in_place_is_channel_rician(k, structure):
+    model = _BerModel(build_scheme({"type": "sm", "n_tx": 4, "order": 4}),
+                      ChannelSpec("rician", k, structure), 4)
+    shape = (1 << 16, *model.h_shape)
+    h = model._draw_channel(stream_rng(33), shape)
+    want = rician(k, np.broadcast_to(model.los, shape), complex_normal(stream_rng(33), shape))
+    assert h.tobytes() == want.tobytes()
+    model.simulate(stream_rng(34), shape[0], SNR)
+    peak = traced_peak(lambda: model.simulate(stream_rng(34), shape[0], SNR))
+    assert peak <= held_draws(model, shape[0]) + (3 << 20)
+
+
+def concatenated_metric(zh, gram, table, snr):
+    scaled = np.multiply(np.conj(zh), -2.0 * np.sqrt(snr), dtype=complex)
+    return np.concatenate([snr * gram, scaled.view(np.float64)], axis=1) @ table.rows.T
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("snr", [0.1, SNR, 1e4])
+def test_metric_bitwise_equals_the_concatenated_product(case, snr):
+    model = model_of(case)
+    rng = stream_rng(35)
+    h = model._draw_channel(rng, (999, *model.h_shape))
+    y = complex_normal(rng, (999, *model.noise_shape))
+    if model.scheme.model == "subcarrier":
+        zh, gram = np.conj(y) * h, np.abs(h) ** 2
+    else:
+        zh, gram = matched_filter(y, h, model.table)
+    got = detection._metric(zh, gram, model.table, snr)
+    assert got.tobytes() == concatenated_metric(zh, gram, model.table, snr).tobytes()

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from risim.channel import (
+    _NORMAL_CHUNK,
     LosLinkSpec,
     RisLink,
     align_and_snr,
@@ -178,3 +181,26 @@ def test_complex_normal_bitwise_equals_two_draws(shape):
 
 def test_rayleigh_is_one_complex_normal_draw():
     assert rayleigh(3, 5, stream_rng(2)).tobytes() == complex_normal(stream_rng(2), (3, 5)).tobytes()
+
+
+@pytest.mark.parametrize("size", [0, 1, _NORMAL_CHUNK - 1, _NORMAL_CHUNK, _NORMAL_CHUNK + 1,
+                                  3 * _NORMAL_CHUNK + 5])
+def test_chunked_complex_normal_continues_one_stream(size):
+    # each part is drawn in chunks into one buffer: the values and the
+    # generator's position must be those of two whole draws
+    ours, theirs = stream_rng(10, size), stream_rng(10, size)
+    one = complex_normal(ours, (size,))
+    two = (theirs.standard_normal(size) + 1j * theirs.standard_normal(size)) / np.sqrt(2.0)
+    assert one.tobytes() == two.tobytes()
+    assert ours.standard_normal(3).tobytes() == theirs.standard_normal(3).tobytes()
+
+
+def test_complex_normal_holds_only_its_result():
+    shape = (16 * _NORMAL_CHUNK, 2)
+    tracemalloc.start()
+    try:
+        out = complex_normal(stream_rng(11), shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 8 * _NORMAL_CHUNK + (64 << 10)

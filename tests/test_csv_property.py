@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from risim.util import row_templates, text_column, text_rows, write_csv
+from risim.util import _strings_text, row_templates, text_column, text_rows, write_csv
 
 FIXED = ["%.0f", "%.1f", "%.3f", "%.6f", "%.8f"]
 FORMATS = FIXED + ["%d"]
@@ -92,7 +92,8 @@ def test_row_templates_write_the_bytes_of_savetxt(tmp_path_factory, table, lead_
     if as_matrix:   # as GridText holds its columns
         prefixes = text_rows([text_column(c, lead_fmt) for c in lead.T], end=b",")
     else:
-        prefixes = [(lead_fmt + ",") * lead_cols % tuple(r) for r in lead.tolist()]
+        prefixes = _strings_text([(lead_fmt + ",") * lead_cols % tuple(r)
+                                  for r in lead.tolist()])
     templates = row_templates(prefixes, formats, len(formats))
     tmp = tmp_path_factory.mktemp("csv")
     full = np.column_stack([lead, tail])

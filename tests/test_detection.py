@@ -10,7 +10,6 @@ from risim.detection import (
     ergodic_capacity,
     instantaneous_capacity,
     mld,
-    nearest_hypothesis,
 )
 from risim.im_schemes import OfdmIm, SpatialModulation, SpaceShiftKeying, SisoModulation
 from risim.modulation import int_to_bits
@@ -176,8 +175,3 @@ class TestCapacity:
     def test_rejects_bad_model(self):
         with pytest.raises(ValueError):
             ergodic_capacity(1, 1, 1.0, 10, seed=1, model="rician")
-
-
-def test_nearest_hypothesis_first_index_wins():
-    hyp = np.array([[1.0, 1.0]], dtype=complex)
-    assert nearest_hypothesis(np.array([1.0 + 0j]), hyp) == 0

@@ -2,10 +2,12 @@
 to the ones computed and written without it."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from risim import aperture
 from risim.aperture import (
     ArrayKernels,
     ApertureGeometry,
@@ -16,8 +18,9 @@ from risim.aperture import (
     direction_grid,
     radiation_pattern,
 )
+from risim.harness import parse_config, run_pattern
 from risim.spacetime import harmonic_pattern
-from risim.util import _CSV_BLOCK_ROWS, row_templates, write_csv
+from risim.util import _CSV_BLOCK_ROWS, _strings_text, row_templates, write_csv
 
 GEOM_A = ApertureGeometry(20, 20, 2.8e-3, 2.8e-3, 28e9)
 GEOM_B = ApertureGeometry(6, 9, 3.1e-3, 2.2e-3, 31e9)
@@ -172,7 +175,7 @@ def test_row_templates_write_the_bytes_of_the_full_rows(tmp_path, n):
     rng = np.random.default_rng(n)
     lead = rng.normal(size=(n, 2))
     tail = rng.normal(size=(n, 3))
-    templates = row_templates(("%.4f,%d," % (a, b) for a, b in lead), "%.6f", 3)
+    templates = row_templates(_strings_text(["%.4f,%d," % (a, b) for a, b in lead]), "%.6f", 3)
     assert len(templates) == len(range(0, n, _CSV_BLOCK_ROWS))
     write_csv(tmp_path / "t.csv", tail, "%.6f", header="a,b,c,d,e", templates=templates)
     write_csv(tmp_path / "r.csv", np.column_stack([lead, tail]), ("%.4f", "%d", "%.6f", "%.6f", "%.6f"),
@@ -181,9 +184,58 @@ def test_row_templates_write_the_bytes_of_the_full_rows(tmp_path, n):
 
 
 def test_templates_for_another_row_count_are_refused(tmp_path):
-    templates = row_templates(["1,"] * (_CSV_BLOCK_ROWS + 1), "%.6f", 1)
+    templates = row_templates(_strings_text(["1,"] * (_CSV_BLOCK_ROWS + 1)), "%.6f", 1)
     with pytest.raises(ValueError, match="2 row templates for 1 blocks"):
         write_csv(tmp_path / "t.csv", np.zeros(5), "%.6f", templates=templates)
     with pytest.raises(TypeError):
         write_csv(tmp_path / "t.csv", np.zeros((_CSV_BLOCK_ROWS + 1, 2)), "%.6f",
                   templates=templates)
+
+
+def one_product_per_chunk(excitation, kernels):
+    out = np.concatenate([np.einsum("qd,qd->d", excitation.T @ ex, ey)
+                          for _, ex, ey in kernels.chunks])
+    return out.reshape(kernels.theta.size, kernels.phi.size)
+
+
+# 2^16 / cols directions, unrounded, would leave BLAS column groups split
+# across blocks on 4x5 and 7x3 (fields then differ in the last bits); the
+# 0.5 x 0.75 deg grid has a second chunk of 21,344 directions
+@pytest.mark.parametrize("geom", [GEOM_A, GEOM_B, ApertureGeometry(4, 5, 2.8e-3, 2.8e-3, 28e9),
+                                  ApertureGeometry(7, 3, 2.8e-3, 3.3e-3, 28e9),
+                                  ApertureGeometry(1, 1, 2.8e-3, 2.8e-3, 28e9)])
+@pytest.mark.parametrize("steps", [(1.0, 1.0), (0.5, 0.75), (3.0, 0.7)])
+def test_blocked_field_bitwise_equals_one_product_per_chunk(geom, steps):
+    theta, phi = direction_grid(*steps)
+    kernels = ArrayKernels(geom, theta, phi)
+    coding = random_coding(geom, 7)
+    want = one_product_per_chunk(coding.excitation, kernels)
+    assert radiation_pattern(coding, geom, theta, phi, kernels=kernels).field.tobytes() \
+        == want.tobytes()
+    assert radiation_pattern(coding, geom, theta, phi).field.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("directions", [1, 2, 63, 64, 65, 3263, 3264, 3265, 65536])
+@pytest.mark.parametrize("cols", [1, 3, 20, 1024, 1 << 17])
+def test_block_edges_are_aligned_and_have_no_one_direction_tail(directions, cols):
+    edges = aperture._block_edges(directions, cols)
+    sizes = np.diff(edges)
+    assert edges[0] == 0 and edges[-1] == directions
+    assert np.all(sizes[:-1] % aperture._BLOCK_ALIGN == 0)
+    assert sizes[-1] >= min(2, directions)
+    assert np.all(sizes[:-1] * cols <= max(aperture._BLOCK_ENTRIES, aperture._BLOCK_ALIGN * cols))
+
+
+def test_pattern_run_peak_stays_near_the_sweep_estimate(tmp_path):
+    # a whole-chunk excitation.T @ ex (20 x 32,760 complex) goes past this
+    config = parse_config(Path(__file__).parents[1] / "configs" / "pattern_steering.json")
+    geo = config.geometry
+    estimate = aperture.sweep_bytes(geo["rows"], geo["cols"],
+                                    aperture.direction_count(*config.grid_step_deg))
+    tracemalloc.start()
+    try:
+        run_pattern(config, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate + (4 << 20)
