@@ -5,7 +5,7 @@ Modules
 metaatom   tunable-cell reflection model and tabulated full-wave data
 aperture   phase composition, far-field patterns, directivity, beam scanning
 spacetime  periodic time codings and frequency-harmonic synthesis
-channel    LoS / Rayleigh / Rician generators, AWGN, RIS phase alignment
+channel    CN(0, 1) draws, Rayleigh / Rician channels, LoS matrices
 im_schemes bit mappers and rate formulas for the index-modulation family
 detection  maximum-likelihood detection and ergodic capacity
 harness    config-driven Monte Carlo experiments and CSV outputs

@@ -1,13 +1,11 @@
-"""Statistical channel generators, AWGN, and RIS phase-alignment SNR.
+"""Statistical channel generators: CN(0, 1) draws, Rayleigh, Rician and LoS.
 
-Noise convention: N0 is the total variance of one complex sample (N0/2 per
-real dimension).  All generators are pure functions of an explicit
-numpy Generator; experiment code derives per-trial generators from
-(seed, stream indices) via :func:`stream_rng` so results never depend on
-execution order or thread count.
+Every complex sample has unit total variance (1/2 per real dimension).
+All generators are pure functions of an explicit numpy Generator;
+experiment code derives per-trial generators from (seed, stream indices)
+via :func:`stream_rng` so results never depend on execution order or
+thread count.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,30 +20,6 @@ def stream_rng(*key) -> np.random.Generator:
 
 # Gaussian values per draw of complex_normal: its buffer is 256 kB
 _NORMAL_CHUNK = 1 << 15
-
-
-@dataclass(frozen=True)
-class LosLinkSpec:
-    """Geometry of a direct line-of-sight link."""
-
-    wavelength: float   # m
-    gain_tx: float      # linear
-    gain_rx: float      # linear
-    distance: float     # m
-
-    def __post_init__(self):
-        if min(self.wavelength, self.gain_tx, self.gain_rx) <= 0 or self.distance <= 0:
-            raise ValueError("all LoS link parameters must be positive")
-
-
-def los_gain(spec: LosLinkSpec) -> complex:
-    """Complex gain of the direct path.
-
-    H = (lambda / 4 pi) * sqrt(G_T G_R) * exp(-j 2 pi d / lambda) / d;
-    magnitude falls as 1/d and the phase is the carrier's electrical length.
-    """
-    amplitude = (spec.wavelength / (4.0 * np.pi)) * np.sqrt(spec.gain_tx * spec.gain_rx) / spec.distance
-    return amplitude * np.exp(-2j * np.pi * spec.distance / spec.wavelength)
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -115,76 +89,3 @@ def los_matrix(n_rx: int, n_tx: int, structure: str = "dft") -> np.ndarray:
         i = np.arange(n_tx)[None, :]
         return np.exp(-2j * np.pi * l * i / order)
     raise ValueError(f"unknown LoS structure {structure!r}")
-
-
-def awgn(length: int, n0: float, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. CN(0, N0) noise samples (total variance N0 per complex sample)."""
-    if n0 < 0:
-        raise ValueError("noise spectral density must be >= 0")
-    if n0 == 0:
-        return np.zeros(length, dtype=complex)
-    return np.sqrt(n0 / 2.0) * (rng.standard_normal(length) + 1j * rng.standard_normal(length))
-
-
-@dataclass(frozen=True)
-class RisLink:
-    """Per-element cascades between the surface and the receive antennas.
-
-    The channel from element i to receive antenna l is
-    beta[l, i] * exp(-j psi[l, i]); phases[i] is the programmable reflection
-    phase of element i.
-    """
-
-    beta: np.ndarray    # (n_rx, n_elements), linear gains >= 0
-    psi: np.ndarray     # (n_rx, n_elements), rad
-    phases: np.ndarray  # (n_elements,), rad
-    es: float           # symbol energy
-    n0: float           # noise spectral density
-
-    def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
-        psi = np.asarray(self.psi, dtype=float)
-        phases = np.asarray(self.phases, dtype=float)
-        if beta.ndim != 2 or psi.shape != beta.shape:
-            raise ValueError("beta and psi must be equal-shape (n_rx, n_elements) arrays")
-        if phases.shape != (beta.shape[1],):
-            raise ValueError("phases must have one entry per surface element")
-        if np.any(beta < 0):
-            raise ValueError("path gains must be non-negative")
-        if self.es <= 0 or self.n0 <= 0:
-            raise ValueError("Es and N0 must be positive")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "phases", phases)
-
-
-def ris_received_signal(link: RisLink, antenna: int) -> complex:
-    """Noise-free signal at one receive antenna.
-
-    y_l = [sum_i beta_{l,i} exp(j(phi_i - psi_{l,i}))] * sqrt(Es); the AWGN
-    term is added by the caller so detection statistics stay controllable.
-    """
-    coherent = np.sum(
-        link.beta[antenna] * np.exp(1j * (link.phases - link.psi[antenna]))
-    )
-    return complex(coherent * np.sqrt(link.es))
-
-
-def instantaneous_snr(link: RisLink, antenna: int) -> float:
-    """gamma_l = |sum_i beta exp(j(phi - psi))|^2 Es / N0 for the set phases."""
-    coherent = np.sum(
-        link.beta[antenna] * np.exp(1j * (link.phases - link.psi[antenna]))
-    )
-    return float(np.abs(coherent) ** 2 * link.es / link.n0)
-
-
-def align_and_snr(link: RisLink, antenna: int) -> tuple[float, np.ndarray]:
-    """Phase-align the surface to one antenna and return the resulting SNR.
-
-    Setting phi_i = psi_{l,i} makes every element add in phase, the best
-    any phase choice can do, giving gamma_l = (sum_i beta_{l,i})^2 Es / N0.
-    Returns (snr, aligned phase vector).
-    """
-    aligned = link.psi[antenna].copy()
-    snr = float(np.sum(link.beta[antenna]) ** 2 * link.es / link.n0)
-    return snr, aligned

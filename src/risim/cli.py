@@ -5,6 +5,7 @@ output directory for relative paths comes from --out, falling back to the
 RISIM_OUT_DIR environment variable, then the working directory.
 """
 
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -26,9 +27,7 @@ def _load(config_path, seed, experiment) -> harness.ExperimentConfig:
     if seed is not None:
         if seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        config = harness.ExperimentConfig(
-            **{**config.__dict__, "seed": seed}
-        )
+        config = dataclasses.replace(config, seed=seed)
     if config.experiment != experiment:
         raise ConfigError(f"config is a {config.experiment!r} experiment, expected {experiment!r}")
     return config
@@ -114,9 +113,7 @@ def harmonics(config_path, seed, out):
 @out_option
 def codebook(config_path, out):
     """Dump a scheme's full codeword table for audit."""
-    config = harness.parse_config(config_path)
-    if config.scheme is None:
-        raise ConfigError("config must contain a scheme section")
+    config = _load(config_path, None, "codebook")
     path = _resolve_output(config, out, "codebook.csv")
     harness.codebook_csv(config.scheme, path)
     click.echo(f"wrote {path}")
@@ -126,9 +123,7 @@ def codebook(config_path, out):
 @config_option
 def rate(config_path):
     """Print the throughput of the configured scheme."""
-    config = harness.parse_config(config_path)
-    if config.scheme is None:
-        raise ConfigError("config must contain a scheme section")
+    config = _load(config_path, None, "rate")
     click.echo(f"{im_schemes.rate_of(config.scheme):.6f}")
 
 

@@ -21,8 +21,9 @@ import numpy as np
 
 from . import channel as channel_mod
 
-# (trials x codewords) metric entries per chunk; small enough that a chunk's
-# metric and cross terms stay in cache between the passes over them
+# entries per chunk of the metric (trials x codewords) and of its left-hand
+# matrix (trials x table width); small enough that both stay in cache
+# between the passes over them
 _HYPOTHESIS_BUDGET = 1 << 16
 # trials per Gaussian draw of the capacity engine; part of its random stream
 CAPACITY_BATCH = 4096
@@ -116,17 +117,19 @@ def ml_detect(zh: np.ndarray, gram: np.ndarray, table: MetricTable, snr: float) 
     """Index of the ML codeword per trial, from z^H = y^H A (B, dim * slots),
     the Gram coordinates of A and the SNR scaling the codeword by sqrt(snr)."""
     out = np.empty(len(zh), dtype=np.int64)
-    edges = chunk_edges(len(zh), table.x.shape[1])
+    edges = chunk_edges(len(zh), max(table.rows.shape))
     for lo, hi in zip(edges, edges[1:]):
         out[lo:hi] = np.argmin(_metric(zh[lo:hi], gram[lo:hi], table, snr), axis=1)
     return out
 
 
 def chunk_edges(rows: int, count: int) -> list:
-    """Row edges of the detector's chunks of about _HYPOTHESIS_BUDGET metric
-    entries over ``count`` codewords.  No chunk has one row unless ``rows``
-    is 1: numpy multiplies one row on its matrix-vector path, which rounds
-    differently from the matrix-matrix path of the others."""
+    """Row edges of the detector's chunks of about _HYPOTHESIS_BUDGET entries
+    per ``count`` columns; callers pass the wider side of the metric table
+    (codewords or table width), which bounds both the metric and the left
+    matrix.  No chunk has one row unless ``rows`` is 1: numpy multiplies one
+    row on its matrix-vector path, which rounds differently from the
+    matrix-matrix path of the others."""
     step = max(2, _HYPOTHESIS_BUDGET // count)
     return [*range(0, max(rows - 1, 1), step), rows]
 

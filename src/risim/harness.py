@@ -369,12 +369,22 @@ def parse_config(source) -> ExperimentConfig:
                      f"the shared kernels and text of {directions} directions on a "
                      f"{rows}x{cols} aperture")
         quantize_bits = sec.bounded("quantize_bits", 1, kind=int, high=MAX_QUANTIZE_BITS)
+        period_cells = int(sec.bounded("period_cells", 1, 4, kind=int))
+        geom = _aperture_geometry(geometry)
+        for a in angles:
+            phase_range = _steering_range(geom, float(a), period_cells)
+            if phase_range > 2.0 * np.pi + 1e-12:
+                raise ConfigError(
+                    f"scan_angles_deg: scan angle {float(a)} deg needs "
+                    f"{np.rad2deg(phase_range):.1f} deg of range over {period_cells} "
+                    "cells; reduce period_cells"
+                )
         config = ExperimentConfig(
             experiment="pattern",
             seed=seed,
             geometry=geometry,
             scan_angles_deg=tuple(float(a) for a in angles),
-            period_cells=int(sec.bounded("period_cells", 1, 4, kind=int)),
+            period_cells=period_cells,
             grid_step_deg=(theta_step, phi_step),
             element_exponent=float(sec.bounded("element_exponent", 0, 0.0)),
             couple_atom_loss=bool(sec.take("couple_atom_loss", False, kind=bool)),
@@ -443,42 +453,36 @@ class BerCurve:
 class _BerModel:
     """Precomputed transmit codebook plus one vectorized batch simulator.
 
-    Each transmit model fixes the per-trial shapes of its channel and noise,
-    how one block of trials propagates (``_propagate``) and its detector.
+    Every transmit model has one of two shapes.  Dense models send the
+    codeword X (dim x slots) as y = amp H X + n with H (n_rx x dim): spatial
+    and quadrature SM (slots = 1), space-time shift keying (n_slots slots)
+    and channel-state MBM (one-hot X over the states, H the per-state
+    channels).  The diagonal model sends y = amp diag(h) x + n with one
+    fading coefficient per subcarrier.  The shape fixes the per-trial shapes
+    of the channel and noise, how one block of trials propagates
+    (``_propagate``) and the detector.
     """
 
     def __init__(self, scheme, channel: ChannelSpec, n_rx: int):
         self.scheme = scheme
         self.channel = channel
         self.n_rx = n_rx
-        self.table = detection.MetricTable(scheme.codebook().vectors,
-                                           getattr(scheme, "n_slots", 1),
-                                           diagonal=scheme.model == "subcarrier")
+        slots = getattr(scheme, "n_slots", 1)
+        self.diagonal = scheme.model == "subcarrier"
+        self.table = detection.MetricTable(scheme.codebook().vectors, slots, self.diagonal)
         self.x = self.table.x                                   # (dim * slots, C)
         self.count = self.x.shape[1]
         xt = self.table.codewords                               # one codeword per row
-        self.detector = f"_detect_{scheme.model}"
-        if scheme.model == "vector":
-            self.h_shape, self.noise_shape = (n_rx, self.x.shape[0]), (n_rx,)
-            self._propagate = lambda h, w, amp: amp * np.einsum("bri,bi->br", h, xt[w])
-        elif scheme.model == "subcarrier":
+        if self.diagonal:
             self.h_shape = self.noise_shape = (self.x.shape[0],)
             self._propagate = lambda h, w, amp: amp * h * xt[w]
-        elif scheme.model == "matrix":
-            mats = xt.reshape(self.count, scheme.n_tx, scheme.n_slots)
-            self.h_shape, self.noise_shape = (n_rx, scheme.n_tx), (n_rx, scheme.n_slots)
-            self._propagate = lambda h, w, amp: amp * np.einsum("bri,bit->brt", h, mats[w])
-        elif scheme.model == "state":
-            state_of = np.argmax(self.x != 0, axis=0)           # codewords are one-hot
-            sym_of = self.x[state_of, np.arange(self.count)]
-            self.h_shape, self.noise_shape = (n_rx, scheme.num_states), (n_rx,)
-            self._propagate = lambda h, w, amp: (
-                amp * h[np.arange(len(w)), :, state_of[w]] * sym_of[w][:, None])
         else:
-            raise ConfigError(f"scheme model {scheme.model!r} has no BER transmit model")
+            mats = xt.reshape(self.count, -1, slots)            # (C, dim, slots)
+            self.h_shape, self.noise_shape = (n_rx, mats.shape[1]), (n_rx, slots)
+            self._propagate = lambda h, w, amp: amp * np.einsum("bri,bit->brt", h, mats[w])
         if channel.model == "rician":
-            self.los = (los_matrix(n_rx, self.h_shape[1], channel.los_structure)
-                        if len(self.h_shape) == 2 else np.ones(self.h_shape, dtype=complex))
+            self.los = (np.ones(self.h_shape, dtype=complex) if self.diagonal
+                        else los_matrix(n_rx, self.h_shape[1], channel.los_structure))
 
     def _draw_channel(self, rng, shape):
         if self.channel.model == "awgn":
@@ -507,9 +511,9 @@ class _BerModel:
         noise_real = rng.standard_normal((batch, *self.noise_shape))
         noise_real *= scale
         amp = np.sqrt(snr_linear)
-        detect = getattr(self, self.detector)
+        detect = self._detect_subcarrier if self.diagonal else self._detect_vector
         errors = 0
-        edges = detection.chunk_edges(batch, self.count)
+        edges = detection.chunk_edges(batch, max(self.table.rows.shape))
         for lo, hi in zip(edges, edges[1:]):
             y = self._propagate(h[lo:hi], words[lo:hi], amp)
             y.real += noise_real[lo:hi]
@@ -518,10 +522,11 @@ class _BerModel:
         return errors
 
     def _detect_vector(self, y, h, amp):
-        """ML decisions of a dense model y = amp H x + n: x spread over slots
-        for the matrix model, H over the channel states for the state model."""
+        """ML decisions of the dense model y = amp H X + n."""
         return detection.ml_detect(*detection.matched_filter(y, h, self.table), self.table, amp * amp)
 
+    # no longer called: the benchmark tracer still wraps these names and
+    # reports each one it cannot find
     _detect_matrix = _detect_state = _detect_vector
 
     def _detect_subcarrier(self, y, h, amp):
@@ -642,17 +647,28 @@ def _atom_loss_amplitudes(phases: np.ndarray, table, freq_ghz: float,
     return amplitude
 
 
+def _aperture_geometry(geo: dict) -> aperture.ApertureGeometry:
+    return aperture.ApertureGeometry(
+        geo["rows"], geo["cols"], geo["dx_mm"] * 1e-3, geo["dy_mm"] * 1e-3,
+        geo["fc_ghz"] * 1e9,
+    )
+
+
+def _steering_range(geom, angle_deg: float, period_cells: int) -> float:
+    """Phase range (rad) of the sawtooth over ``period_cells`` cells that
+    steers the beam to ``angle_deg``: the gradient k dx sin(angle) per cell."""
+    return geom.wavenumber * geom.dx * np.sin(np.deg2rad(angle_deg)) * period_cells
+
+
 def run_pattern(config: ExperimentConfig, out_base: Path):
     """Steered-pattern exports for each commanded scan angle.
 
     Writes per-angle coding, far-field, and UV CSVs plus a summary with the
-    scan-equation prediction, realized peak, and peak directivity.
+    scan-equation prediction, realized peak, and peak directivity.  Every
+    scan angle is reachable: parse_config checks its phase range.
     """
     geo = config.geometry
-    geom = aperture.ApertureGeometry(
-        geo["rows"], geo["cols"], geo["dx_mm"] * 1e-3, geo["dy_mm"] * 1e-3,
-        geo["fc_ghz"] * 1e9,
-    )
+    geom = _aperture_geometry(geo)
     theta, phi = aperture.direction_grid(*config.grid_step_deg)
     # what every scan angle shares: the array kernels and the grid-column text
     kernels = aperture.ArrayKernels(geom, theta, phi)
@@ -664,14 +680,7 @@ def run_pattern(config: ExperimentConfig, out_base: Path):
     summary = []
     written = []
     for angle_deg in config.scan_angles_deg:
-        angle = np.deg2rad(angle_deg)
-        gradient = geom.wavenumber * geom.dx * np.sin(angle)   # rad per cell
-        phase_range = gradient * config.period_cells
-        if phase_range > 2.0 * np.pi + 1e-12:
-            raise ConfigError(
-                f"scan angle {angle_deg} deg needs {np.rad2deg(phase_range):.1f} deg "
-                f"of range over {config.period_cells} cells; reduce period_cells"
-            )
+        phase_range = _steering_range(geom, angle_deg, config.period_cells)
         spec = aperture.SteeringSpec(config.period_cells, phase_range, geom.dx)
         predicted = aperture.scan_angle(spec, geom.wavelength)
         steer = aperture.steering_phase(geom, spec)

@@ -587,27 +587,21 @@ class MediaBasedModulation(Scheme):
     """Channel-state index modulation: log2 S state bits + log2 M symbol bits.
 
     States are independent channel realizations the receiver knows (the
-    abstract RF-mirror picture).  ``states`` may alternatively be supplied
-    explicitly, e.g. derived from distinct aperture radiation patterns via
-    :func:`mbm_states_from_codings`.
+    abstract RF-mirror picture).  The BER engine draws them i.i.d. Rayleigh
+    per trial and sends the codeword, a one-hot state vector carrying the
+    symbol, through the same dense path as spatial modulation.
     """
 
     domain = "channel-state"
     model = "state"
 
-    def __init__(self, num_states: int, order: int = 1, constellation: str = "psk",
-                 states: np.ndarray | None = None):
+    def __init__(self, num_states: int, order: int = 1, constellation: str = "psk"):
         self.state_bits = _int_log2(num_states, "number of pattern states")
         self.num_states = num_states
         self.order = order
         self.symbol_bits = 0 if order == 1 else _int_log2(order, "constellation order")
         self.constellation = None if order == 1 else Constellation(constellation, order)
         self.bits_per_interval = self.state_bits + self.symbol_bits
-        if states is not None:
-            states = np.asarray(states, dtype=complex)
-            if states.ndim != 2 or states.shape[1] != num_states:
-                raise ConfigError(f"states must be (n_rx, {num_states})")
-        self.states = states
 
     def map_bits(self, bits) -> IMSymbol:
         bits = _require_bits(bits, self.bits_per_interval)
@@ -631,32 +625,6 @@ class MediaBasedModulation(Scheme):
         x = np.zeros(self.num_states, dtype=complex)
         x[symbol.indices[0]] = symbol.symbols[0]
         return x
-
-
-def mbm_states_from_codings(codings, geom, n_rx: int, n_scatterers: int, seed: int) -> np.ndarray:
-    """Channel states induced by distinct radiation patterns.
-
-    A fixed random set of far-field scatterer directions with CN gains per
-    receive antenna turns each aperture coding into one channel vector:
-    h_s[l] = sum_j g[l, j] * f_s(theta_j, phi_j), normalized to unit mean
-    power over the state set.
-    """
-    from .aperture import radiation_pattern
-
-    rng = np.random.default_rng([seed, n_rx, n_scatterers])
-    theta = np.arcsin(np.sqrt(rng.random(n_scatterers)))  # area-uniform on the hemisphere
-    phi = rng.random(n_scatterers) * 2.0 * np.pi
-    gains = (rng.standard_normal((n_rx, n_scatterers)) +
-             1j * rng.standard_normal((n_rx, n_scatterers))) / np.sqrt(2.0)
-    states = np.empty((n_rx, len(codings)), dtype=complex)
-    for s, coding in enumerate(codings):
-        field = np.array([
-            radiation_pattern(coding, geom, theta=np.array([t]), phi=np.array([p])).field[0, 0]
-            for t, p in zip(theta, phi)
-        ])
-        states[:, s] = gains @ field
-    states /= np.sqrt(np.mean(np.abs(states) ** 2))
-    return states
 
 
 # --------------------------------------------------------------------------

@@ -331,3 +331,50 @@ def test_metric_bitwise_equals_the_concatenated_product(case, snr):
         zh, gram = matched_filter(y, h, model.table)
     got = detection._metric(zh, gram, model.table, snr)
     assert got.tobytes() == concatenated_metric(zh, gram, model.table, snr).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_block_left_matrix_stays_within_the_hypothesis_budget(monkeypatch, case):
+    # blocks sized by the codeword count alone give the narrow-codebook cases
+    # (stsk_rician: 8 codewords, table width 12) left matrices over the budget
+    model = model_of(case)
+    entries = []
+    metric = detection._metric
+
+    def recording(zh, gram, table, snr):
+        entries.append(len(zh) * (gram.shape[1] + 2 * zh.shape[1]))
+        return metric(zh, gram, table, snr)
+
+    monkeypatch.setattr(detection, "_metric", recording)
+    model.simulate(stream_rng(36), 1 << 16, SNR)
+    assert entries and max(entries) <= detection._HYPOTHESIS_BUDGET
+
+
+@pytest.mark.parametrize("case", ["sm_rayleigh", "stsk_rician", "mbm_rayleigh"])
+def test_dense_propagation_equals_the_per_model_products(case):
+    # the products of the vector, matrix and state models before they shared
+    # one dense branch
+    model = model_of(case)
+    rng = stream_rng(37)
+    words = rng.integers(0, model.count, 999)
+    h = model._draw_channel(rng, (999, *model.h_shape))
+    amp = np.sqrt(SNR)
+    xt = model.table.codewords
+    got = model._propagate(h, words, amp)
+    assert got.shape == (999, *model.noise_shape)
+    if model.scheme.model == "vector":
+        assert got.tobytes() == (amp * np.einsum("bri,bi->br", h, xt[words])).tobytes()
+    elif model.scheme.model == "matrix":
+        mats = xt.reshape(model.count, model.scheme.n_tx, model.scheme.n_slots)
+        assert got.tobytes() == (amp * np.einsum("bri,bit->brt", h, mats[words])).tobytes()
+    else:
+        state_of = np.argmax(model.x != 0, axis=0)               # codewords are one-hot
+        sym_of = model.x[state_of, np.arange(model.count)]
+        picked = h[np.arange(999), :, state_of[words]]
+        # the one-hot product is the picked channel times the symbol; the
+        # state model scaled the channel before the symbol (BPSK's -1 has an
+        # imaginary part of 1.2e-16), which moves some entries by an ulp
+        dense = amp * (picked * sym_of[words][:, None])
+        assert got[..., 0].tobytes() == dense.tobytes()
+        indexed = amp * picked * sym_of[words][:, None]
+        np.testing.assert_allclose(got[..., 0], indexed, rtol=1e-15, atol=0)

@@ -5,44 +5,12 @@ import pytest
 
 from risim.channel import (
     _NORMAL_CHUNK,
-    LosLinkSpec,
-    RisLink,
-    align_and_snr,
-    awgn,
     complex_normal,
-    instantaneous_snr,
-    los_gain,
     los_matrix,
     rayleigh,
     rician,
-    ris_received_signal,
     stream_rng,
 )
-
-
-class TestLosGain:
-    def test_one_wavelength_distance(self):
-        lam = 0.0107068735
-        h = los_gain(LosLinkSpec(lam, 1.0, 1.0, lam))
-        assert abs(h) == pytest.approx(1.0 / (4 * np.pi))
-        assert np.angle(h) == pytest.approx(0.0, abs=1e-9)  # e^{-j 2 pi}
-
-    def test_inverse_distance_law(self):
-        lam = 0.0107068735
-        near = los_gain(LosLinkSpec(lam, 1.0, 1.0, 5.0))
-        far = los_gain(LosLinkSpec(lam, 1.0, 1.0, 10.0))
-        assert abs(near) == pytest.approx(2 * abs(far))
-
-    def test_28ghz_at_10m(self):
-        lam = 0.0107143  # 28 GHz with c ~ 3e8
-        h = los_gain(LosLinkSpec(lam, 1.0, 1.0, 10.0))
-        # formula-evaluation oracle, computed independently
-        assert abs(h) == pytest.approx(lam / (4 * np.pi * 10.0), rel=1e-12)
-        assert abs(h) == pytest.approx(8.53e-5, rel=2e-3)
-
-    def test_zero_distance_rejected(self):
-        with pytest.raises(ValueError):
-            LosLinkSpec(0.01, 1.0, 1.0, 0.0)
 
 
 class TestRayleigh:
@@ -102,67 +70,6 @@ class TestLosMatrix:
     def test_unknown_structure(self):
         with pytest.raises(ValueError):
             los_matrix(2, 2, "hadamard")
-
-
-class TestAwgn:
-    def test_zero_noise_density(self):
-        assert np.all(awgn(16, 0.0, stream_rng(1)) == 0)
-
-    def test_total_variance_is_n0(self):
-        n = awgn(1_000_000, 2.0, stream_rng(2))
-        assert np.mean(np.abs(n) ** 2) == pytest.approx(2.0, abs=0.02)
-        assert np.var(n.real) == pytest.approx(1.0, abs=0.01)
-
-    def test_seeded_reproducibility(self):
-        assert np.array_equal(awgn(8, 1.0, stream_rng(5)), awgn(8, 1.0, stream_rng(5)))
-
-
-def make_link(rng, n_rx=2, n_elem=8, es=1.0, n0=1.0, phases=None):
-    beta = rng.uniform(0.1, 1.0, (n_rx, n_elem))
-    psi = rng.uniform(-np.pi, np.pi, (n_rx, n_elem))
-    if phases is None:
-        phases = np.zeros(n_elem)
-    return RisLink(beta, psi, phases, es, n0)
-
-
-class TestRisLink:
-    def test_single_aligned_element(self):
-        link = RisLink(np.array([[0.7]]), np.array([[0.3]]), np.array([0.3]), 4.0, 1.0)
-        assert ris_received_signal(link, 0) == pytest.approx(0.7 * 2.0)
-
-    def test_zero_gains_zero_signal(self):
-        link = RisLink(np.zeros((1, 4)), np.zeros((1, 4)), np.zeros(4), 1.0, 1.0)
-        assert ris_received_signal(link, 0) == 0
-
-    def test_alignment_beats_random_phases(self):
-        rng = stream_rng(11)
-        wins = 0
-        for trial in range(1000):
-            link = make_link(stream_rng(11, trial))
-            aligned_snr, _ = align_and_snr(link, 0)
-            random_link = make_link(
-                stream_rng(11, trial),
-                phases=stream_rng(999, trial).uniform(-np.pi, np.pi, 8),
-            )
-            wins += aligned_snr >= instantaneous_snr(random_link, 0)
-        assert wins == 1000  # triangle inequality: alignment is optimal
-
-    def test_two_element_unit_gain_snr_four(self):
-        link = RisLink(np.ones((1, 2)), np.zeros((1, 2)), np.zeros(2), 1.0, 1.0)
-        snr, phases = align_and_snr(link, 0)
-        assert snr == pytest.approx(4.0)
-        assert np.array_equal(phases, np.zeros(2))
-
-    def test_single_element_snr(self):
-        link = RisLink(np.array([[0.5]]), np.array([[1.0]]), np.array([0.0]), 2.0, 0.5)
-        snr, _ = align_and_snr(link, 0)
-        assert snr == pytest.approx(0.25 * 2.0 / 0.5)
-
-    def test_aligned_phases_reproduce_snr(self):
-        link = make_link(stream_rng(21))
-        snr, phases = align_and_snr(link, 1)
-        realigned = RisLink(link.beta, link.psi, phases, link.es, link.n0)
-        assert instantaneous_snr(realigned, 1) == pytest.approx(snr)
 
 
 def test_stream_rng_rejects_negative_keys():

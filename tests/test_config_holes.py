@@ -364,3 +364,29 @@ def test_subcarrier_schemes_with_several_receive_antennas_exit_2(tmp_path, capsy
     cfg = {**ber_config(scheme), "n_rx": n_rx}
     assert_exit_2(tmp_path, capsys, "ber", cfg, "n_rx")
     assert parse_config({**cfg, "n_rx": 1}).n_rx == 1
+
+
+@pytest.mark.parametrize("command, other", [("codebook", "rate"), ("rate", "codebook")])
+def test_codebook_and_rate_take_only_their_own_experiment(tmp_path, capsys, command, other):
+    # a rate config only evaluates a formula, so its scheme may have far more
+    # codewords than a codebook export can build
+    cfg = {"experiment": other, "scheme": {"type": "sm", "n_tx": 4, "order": 4},
+           "output": "book.csv"}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    out = [] if command == "rate" else ["--out", str(tmp_path)]
+    assert main([command, "--config", str(path), *out]) == 2
+    captured = capsys.readouterr()
+    assert repr(command) in captured.err and repr(other) in captured.err
+    assert not captured.out
+    assert not (tmp_path / "book.csv").exists()
+
+
+def test_unreachable_scan_angle_exits_2_before_any_file(tmp_path, capsys):
+    # 5 cells of 2.8 mm at 28 GHz steer up to about 50 deg: the run used to
+    # write the 10 deg files and then stop at 90 deg
+    cfg = json.loads((Path(__file__).parents[1] / "configs" / "pattern_steering.json")
+                     .read_text())
+    cfg.update(scan_angles_deg=[10, 90], period_cells=5)
+    assert_exit_2(tmp_path, capsys, "pattern", cfg, "scan_angles_deg")
+    assert not [p for p in tmp_path.rglob("*") if p.name != "exp.json"]

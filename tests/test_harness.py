@@ -256,16 +256,15 @@ class TestRunners:
         assert coding.shape == (4, 4)
 
     def test_pattern_rejects_unreachable_angle(self, tmp_path):
-        config = parse_config({
-            "experiment": "pattern",
-            "geometry": {"rows": 8, "cols": 8, "dx_mm": 2.8, "dy_mm": 2.8,
-                         "fc_ghz": 28.0},
-            "scan_angles_deg": [80],
-            "period_cells": 8,
-            "output_dir": "pat",
-        })
         with pytest.raises(ConfigError, match="range"):
-            run_pattern(config, tmp_path)
+            parse_config({
+                "experiment": "pattern",
+                "geometry": {"rows": 8, "cols": 8, "dx_mm": 2.8, "dy_mm": 2.8,
+                             "fc_ghz": 28.0},
+                "scan_angles_deg": [80],
+                "period_cells": 8,
+                "output_dir": "pat",
+            })
 
     def test_harmonics_outputs(self, tmp_path):
         config = parse_config({

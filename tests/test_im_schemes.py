@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from risim.aperture import ApertureGeometry, pseudo_random_codings
 from risim.errors import ConfigError
 from risim.im_schemes import (
     GeneralizedSM,
@@ -17,7 +16,6 @@ from risim.im_schemes import (
     build_scheme,
     codebook_rows,
     dispersion_set,
-    mbm_states_from_codings,
     ofdm_demodulate,
     ofdm_modulate,
     rate_of,
@@ -256,17 +254,6 @@ class TestMbm:
         scheme = MediaBasedModulation(1, 4)
         assert scheme.bits_per_interval == 2
         assert scheme.map_bits([0, 1]).indices == (0,)
-
-    def test_states_from_codings(self):
-        geom = ApertureGeometry(6, 6, 2.8e-3, 2.8e-3, 28e9)
-        codings = pseudo_random_codings(8, geom, seed=4)
-        states = mbm_states_from_codings(codings, geom, n_rx=2, n_scatterers=12, seed=5)
-        assert states.shape == (2, 8)
-        assert np.mean(np.abs(states) ** 2) == pytest.approx(1.0)
-        # distinct codings induce distinct channel states
-        gram = np.abs(states.conj().T @ states)
-        off = gram[~np.eye(8, dtype=bool)]
-        assert off.max() < gram.max()
 
 
 class TestRates:
