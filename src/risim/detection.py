@@ -36,8 +36,8 @@ _CAPACITY_BLOCK = 1 << 16
 class CandidateSet:
     """Transmit hypotheses in label order.
 
-    ``labels`` are unique integers sorted ascending; ``vectors`` holds one
-    column per candidate (shape (dim, count)).
+    ``labels`` are strictly ascending integers (others are refused);
+    ``vectors`` holds one column per candidate (shape (dim, count)).
     """
 
     labels: np.ndarray
@@ -50,12 +50,8 @@ class CandidateSet:
             raise ValueError("candidate set must be non-empty")
         if vectors.ndim != 2 or vectors.shape[1] != labels.size:
             raise ValueError("vectors must be (dim, n_candidates)")
-        if len(np.unique(labels)) != labels.size:
-            raise ValueError("candidate labels must be unique")
         if np.any(np.diff(labels) <= 0):
-            order = np.argsort(labels)
-            labels = labels[order]
-            vectors = vectors[:, order]
+            raise ValueError("candidate labels must be unique and ascending")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "vectors", vectors)
 

@@ -34,6 +34,8 @@ MAX_PATTERN_SWEEP_BYTES = MAX_RUN_BYTES
 # trial draws of one batch are not chunked
 MAX_CODEWORDS = 1 << 16
 MAX_BATCH_SIZE = 1 << 20
+# series resistance of the varactor states a pattern run's atom loss uses
+ATOM_RESISTANCE_OHM = 0.5
 
 # --------------------------------------------------------------------------
 # configuration
@@ -163,11 +165,7 @@ def _check_bytes(key: str, need: int, what: str) -> None:
 
 def _codeword_length(scheme) -> int:
     """Entries of one codeword, from the scheme's parameters alone."""
-    if scheme.model == "subcarrier":
-        return scheme.block_size
-    if scheme.model == "state":
-        return scheme.num_states
-    return scheme.n_tx * getattr(scheme, "n_slots", 1)
+    return scheme.dim * scheme.n_slots
 
 
 def _parse_channel(raw) -> ChannelSpec:
@@ -467,7 +465,7 @@ class _BerModel:
         self.scheme = scheme
         self.channel = channel
         self.n_rx = n_rx
-        slots = getattr(scheme, "n_slots", 1)
+        slots = scheme.n_slots
         self.diagonal = scheme.model == "subcarrier"
         self.table = detection.MetricTable(scheme.codebook().vectors, slots, self.diagonal)
         self.x = self.table.x                                   # (dim * slots, C)
@@ -622,8 +620,7 @@ def capacity_csv(rows, path) -> None:
               header="nt,nr,snr_db,capacity_bit_s_hz,std_err,trials")
 
 
-def _atom_loss_amplitudes(phases: np.ndarray, table, freq_ghz: float,
-                          resistance_ohm: float = 0.5) -> np.ndarray:
+def _atom_loss_amplitudes(phases: np.ndarray, table, freq_ghz: float) -> np.ndarray:
     """Per-element amplitudes of the nearest realizable tuning states.
 
     For each commanded phase, picks the capacitance whose tabulated phase is
@@ -631,7 +628,7 @@ def _atom_loss_amplitudes(phases: np.ndarray, table, freq_ghz: float,
     the finite tuning range of the physical cell.
     """
     states = [
-        table.lookup(freq_ghz, metaatom.DiodeState(float(c), resistance_ohm))
+        table.lookup(freq_ghz, metaatom.DiodeState(float(c), ATOM_RESISTANCE_OHM))
         for c in table.c_pf
     ]
     # a running argmin over the states (the first state wins ties, as in

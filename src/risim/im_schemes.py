@@ -3,26 +3,35 @@
 Shared conventions (fixed once, used by every scheme):
 
 - bit words are MSB-first; index bits precede symbol bits;
-- resource subsets come from the lexicographic combinadic
+- resource subsets come in lexicographic (combinadic) rank order
   (:mod:`risim.combinatorics`);
 - constellations are unit average energy; active-element amplitudes are
   scaled so mean transmit energy per channel use is exactly 1 over the
   full codebook.
 
-Every scheme maps a whole bit word to an :class:`IMSymbol`, inverts it
-exactly with ``demap``, and enumerates its codebook for ML detection.
+Every scheme is two tables: ``patterns``, the activated resources of each
+index value, and ``points``, its symbol points in label order.  A word's
+index bits pick its pattern row, and its ``n_symbols`` groups of symbol
+bits pick the points riding on that row.  :class:`Scheme` derives mapping,
+demapping and the whole codebook from the tables; a subclass declares them
+and adds only how its points sit on the resources, where that is not one
+point per resource.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations, islice, product
 from math import comb, gcd, log2
 
 import numpy as np
 
-from .combinatorics import subset_rank, subset_unrank
 from .detection import CandidateSet
 from .errors import ConfigError
 from .modulation import Constellation, bits_to_int, int_to_bits, is_power_of_two
 from .spacetime import harmonic_coefficients, phase_shift_harmonic, synthesize_single_harmonic
+
+# the one point of schemes whose only message is the index
+_UNIT_POINT = np.ones(1, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -61,48 +70,133 @@ def _int_log2(value: int, what: str) -> int:
     return int(log2(value))
 
 
+def _subset_bits(n: int, k: int) -> int:
+    """Index bits of a k-of-n activation: floor(log2 C(n, k))."""
+    return int(np.floor(np.log2(comb(n, k))))
+
+
 class Scheme:
-    """Common surface of all mappers.
+    """Common surface of all mappers, derived from the scheme's tables.
 
     Subclasses set ``domain``, ``model`` (how the harness transmits the
-    codeword), ``bits_per_interval``, and implement map/demap and the
-    codeword shaping hooks.
+    codeword), ``index_bits``, ``symbol_bits``, ``n_symbols``, ``points``
+    (label order), ``dim`` (entries per codeword row) and ``n_slots``
+    (codeword columns), and list their activation sets in
+    :meth:`_pattern_rows`.  The pattern table is built on first use, so a
+    scheme too large to enumerate can still be constructed and refused.
     """
 
     domain: str
     model: str
-    bits_per_interval: int
+    dim: int
+    points: np.ndarray
+    index_bits = 0
+    symbol_bits = 0
+    n_symbols = 1
+    n_slots = 1
+
+    @property
+    def bits_per_interval(self) -> int:
+        return self.index_bits + self.n_symbols * self.symbol_bits
 
     def rate(self) -> float:
         """Throughput of the scheme's own rate formula (bpcu unless noted)."""
         return float(self.bits_per_interval)
 
-    def map_bits(self, bits) -> IMSymbol:
-        raise NotImplementedError
-
-    def demap(self, symbol: IMSymbol) -> np.ndarray:
-        raise NotImplementedError
-
-    def map_word(self, word: int) -> IMSymbol:
-        return self.map_bits(int_to_bits(word, self.bits_per_interval))
-
-    def demap_word(self, symbol: IMSymbol) -> int:
-        return bits_to_int(self.demap(symbol))
-
-    # codeword shaping -------------------------------------------------
-    def transmit_vector(self, symbol: IMSymbol) -> np.ndarray:
-        raise NotImplementedError
-
-    def codebook(self) -> CandidateSet:
-        """All codewords in word order, flattened to columns."""
-        words = range(1 << self.bits_per_interval)
-        columns = [self.transmit_vector(self.map_word(w)).reshape(-1) for w in words]
-        return CandidateSet(np.arange(1 << self.bits_per_interval), np.column_stack(columns))
-
     @property
     def channel_uses(self) -> int:
         """Resource slots one codeword occupies (normalizes energy/rate)."""
         return 1
+
+    def _set_constellation(self, kind: str, order: int) -> None:
+        self.constellation = Constellation(kind, order)
+        self.order = order
+        self.symbol_bits = self.constellation.bits_per_symbol
+        self.points = self.constellation.label_points
+
+    # tables -----------------------------------------------------------
+    def _pattern_rows(self):
+        """Activated resources of each index value in rank order; rows past
+        the first 2^index_bits are never used."""
+        return ((i,) for i in range(1 << self.index_bits))
+
+    @cached_property
+    def patterns(self) -> np.ndarray:
+        """(2^index_bits, width) activated resources of each index value."""
+        return np.array(list(islice(self._pattern_rows(), 1 << self.index_bits)))
+
+    @cached_property
+    def _row_index(self) -> dict:
+        return {row: i for i, row in enumerate(map(tuple, self.patterns.tolist()))}
+
+    @property
+    def _columns(self) -> np.ndarray:
+        """Codeword entries each index value activates."""
+        return self.patterns
+
+    def _split(self, words):
+        """Index values and (..., n_symbols) symbol labels of bit words."""
+        words = np.asarray(words, dtype=np.int64)
+        shifts = self.symbol_bits * np.arange(self.n_symbols - 1, -1, -1)
+        labels = (words[..., None] >> shifts) & ((1 << self.symbol_bits) - 1)
+        return words >> (self.n_symbols * self.symbol_bits), labels
+
+    def _word(self, index: int, symbols) -> int:
+        """Bit word of an index value and the labels of the points nearest
+        ``symbols``; missing symbols take label 0."""
+        labels = [int(np.argmin(np.abs(self.points - s))) for s in symbols[: self.n_symbols]]
+        for label in labels + [0] * (self.n_symbols - len(labels)):
+            index = (index << self.symbol_bits) | label
+        return index
+
+    def _index_of(self, indices) -> int:
+        try:
+            return self._row_index[tuple(indices)]
+        except KeyError:
+            raise ValueError(f"indices {tuple(indices)} are not a valid activation set") from None
+
+    # mapping ----------------------------------------------------------
+    def map_word(self, word: int) -> IMSymbol:
+        if not 0 <= word < 1 << self.bits_per_interval:
+            raise ValueError(f"value {word} does not fit in {self.bits_per_interval} bits")
+        index, labels = self._split(word)
+        return IMSymbol(self.domain, self.patterns[index], self._symbols(self.points[labels]))
+
+    def map_bits(self, bits) -> IMSymbol:
+        return self.map_word(bits_to_int(_require_bits(bits, self.bits_per_interval)))
+
+    def demap_word(self, symbol: IMSymbol) -> int:
+        return self._word(self._index_of(symbol.indices), symbol.symbols)
+
+    def demap(self, symbol: IMSymbol) -> np.ndarray:
+        return int_to_bits(self.demap_word(symbol), self.bits_per_interval)
+
+    def _symbols(self, values) -> np.ndarray:
+        """The symbols an IMSymbol lists for a word's ``n_symbols`` points."""
+        return values
+
+    # codeword shaping -------------------------------------------------
+    def _codewords(self, index, values) -> np.ndarray:
+        """(W, dim * n_slots) codewords of W index values carrying the
+        (W, n_symbols) symbol values ``values``."""
+        x = np.zeros((len(index), self.dim * self.n_slots), dtype=complex)
+        x[np.arange(len(index))[:, None], self._columns[index]] = self._amplitudes(values)
+        return x
+
+    def _amplitudes(self, values) -> np.ndarray:
+        """Entries the symbol values put on the activated resources."""
+        return values
+
+    def transmit_vector(self, symbol: IMSymbol) -> np.ndarray:
+        values = np.array(symbol.symbols[: self.n_symbols], dtype=complex)
+        return self._codewords([self._index_of(symbol.indices)], values[None])[0]
+
+    def codebook(self) -> CandidateSet:
+        """All codewords in word order, one column each."""
+        words = np.arange(1 << self.bits_per_interval)
+        index, labels = self._split(words)
+        x = self._codewords(index, self.points[labels])
+        return CandidateSet(words, np.ascontiguousarray(x.T))
 
 
 # --------------------------------------------------------------------------
@@ -114,24 +208,10 @@ class SisoModulation(Scheme):
 
     domain = "spatial"
     model = "vector"
+    n_tx = dim = 1
 
     def __init__(self, order: int, constellation: str = "psk"):
-        self.constellation = Constellation(constellation, order)
-        self.order = order
-        self.n_tx = 1
-        self.bits_per_interval = self.constellation.bits_per_symbol
-
-    def map_bits(self, bits) -> IMSymbol:
-        bits = _require_bits(bits, self.bits_per_interval)
-        s = self.constellation.modulate(bits_to_int(bits))
-        return IMSymbol(self.domain, (0,), (s,))
-
-    def demap(self, symbol: IMSymbol) -> np.ndarray:
-        label = self.constellation.demodulate(symbol.symbols[0])
-        return int_to_bits(label, self.bits_per_interval)
-
-    def transmit_vector(self, symbol: IMSymbol) -> np.ndarray:
-        return np.array(symbol.symbols, dtype=complex)
+        self._set_constellation(constellation, order)
 
 
 class SpatialModulation(Scheme):
@@ -142,29 +222,8 @@ class SpatialModulation(Scheme):
 
     def __init__(self, n_tx: int, order: int, constellation: str = "psk"):
         self.index_bits = _int_log2(n_tx, "number of transmit antennas")
-        self.constellation = Constellation(constellation, order)
-        self.n_tx = n_tx
-        self.order = order
-        self.bits_per_interval = self.index_bits + self.constellation.bits_per_symbol
-
-    def map_bits(self, bits) -> IMSymbol:
-        bits = _require_bits(bits, self.bits_per_interval)
-        antenna = bits_to_int(bits[: self.index_bits])
-        s = self.constellation.modulate(bits_to_int(bits[self.index_bits:]))
-        return IMSymbol(self.domain, (antenna,), (s,))
-
-    def demap(self, symbol: IMSymbol) -> np.ndarray:
-        antenna = symbol.indices[0]
-        label = self.constellation.demodulate(symbol.symbols[0])
-        return np.concatenate([
-            int_to_bits(antenna, self.index_bits),
-            int_to_bits(label, self.constellation.bits_per_symbol),
-        ])
-
-    def transmit_vector(self, symbol: IMSymbol) -> np.ndarray:
-        x = np.zeros(self.n_tx, dtype=complex)
-        x[symbol.indices[0]] = symbol.symbols[0]
-        return x
+        self._set_constellation(constellation, order)
+        self.n_tx = self.dim = n_tx
 
 
 class SpaceShiftKeying(Scheme):
@@ -172,23 +231,11 @@ class SpaceShiftKeying(Scheme):
 
     domain = "spatial"
     model = "vector"
+    points = _UNIT_POINT
 
     def __init__(self, n_tx: int):
         self.index_bits = _int_log2(n_tx, "number of transmit antennas")
-        self.n_tx = n_tx
-        self.bits_per_interval = self.index_bits
-
-    def map_bits(self, bits) -> IMSymbol:
-        bits = _require_bits(bits, self.bits_per_interval)
-        return IMSymbol(self.domain, (bits_to_int(bits),), (1.0 + 0j,))
-
-    def demap(self, symbol: IMSymbol) -> np.ndarray:
-        return int_to_bits(symbol.indices[0], self.index_bits)
-
-    def transmit_vector(self, symbol: IMSymbol) -> np.ndarray:
-        x = np.zeros(self.n_tx, dtype=complex)
-        x[symbol.indices[0]] = 1.0
-        return x
+        self.n_tx = self.dim = n_tx
 
 
 class GeneralizedSM(Scheme):
@@ -200,33 +247,21 @@ class GeneralizedSM(Scheme):
     def __init__(self, n_tx: int, n_active: int, order: int, constellation: str = "psk"):
         if not 1 <= n_active <= n_tx:
             raise ConfigError(f"need 1 <= n_active <= n_tx, got {n_active} of {n_tx}")
-        self.index_bits = int(np.floor(np.log2(comb(n_tx, n_active))))
+        self.index_bits = _subset_bits(n_tx, n_active)
         if self.index_bits < 1:
             raise ConfigError(f"C({n_tx}, {n_active}) leaves no room for index bits")
-        self.constellation = Constellation(constellation, order)
-        self.n_tx = n_tx
+        self._set_constellation(constellation, order)
+        self.n_tx = self.dim = n_tx
         self.n_active = n_active
-        self.order = order
-        self.bits_per_interval = self.index_bits + self.constellation.bits_per_symbol
 
-    def map_bits(self, bits) -> IMSymbol:
-        bits = _require_bits(bits, self.bits_per_interval)
-        subset = subset_unrank(bits_to_int(bits[: self.index_bits]), self.n_tx, self.n_active)
-        s = self.constellation.modulate(bits_to_int(bits[self.index_bits:]))
-        return IMSymbol(self.domain, subset, (s,) * self.n_active)
+    def _pattern_rows(self):
+        return combinations(range(self.n_tx), self.n_active)
 
-    def demap(self, symbol: IMSymbol) -> np.ndarray:
-        rank = subset_rank(symbol.indices, self.n_tx)
-        label = self.constellation.demodulate(symbol.symbols[0])
-        return np.concatenate([
-            int_to_bits(rank, self.index_bits),
-            int_to_bits(label, self.constellation.bits_per_symbol),
-        ])
+    def _symbols(self, values):
+        return np.repeat(values, self.n_active)
 
-    def transmit_vector(self, symbol: IMSymbol) -> np.ndarray:
-        x = np.zeros(self.n_tx, dtype=complex)
-        x[list(symbol.indices)] = np.array(symbol.symbols) / np.sqrt(self.n_active)
-        return x
+    def _amplitudes(self, values):
+        return values / np.sqrt(self.n_active)
 
 
 class QuadratureSM(Scheme):
@@ -241,41 +276,26 @@ class QuadratureSM(Scheme):
     model = "vector"
 
     def __init__(self, n_tx: int, order: int, constellation: str = "qam"):
-        self.index_bits = _int_log2(n_tx, "number of transmit antennas")
-        self.constellation = Constellation(constellation, order)
+        antenna_bits = _int_log2(n_tx, "number of transmit antennas")
+        self._set_constellation(constellation, order)
         pts = self.constellation.points
         if np.any(np.abs(pts.real) < 1e-9) or np.any(np.abs(pts.imag) < 1e-9):
             raise ConfigError(
                 "quadrature SM needs nonzero I and Q in every constellation point "
                 "(use square QAM)"
             )
-        self.n_tx = n_tx
-        self.order = order
-        self.bits_per_interval = 2 * self.index_bits + self.constellation.bits_per_symbol
+        self.index_bits = 2 * antenna_bits
+        self.n_tx = self.dim = n_tx
 
-    def map_bits(self, bits) -> IMSymbol:
-        bits = _require_bits(bits, self.bits_per_interval)
-        nb = self.index_bits
-        i_ant = bits_to_int(bits[:nb])
-        q_ant = bits_to_int(bits[nb:2 * nb])
-        s = self.constellation.modulate(bits_to_int(bits[2 * nb:]))
-        return IMSymbol(self.domain, (i_ant, q_ant), (s,))
+    def _pattern_rows(self):
+        return product(range(self.n_tx), repeat=2)   # (I antenna, Q antenna)
 
-    def demap(self, symbol: IMSymbol) -> np.ndarray:
-        i_ant, q_ant = symbol.indices
-        label = self.constellation.demodulate(symbol.symbols[0])
-        return np.concatenate([
-            int_to_bits(i_ant, self.index_bits),
-            int_to_bits(q_ant, self.index_bits),
-            int_to_bits(label, self.constellation.bits_per_symbol),
-        ])
-
-    def transmit_vector(self, symbol: IMSymbol) -> np.ndarray:
-        i_ant, q_ant = symbol.indices
-        s = symbol.symbols[0]
-        x = np.zeros(self.n_tx, dtype=complex)
-        x[i_ant] += s.real
-        x[q_ant] += 1j * s.imag
+    def _codewords(self, index, values):
+        x = np.zeros((len(index), self.n_tx), dtype=complex)
+        rows = np.arange(len(index))
+        i_ant, q_ant = self.patterns[index].T
+        x[rows, i_ant] += values[:, 0].real
+        x[rows, q_ant] += 1j * values[:, 0].imag
         return x
 
     def symbol_from_vector(self, x: np.ndarray) -> IMSymbol:
@@ -297,7 +317,8 @@ class SimOok(Scheme):
     symbol bits pick the tone's phase, realized physically by circularly
     shifting the phase ramp (the delay s solves m*s = -k*L/M mod L, the
     rotation a delay imparts on harmonic m).  Feasibility of every
-    (harmonic, phase) pair is checked at construction.
+    (harmonic, phase) pair is checked at construction.  The analytic
+    codeword is the tone over the alphabet positions.
     """
 
     domain = "frequency"
@@ -322,7 +343,15 @@ class SimOok(Scheme):
             for m in self.harmonics:
                 for k in range(order):
                     self._solve_shift(m, k)  # raises if infeasible
-        self.bits_per_interval = self.index_bits + self.symbol_bits
+        self.dim = len(self.harmonics)
+        self.points = np.array([np.exp(2j * np.pi * k / order) for k in range(order)])
+
+    def _pattern_rows(self):
+        return ((m,) for m in self.harmonics)
+
+    @property
+    def _columns(self):
+        return np.arange(self.dim)[:, None]
 
     def _solve_shift(self, m: int, phase_index: int) -> int:
         """Smallest delay s with -2*pi*m*s/L = 2*pi*k/M (mod 2*pi)."""
@@ -339,28 +368,12 @@ class SimOok(Scheme):
         s = (c // g) * pow(a // g, -1, reduced) % reduced
         return int(s)
 
-    def map_bits(self, bits) -> IMSymbol:
-        bits = _require_bits(bits, self.bits_per_interval)
-        m = self.harmonics[bits_to_int(bits[: self.index_bits])]
-        k = bits_to_int(bits[self.index_bits:]) if self.symbol_bits else 0
-        tone = np.exp(2j * np.pi * k / self.order)
-        return IMSymbol(self.domain, (m,), (tone,))
-
-    def demap(self, symbol: IMSymbol) -> np.ndarray:
-        m = symbol.indices[0]
-        index = int_to_bits(self.harmonics.index(m), self.index_bits)
-        if not self.symbol_bits:
-            return index
-        k = int(np.round(np.angle(symbol.symbols[0]) / (2.0 * np.pi / self.order))) % self.order
-        return np.concatenate([index, int_to_bits(k, self.symbol_bits)])
-
     def to_sequence(self, symbol: IMSymbol) -> np.ndarray:
         """Physical L-step coding realizing the keyed tone."""
         m = symbol.indices[0]
-        k = int(np.round(np.angle(symbol.symbols[0]) / (2.0 * np.pi / self.order))) % self.order
+        k = self._word(0, symbol.symbols)   # the tone's phase label
         ramp = synthesize_single_harmonic(m, self.num_steps)
-        shift = self._solve_shift(m, k) if self.order > 1 else 0
-        return phase_shift_harmonic(ramp, shift)
+        return phase_shift_harmonic(ramp, self._solve_shift(m, k))
 
     def from_sequence(self, steps) -> IMSymbol:
         """Demodulate a received coding: dominant alphabet tone, then phase."""
@@ -369,12 +382,6 @@ class SimOok(Scheme):
         reference = harmonic_coefficients(synthesize_single_harmonic(m, self.num_steps), [m])[m]
         rotation = np.angle(spectrum[m] / reference)
         return IMSymbol(self.domain, (m,), (np.exp(1j * rotation),))
-
-    def transmit_vector(self, symbol: IMSymbol) -> np.ndarray:
-        # analytic-domain codeword: one-hot tone amplitude over the alphabet
-        x = np.zeros(len(self.harmonics), dtype=complex)
-        x[self.harmonics.index(symbol.indices[0])] = symbol.symbols[0]
-        return x
 
 
 def ofdm_modulate(symbols: np.ndarray) -> np.ndarray:
@@ -397,70 +404,33 @@ class _SubsetBlockScheme(Scheme):
     def __init__(self, block_size: int, n_active: int, order: int, constellation: str = "psk"):
         if not 1 <= n_active <= block_size:
             raise ConfigError(f"need 1 <= k <= n, got k = {n_active}, n = {block_size}")
-        self.block_size = block_size
-        self.n_active = n_active
-        self.order = order
-        self.constellation = Constellation(constellation, order)
-        self.index_bits = int(np.floor(np.log2(comb(block_size, n_active))))
-        self.symbol_bits = self.constellation.bits_per_symbol
-        self.bits_per_interval = self.index_bits + n_active * self.symbol_bits
+        self.block_size = self.dim = block_size
+        self.n_active = self.n_symbols = n_active
+        self._set_constellation(constellation, order)
+        self.index_bits = _subset_bits(block_size, n_active)   # 0 when k = n: all active
         self._scale = np.sqrt(block_size / n_active)
 
     @property
     def channel_uses(self) -> int:
         return self.block_size
 
-    def map_bits(self, bits) -> IMSymbol:
-        bits = _require_bits(bits, self.bits_per_interval)
-        if self.index_bits:
-            subset = subset_unrank(
-                bits_to_int(bits[: self.index_bits]), self.block_size, self.n_active
-            )
-        else:
-            subset = tuple(range(self.block_size))  # k = n degenerates to all-active
-        symbols = []
-        for j in range(self.n_active):
-            chunk = bits[self.index_bits + j * self.symbol_bits:
-                         self.index_bits + (j + 1) * self.symbol_bits]
-            symbols.append(self.constellation.modulate(bits_to_int(chunk)))
-        return IMSymbol(self.domain, subset, tuple(symbols))
+    def _pattern_rows(self):
+        return combinations(range(self.block_size), self.n_active)
 
-    def demap(self, symbol: IMSymbol) -> np.ndarray:
-        bits, exact = self.demap_flagged(symbol)
-        if not exact:
-            raise ValueError(f"indices {symbol.indices} are not a valid activation set")
-        return bits
+    def _amplitudes(self, values):
+        return values * self._scale
 
     def demap_flagged(self, symbol: IMSymbol) -> tuple[np.ndarray, bool]:
         """Demap with a validity flag; an invalid activation set falls back
         to the nearest valid one (minimal symmetric difference, lowest rank)."""
         indices = tuple(sorted(symbol.indices))
-        exact = True
-        rank = None
-        if len(indices) == len(set(indices)) and len(indices) == self.n_active:
-            candidate = subset_rank(indices, self.block_size)
-            if candidate < (1 << self.index_bits) or self.index_bits == 0:
-                rank = candidate if self.index_bits else 0
-        if rank is None:
-            exact = False
-            best = None
-            for r in range(1 << self.index_bits):
-                valid = subset_unrank(r, self.block_size, self.n_active)
-                mismatch = len(set(valid).symmetric_difference(indices))
-                if best is None or mismatch < best[0]:
-                    best = (mismatch, r)
-            rank = best[1]
-        pieces = [int_to_bits(rank, self.index_bits)] if self.index_bits else []
-        for s in symbol.symbols[: self.n_active]:
-            pieces.append(int_to_bits(self.constellation.demodulate(s), self.symbol_bits))
-        while len(pieces) < (1 if self.index_bits else 0) + self.n_active:
-            pieces.append(np.zeros(self.symbol_bits, dtype=np.int8))
-        return np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int8), exact
-
-    def transmit_vector(self, symbol: IMSymbol) -> np.ndarray:
-        x = np.zeros(self.block_size, dtype=complex)
-        x[list(symbol.indices)] = np.array(symbol.symbols) * self._scale
-        return x
+        index = self._row_index.get(indices)
+        exact = index is not None
+        if not exact:
+            rows = self.patterns.tolist()
+            mismatch = [len(set(row).symmetric_difference(indices)) for row in rows]
+            index = mismatch.index(min(mismatch))
+        return int_to_bits(self._word(index, symbol.symbols), self.bits_per_interval), exact
 
 
 class OfdmIm(_SubsetBlockScheme):
@@ -496,8 +466,7 @@ class ScIm(_SubsetBlockScheme):
         self.cp_length = cp_length
 
     def rate(self) -> float:
-        per_subframe = self.n_active * self.symbol_bits + self.index_bits
-        return self.symbols_per_frame * per_subframe / (
+        return self.symbols_per_frame * self.bits_per_interval / (
             (self.symbols_per_frame + self.cp_length) * self.block_size
         )
 
@@ -530,18 +499,15 @@ class SpaceTimeShiftKeying(Scheme):
                  n_slots: int, constellation: str = "psk", seed: int = 1):
         if not 1 <= p_active <= q_matrices:
             raise ConfigError(f"need 1 <= P <= Q, got P = {p_active}, Q = {q_matrices}")
-        self.index_bits = int(np.floor(np.log2(comb(q_matrices, p_active))))
+        self.index_bits = _subset_bits(q_matrices, p_active)
         if self.index_bits < 1:
             raise ConfigError(f"C({q_matrices}, {p_active}) leaves no room for index bits")
-        self.constellation = Constellation(constellation, order)
+        self._set_constellation(constellation, order)
         self.q_matrices = q_matrices
-        self.p_active = p_active
-        self.order = order
-        self.n_tx = n_tx
+        self.p_active = self.n_symbols = p_active
+        self.n_tx = self.dim = n_tx
         self.n_slots = n_slots
         self.matrices = dispersion_set(q_matrices, n_tx, n_slots, seed)
-        self.symbol_bits = self.constellation.bits_per_symbol
-        self.bits_per_interval = self.index_bits + p_active * self.symbol_bits
 
     @property
     def channel_uses(self) -> int:
@@ -550,33 +516,14 @@ class SpaceTimeShiftKeying(Scheme):
     def rate(self) -> float:
         return self.bits_per_interval / self.n_slots
 
-    def map_bits(self, bits) -> IMSymbol:
-        bits = _require_bits(bits, self.bits_per_interval)
-        subset = subset_unrank(
-            bits_to_int(bits[: self.index_bits]), self.q_matrices, self.p_active
-        )
-        symbols = []
-        for j in range(self.p_active):
-            chunk = bits[self.index_bits + j * self.symbol_bits:
-                         self.index_bits + (j + 1) * self.symbol_bits]
-            symbols.append(self.constellation.modulate(bits_to_int(chunk)))
-        return IMSymbol(self.domain, subset, tuple(symbols))
+    def _pattern_rows(self):
+        return combinations(range(self.q_matrices), self.p_active)
 
-    def demap(self, symbol: IMSymbol) -> np.ndarray:
-        rank = subset_rank(symbol.indices, self.q_matrices)
-        pieces = [int_to_bits(rank, self.index_bits)]
-        for s in symbol.symbols:
-            pieces.append(int_to_bits(self.constellation.demodulate(s), self.symbol_bits))
-        return np.concatenate(pieces)
-
-    def transmit_matrix(self, symbol: IMSymbol) -> np.ndarray:
-        s = np.zeros((self.n_tx, self.n_slots), dtype=complex)
-        for q, sym in zip(symbol.indices, symbol.symbols):
-            s += self.matrices[q] * sym
-        return s / np.sqrt(self.p_active)
-
-    def transmit_vector(self, symbol: IMSymbol) -> np.ndarray:
-        return self.transmit_matrix(symbol).reshape(-1)
+    def _codewords(self, index, values):
+        s = np.zeros((len(index), self.n_tx, self.n_slots), dtype=complex)
+        for q, sym in zip(self.patterns[index].T, values.T):
+            s += self.matrices[q] * sym[:, None, None]
+        return (s / np.sqrt(self.p_active)).reshape(len(index), -1)
 
 
 # --------------------------------------------------------------------------
@@ -596,35 +543,13 @@ class MediaBasedModulation(Scheme):
     model = "state"
 
     def __init__(self, num_states: int, order: int = 1, constellation: str = "psk"):
-        self.state_bits = _int_log2(num_states, "number of pattern states")
-        self.num_states = num_states
-        self.order = order
-        self.symbol_bits = 0 if order == 1 else _int_log2(order, "constellation order")
-        self.constellation = None if order == 1 else Constellation(constellation, order)
-        self.bits_per_interval = self.state_bits + self.symbol_bits
-
-    def map_bits(self, bits) -> IMSymbol:
-        bits = _require_bits(bits, self.bits_per_interval)
-        state = bits_to_int(bits[: self.state_bits])
-        if self.symbol_bits:
-            s = self.constellation.modulate(bits_to_int(bits[self.state_bits:]))
+        self.index_bits = _int_log2(num_states, "number of pattern states")
+        self.num_states = self.dim = num_states
+        if order == 1:
+            self.order, self.constellation, self.points = 1, None, _UNIT_POINT
         else:
-            s = 1.0 + 0j
-        return IMSymbol(self.domain, (state,), (s,))
-
-    def demap(self, symbol: IMSymbol) -> np.ndarray:
-        state_bits = int_to_bits(symbol.indices[0], self.state_bits)
-        if not self.symbol_bits:
-            return state_bits
-        label = self.constellation.demodulate(symbol.symbols[0])
-        return np.concatenate([state_bits, int_to_bits(label, self.symbol_bits)])
-
-    def transmit_vector(self, symbol: IMSymbol) -> np.ndarray:
-        # codeword over (state one-hot) x symbol; physical mixing with the
-        # per-state channels happens in the harness/detector
-        x = np.zeros(self.num_states, dtype=complex)
-        x[symbol.indices[0]] = symbol.symbols[0]
-        return x
+            _int_log2(order, "constellation order")
+            self._set_constellation(constellation, order)
 
 
 # --------------------------------------------------------------------------
@@ -720,17 +645,13 @@ def _reject_booleans(config: dict) -> None:
             raise ConfigError(f"scheme.{key} must not be a boolean, got {value!r}")
 
 
-def build_scheme(config: dict) -> Scheme:
-    """Instantiate a scheme from its config dict; unknown keys rejected."""
+def _from_keys(config: dict, build):
+    """``build`` applied to the scheme config without its type; ``build``
+    pops the keys it uses, and every key must be used."""
     cfg = dict(config)
-    _reject_booleans(cfg)
-    kind = cfg.pop("type", None)
-    if kind not in _SCHEME_BUILDERS:
-        raise ConfigError(
-            f"scheme.type must be one of {sorted(_SCHEME_BUILDERS)}, got {kind!r}"
-        )
+    kind = cfg.pop("type")
     try:
-        scheme = _SCHEME_BUILDERS[kind](cfg)
+        value = build(cfg)
     except KeyError as exc:
         raise ConfigError(f"scheme.{exc.args[0]} is required for type {kind!r}") from None
     except (TypeError, ValueError) as exc:
@@ -739,40 +660,42 @@ def build_scheme(config: dict) -> Scheme:
         raise ConfigError(f"invalid scheme config: {exc}") from None
     if cfg:
         raise ConfigError(f"unknown scheme key(s): {', '.join(sorted(cfg))}")
-    scheme.name = kind
-    return scheme
+    return value
+
+
+def build_scheme(config: dict) -> Scheme:
+    """Instantiate a scheme from its config dict; unknown keys rejected."""
+    _reject_booleans(config)
+    kind = config.get("type")
+    if kind not in _SCHEME_BUILDERS:
+        raise ConfigError(
+            f"scheme.type must be one of {sorted(_SCHEME_BUILDERS)}, got {kind!r}"
+        )
+    return _from_keys(config, _SCHEME_BUILDERS[kind])
+
+
+def _qsm_rate(cfg) -> float:
+    cfg.pop("constellation", None)
+    n_tx, order = cfg.pop("n_tx"), cfg.pop("order")
+    return float(2 * _int_log2(n_tx, "number of transmit antennas")
+                 + _int_log2(order, "constellation order"))
+
+
+# RA-SSK is rate-only (no mapper exists), and QSM's formula
+# 2 log2(nT) + log2(M) is evaluated directly so it stays defined for
+# constellations the quadrature mapper itself cannot carry (e.g. BPSK)
+_RATE_FORMULAS = {
+    "ra_ssk": lambda cfg: rate_ra_ssk(cfg.pop("n_tx"), cfg.pop("states_per_antenna")),
+    "qsm": _qsm_rate,
+}
 
 
 def rate_of(config: dict) -> float:
-    """Throughput of a scheme config.
-
-    RA-SSK is rate-only (no mapper exists), and QSM's formula
-    2 log2(nT) + log2(M) is evaluated directly so it stays defined for
-    constellations the quadrature mapper itself cannot carry (e.g. BPSK).
-    """
+    """Throughput of a scheme config, by formula where one is registered."""
     _reject_booleans(config)
-    if config.get("type") == "ra_ssk":
-        cfg = dict(config)
-        cfg.pop("type")
-        try:
-            value = rate_ra_ssk(cfg.pop("n_tx"), cfg.pop("states_per_antenna"))
-        except KeyError as exc:
-            raise ConfigError(f"scheme.{exc.args[0]} is required for type 'ra_ssk'") from None
-        if cfg:
-            raise ConfigError(f"unknown scheme key(s): {', '.join(sorted(cfg))}")
-        return value
-    if config.get("type") == "qsm":
-        cfg = dict(config)
-        cfg.pop("type")
-        cfg.pop("constellation", None)
-        try:
-            n_tx, order = cfg.pop("n_tx"), cfg.pop("order")
-        except KeyError as exc:
-            raise ConfigError(f"scheme.{exc.args[0]} is required for type 'qsm'") from None
-        if cfg:
-            raise ConfigError(f"unknown scheme key(s): {', '.join(sorted(cfg))}")
-        return float(2 * _int_log2(n_tx, "number of transmit antennas")
-                     + _int_log2(order, "constellation order"))
+    formula = _RATE_FORMULAS.get(config.get("type"))
+    if formula is not None:
+        return _from_keys(config, formula)
     return build_scheme(config).rate()
 
 

@@ -76,12 +76,13 @@ class Constellation:
         self.kind = kind
         self.order = order
         self.bits_per_symbol = int(np.log2(order))
-        # symbol[label] tables in label order (label = bit word as integer)
-        self._label_to_point = np.empty(order, dtype=complex)
+        # the points in label order (label = bit word as integer) and the
+        # label of each point
+        self.label_points = np.empty(order, dtype=complex)
         self._point_index_to_label = np.empty(order, dtype=np.int64)
         for k in range(order):
             label = self._label_of_index(k)
-            self._label_to_point[label] = self.points[k]
+            self.label_points[label] = self.points[k]
             self._point_index_to_label[k] = label
 
     def _label_of_index(self, k: int) -> int:
@@ -94,7 +95,7 @@ class Constellation:
 
     def modulate(self, label: int) -> complex:
         """Symbol for one MSB-first bit word given as an integer label."""
-        return complex(self._label_to_point[label])
+        return complex(self.label_points[label])
 
     def demodulate(self, symbol: complex) -> int:
         """Label of the nearest constellation point."""
