@@ -183,19 +183,27 @@ class CapacityEstimate:
     trials: int
 
 
-def _log2_det_gram(h: np.ndarray, snr_linear: float) -> np.ndarray:
-    """log2 det(I + snr/Nt H H^H) of each matrix H in ``h`` (..., n_rx, n_tx).
+def _log2_det_gram(h: np.ndarray, snr_linear) -> np.ndarray:
+    """log2 det(I + snr/Nt H H^H) of each matrix H in ``h`` (..., n_rx, n_tx)
+    at each SNR of ``snr_linear``, a scalar or a 1-D grid whose axis leads
+    the result.
 
-    The Gram matrix is Hermitian with every eigenvalue >= 1, so its Cholesky
-    factor L exists and the log-determinant is 2 sum log2 diag(L).
+    H H^H is formed once and scaled into one reused copy per SNR.  Each
+    scaled matrix plus I is Hermitian with every eigenvalue >= 1, so its
+    Cholesky factor L exists and the log-determinant is 2 sum log2 diag(L).
     """
     n_rx, n_tx = h.shape[-2:]
     gram = h @ np.conj(np.swapaxes(h, -1, -2))
-    gram *= snr_linear / n_tx
+    scaled = np.empty_like(gram)
     d = np.arange(n_rx)
-    gram[..., d, d] += 1.0
-    diag = np.linalg.cholesky(gram)[..., d, d].real
-    return 2.0 * np.log2(diag).sum(axis=-1)
+    snrs = np.asarray(snr_linear)
+    out = np.empty(snrs.shape + gram.shape[:-2])
+    for i, snr in np.ndenumerate(snrs):
+        np.multiply(gram, snr / n_tx, out=scaled)
+        scaled[..., d, d] += 1.0
+        diag = np.linalg.cholesky(scaled)[..., d, d].real
+        out[i] = 2.0 * np.log2(diag).sum(axis=-1)
+    return out
 
 
 def capacity_batch_bytes(n_tx: int, n_rx: int, trials: int) -> int:
@@ -212,28 +220,38 @@ def instantaneous_capacity(h: np.ndarray, snr_linear: float) -> float:
     return float(_log2_det_gram(np.asarray(h, dtype=complex), snr_linear))
 
 
-def ergodic_capacity(n_tx: int, n_rx: int, snr_linear: float, trials: int,
-                     seed: int, model: str = "rayleigh") -> CapacityEstimate:
+def ergodic_capacity(n_tx: int, n_rx: int, snr_linear, trials: int, seed: int,
+                     model: str = "rayleigh") -> "CapacityEstimate | list[CapacityEstimate]":
     """Monte Carlo mean of the instantaneous capacity over channel draws.
 
-    Reports the standard error of the mean so consumers can set principled
-    tolerances.  Deterministic in (seed, n_tx, n_rx, trials).  Each batch of
-    CAPACITY_BATCH trials is one Gaussian draw; its log-determinants are taken
-    in blocks of at most _CAPACITY_BLOCK channel entries.
+    ``snr_linear`` is one SNR, which returns one :class:`CapacityEstimate`,
+    or a 1-D grid, which returns a list of them in grid order.  Every SNR
+    sees the same channels, and each estimate is bitwise the one a scalar
+    call at that SNR returns.  Reports the standard error of the mean so
+    consumers can set principled tolerances.  Deterministic in (seed, n_tx,
+    n_rx, trials).  Each batch of CAPACITY_BATCH trials is one Gaussian
+    draw; its log-determinants are taken in blocks of at most
+    _CAPACITY_BLOCK channel entries, one Gram matrix per block for the
+    whole grid.
     """
     if model != "rayleigh":
         raise ValueError(f"unsupported capacity channel model {model!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    snrs = np.asarray(snr_linear, dtype=float)
+    if snrs.ndim > 1:
+        raise ValueError("snr_linear must be a scalar or a 1-D grid")
     rng = channel_mod.stream_rng(seed, n_tx, n_rx)
     block = max(1, _CAPACITY_BLOCK // (n_rx * n_tx))
-    values = np.empty(trials)
+    values = np.empty(snrs.shape + (trials,))
     for done in range(0, trials, CAPACITY_BATCH):
         planes = rng.standard_normal((2, min(CAPACITY_BATCH, trials - done), n_rx, n_tx))
         for lo in range(0, planes.shape[1], block):
             h = channel_mod.complex_from_planes(planes[:, lo:lo + block])
-            values[done + lo:done + lo + len(h)] = _log2_det_gram(h, snr_linear)
+            values[..., done + lo:done + lo + len(h)] = _log2_det_gram(h, snrs)
         del planes   # free this batch's draw before the next one is made
-    mean = float(values.mean())
-    std_err = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
-    return CapacityEstimate(mean, std_err, trials)
+    estimates = []
+    for row in values.reshape(-1, trials):
+        std_err = float(row.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
+        estimates.append(CapacityEstimate(float(row.mean()), std_err, trials))
+    return estimates if snrs.ndim else estimates[0]

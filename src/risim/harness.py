@@ -34,6 +34,9 @@ MAX_PATTERN_SWEEP_BYTES = MAX_RUN_BYTES
 # trial draws of one batch are not chunked
 MAX_CODEWORDS = 1 << 16
 MAX_BATCH_SIZE = 1 << 20
+# largest |snr_db|: 10**(snr/10) overflows to inf past about 3082 dB; at
+# 1e30 the metric, Gram and noise arithmetic stays far from overflow
+MAX_SNR_DB = 300.0
 # series resistance of the varactor states a pattern run's atom loss uses
 ATOM_RESISTANCE_OHM = 0.5
 
@@ -206,6 +209,9 @@ def _parse_snr_grid(raw) -> tuple:
     for v in _parse_list(raw, "snr_db", non_empty=True):
         if not _is_number(v):
             raise ConfigError(f"snr_db entries must be finite numbers, got {v!r}")
+        if abs(v) > MAX_SNR_DB:
+            raise ConfigError(f"snr_db entries must lie in [-{MAX_SNR_DB:g}, {MAX_SNR_DB:g}] dB, "
+                              f"got {v!r}")
         values.append(float(v))
     return tuple(values)
 
@@ -317,10 +323,12 @@ def parse_config(source) -> ExperimentConfig:
         channel = _parse_channel(sec.take("channel"))
         if channel.model != "rayleigh":
             raise ConfigError("capacity sweeps support only the rayleigh model")
+        snr_db = _parse_snr_grid(sec.take("snr_db", required=True))
         trials = int(sec.take("trials", 50_000, kind=int))
         if trials < 2:
             raise ConfigError("trials must be >= 2")
-        _check_bytes("trials", 8 * trials, f"one capacity value per trial ({trials})")
+        _check_bytes("trials", 8 * len(snr_db) * trials,
+                     f"one capacity value per SNR point and trial ({len(snr_db)} x {trials})")
         for n_tx, n_rx in antennas:
             _check_bytes("antennas", detection.capacity_batch_bytes(n_tx, n_rx, trials),
                          f"one batch of {n_tx}x{n_rx} channels")
@@ -328,7 +336,7 @@ def parse_config(source) -> ExperimentConfig:
             experiment="capacity",
             seed=seed,
             antennas=tuple(antennas),
-            snr_db=_parse_snr_grid(sec.take("snr_db", required=True)),
+            snr_db=snr_db,
             capacity_trials=trials,
             channel=channel,
             output=sec.take("output", kind=str),
@@ -551,6 +559,7 @@ def run_ber(config: ExperimentConfig, threads: int = 1) -> BerCurve:
     policy = config.trials
     n_batches = math.ceil(policy.max_trials / policy.batch_size)
     width = max(1, threads)
+    # one scalar power per point: the vectorised power rounds differently
     snrs = [db_to_linear(snr_db) for snr_db in config.snr_db]
     trials = [0] * len(snrs)
     errors = [0] * len(snrs)
@@ -604,14 +613,17 @@ def _ber_point(snr_db: float, trials: int, errors: int, bits_per_trial: int) -> 
 # --------------------------------------------------------------------------
 
 def run_capacity(config: ExperimentConfig):
-    """Ergodic capacity for every (n_tx, n_rx) pair over the SNR grid."""
+    """Ergodic capacity for every (n_tx, n_rx) pair over the SNR grid, one
+    channel draw per pair for the whole grid."""
+    # one scalar power per point: the vectorised power rounds differently
+    snrs = [db_to_linear(snr_db) for snr_db in config.snr_db]
     rows = []
     for n_tx, n_rx in config.antennas:
-        for snr_db in config.snr_db:
-            est = detection.ergodic_capacity(
-                n_tx, n_rx, db_to_linear(snr_db), config.capacity_trials, config.seed
-            )
-            rows.append((n_tx, n_rx, snr_db, est.mean, est.std_err, est.trials))
+        estimates = detection.ergodic_capacity(
+            n_tx, n_rx, snrs, config.capacity_trials, config.seed
+        )
+        rows.extend((n_tx, n_rx, snr_db, est.mean, est.std_err, est.trials)
+                    for snr_db, est in zip(config.snr_db, estimates))
     return rows
 
 

@@ -1,0 +1,146 @@
+"""One channel draw and one Gram matrix per block for a whole SNR grid."""
+
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from risim import channel, detection
+from risim.detection import (CAPACITY_BATCH, CapacityEstimate, capacity_batch_bytes,
+                             ergodic_capacity)
+from risim.harness import parse_config, run_capacity
+from risim.util import db_to_linear
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+GRID_DB = [0.0, 5.0, 10.0, 15.0, 20.0]
+
+
+def hex_rows(rows):
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
+
+
+def scalar_rows(config):
+    """run_capacity's rows from one scalar ergodic_capacity call per SNR."""
+    rows = []
+    for n_tx, n_rx in config.antennas:
+        for snr_db in config.snr_db:
+            est = ergodic_capacity(n_tx, n_rx, db_to_linear(snr_db),
+                                   config.capacity_trials, config.seed)
+            assert isinstance(est, CapacityEstimate)
+            rows.append((n_tx, n_rx, snr_db, est.mean, est.std_err, est.trials))
+    return rows
+
+
+@pytest.mark.parametrize("name", ["capacity_rayleigh.json", "capacity_asym.json"])
+def test_shipped_rows_are_bitwise_the_scalar_calls(name):
+    config = parse_config(CONFIGS / name)
+    assert hex_rows(run_capacity(config)) == hex_rows(scalar_rows(config))
+
+
+@pytest.mark.parametrize("snr_db", [[10], [0, 7.5, 20]])
+@pytest.mark.parametrize("trials", [2, 4097, 8193])
+def test_grid_rows_are_bitwise_the_scalar_calls(snr_db, trials):
+    config = parse_config({"experiment": "capacity", "antennas": [[2, 3], [16, 16], [17, 5]],
+                           "snr_db": snr_db, "trials": trials, "seed": 4})
+    rows = run_capacity(config)
+    assert len(rows) == 3 * len(snr_db)
+    assert hex_rows(rows) == hex_rows(scalar_rows(config))
+
+
+def single_snr_reference(n_tx, n_rx, snr, trials, seed):
+    """Mean and standard error from one Gram matrix per SNR, scaled in place:
+    the arithmetic of the engine before it shared the Gram matrix over a grid."""
+    rng = channel.stream_rng(seed, n_tx, n_rx)
+    block = max(1, detection._CAPACITY_BLOCK // (n_rx * n_tx))
+    d = np.arange(n_rx)
+    values = np.empty(trials)
+    for done in range(0, trials, CAPACITY_BATCH):
+        planes = rng.standard_normal((2, min(CAPACITY_BATCH, trials - done), n_rx, n_tx))
+        for lo in range(0, planes.shape[1], block):
+            h = channel.complex_from_planes(planes[:, lo:lo + block])
+            gram = h @ np.conj(np.swapaxes(h, -1, -2))
+            gram *= snr / n_tx
+            gram[..., d, d] += 1.0
+            diag = np.linalg.cholesky(gram)[..., d, d].real
+            values[done + lo:done + lo + len(h)] = 2.0 * np.log2(diag).sum(axis=-1)
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(trials))
+
+
+@pytest.mark.parametrize("n_tx, n_rx", [(1, 1), (16, 16), (5, 17), (17, 5)])
+def test_grid_estimates_are_bitwise_the_single_snr_reference(n_tx, n_rx):
+    trials = 4097
+    estimates = ergodic_capacity(n_tx, n_rx, db_to_linear(GRID_DB), trials, seed=6)
+    for snr_db, est in zip(GRID_DB, estimates):
+        mean, std_err = single_snr_reference(n_tx, n_rx, db_to_linear(snr_db), trials, seed=6)
+        assert (est.mean.hex(), est.std_err.hex()) == (mean.hex(), std_err.hex())
+
+
+class RecordingGenerator:
+    def __init__(self, generator, calls):
+        self._generator = generator
+        self._calls = calls
+
+    def standard_normal(self, size):
+        self._calls.append(tuple(size))
+        return self._generator.standard_normal(size)
+
+    def __getattr__(self, name):
+        raise AssertionError(f"capacity drew through Generator.{name}")
+
+
+def test_one_stream_and_one_draw_per_batch_for_the_whole_grid(monkeypatch):
+    keys, calls = [], []
+    original = channel.stream_rng
+
+    def recording(*key):
+        keys.append(key)
+        return RecordingGenerator(original(*key), calls)
+
+    monkeypatch.setattr(channel, "stream_rng", recording)
+    pairs, trials = [(16, 16), (5, 17), (1, 1)], 8193
+    config = parse_config({"experiment": "capacity", "antennas": [list(p) for p in pairs],
+                           "snr_db": GRID_DB, "trials": trials, "seed": 2})
+    assert len(run_capacity(config)) == len(pairs) * len(GRID_DB)
+    assert keys == [(2, n_tx, n_rx) for n_tx, n_rx in pairs]
+    sizes = [min(CAPACITY_BATCH, trials - done) for done in range(0, trials, CAPACITY_BATCH)]
+    assert calls == [(2, n, n_rx, n_tx) for n_tx, n_rx in pairs for n in sizes]
+
+
+@pytest.mark.parametrize("n_tx, n_rx", [(16, 16), (5, 17), (1, 1)])
+def test_one_gram_call_per_block_for_the_whole_grid(monkeypatch, n_tx, n_rx):
+    calls = []
+    original = detection._log2_det_gram
+
+    def recording(h, snr):
+        calls.append((h.shape[0], len(snr)))
+        return original(h, snr)
+
+    monkeypatch.setattr(detection, "_log2_det_gram", recording)
+    trials = 4097
+    estimates = ergodic_capacity(n_tx, n_rx, db_to_linear(GRID_DB), trials, seed=1)
+    assert len(estimates) == len(GRID_DB)
+    block = max(1, detection._CAPACITY_BLOCK // (n_tx * n_rx))
+    expected = [min(block, n - lo)
+                for done in range(0, trials, CAPACITY_BATCH)
+                for n in [min(CAPACITY_BATCH, trials - done)]
+                for lo in range(0, n, block)]
+    assert calls == [(k, len(GRID_DB)) for k in expected]
+
+
+@pytest.mark.parametrize("n_tx, n_rx", [(16, 16), (5, 17), (17, 5)])
+def test_traced_grid_peak_stays_within_the_batch_estimate(n_tx, n_rx):
+    trials, snrs = 8193, db_to_linear(GRID_DB)
+    tracemalloc.start()
+    try:
+        ergodic_capacity(n_tx, n_rx, snrs, trials, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the per-trial values grow to one row of 8-byte values per SNR point
+    assert peak <= capacity_batch_bytes(n_tx, n_rx, trials) + 8 * len(snrs) * trials
+
+
+def test_grid_must_be_one_dimensional():
+    with pytest.raises(ValueError, match="1-D"):
+        ergodic_capacity(2, 2, [[1.0, 10.0]], 10, seed=1)

@@ -1,6 +1,7 @@
 """Malformed values that must fail at parse time with exit code 2."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -390,3 +391,46 @@ def test_unreachable_scan_angle_exits_2_before_any_file(tmp_path, capsys):
     cfg.update(scan_angles_deg=[10, 90], period_cells=5)
     assert_exit_2(tmp_path, capsys, "pattern", cfg, "scan_angles_deg")
     assert not [p for p in tmp_path.rglob("*") if p.name != "exp.json"]
+
+
+SM4_QPSK = {"type": "sm", "n_tx": 4, "order": 4}
+
+
+def csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def test_snr_grid_at_plus_minus_300_db_runs_finite(tmp_path):
+    ber = {**ber_config(SM4_QPSK), "n_rx": 2, "snr_db": [-300, 300]}
+    capacity = {**capacity_config([[1, 1], [4, 2]], 100), "snr_db": [-300, 300]}
+    for command, cfg in (("ber", ber), ("capacity", capacity)):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+    curve = csv_rows(tmp_path / "curve.csv")
+    assert all(math.isfinite(float(v)) for row in curve for v in row)
+    assert [row[0] for row in curve] == ["-300.000000", "300.000000"]
+    assert int(curve[1][2]) == 0   # no bit errors at 300 dB
+    table = csv_rows(tmp_path / "capacity.csv")
+    assert len(table) == 4
+    assert all(math.isfinite(float(v)) for row in table for v in row)
+
+
+@pytest.mark.parametrize("command", ["ber", "capacity"])
+@pytest.mark.parametrize("snr", [300.5, 4000, -4000])
+def test_snr_outside_plus_minus_300_db_exits_2(tmp_path, capsys, command, snr):
+    # 4000 dB used to overflow to inf and write inf,nan or a BER of 0.5
+    cfg = ber_config(SM4_QPSK) if command == "ber" else capacity_config([[1, 1]], 100)
+    cfg["snr_db"] = [10, snr]
+    assert_exit_2(tmp_path, capsys, command, cfg, "snr_db")
+    assert not (tmp_path / "curve.csv").exists()
+    assert not (tmp_path / "capacity.csv").exists()
+
+
+def test_capacity_trials_budget_counts_the_snr_grid(tmp_path, capsys):
+    # 8 bytes per SNR point and trial: 2 points of 2^25 trials fill 2^29 bytes
+    cfg = {**capacity_config([[1, 1]], (MAX_RUN_BYTES // 16) + 1), "snr_db": [0, 10]}
+    assert_exit_2(tmp_path, capsys, "capacity", cfg, "trials")
+    assert not (tmp_path / "capacity.csv").exists()
+    cfg["trials"] = MAX_RUN_BYTES // 16
+    assert parse_config(cfg).capacity_trials == 1 << 25
