@@ -42,15 +42,6 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return out
 
 
-def complex_from_planes(planes: np.ndarray) -> np.ndarray:
-    """CN(0, 1) samples from a (2, ...) standard-normal draw: planes[0] / sqrt(2)
-    as the real parts, planes[1] / sqrt(2) as the imaginary parts."""
-    out = np.empty(planes.shape[1:], dtype=complex)
-    np.multiply(planes[0], 1 / np.sqrt(2.0), out=out.real)
-    np.multiply(planes[1], 1 / np.sqrt(2.0), out=out.imag)
-    return out
-
-
 def rayleigh(n_rx: int, n_tx: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. CN(0, 1) fading matrix of shape (n_rx, n_tx)."""
     return complex_normal(rng, (n_rx, n_tx))

@@ -81,18 +81,34 @@ class MetricTable:
         # only pairs of columns that some codeword uses together can touch Q
         used = np.any(blocks != 0, axis=1).astype(np.float32)       # (dim, C)
         pairs = np.argwhere(np.triu(used @ used.T > 0, k=1) & (not diagonal))
-        q = np.einsum("ptc,ptc->pc", blocks[pairs[:, 0]].conj(), blocks[pairs[:, 1]])
-        touched = np.any(q != 0, axis=1)
-        self.pairs, off = pairs[touched], q[touched]
-        k = len(blocks) + 2 * len(self.pairs)
+        touched = np.zeros(len(pairs), dtype=bool)
+        for _, q in _pair_products(blocks, pairs):
+            touched |= np.any(q != 0, axis=1)
+        self.pairs = pairs[touched]
+        n_diag, n_pairs = len(blocks), len(self.pairs)
+        k = n_diag + 2 * n_pairs
         self.rows = np.empty((vectors.shape[1], k + 2 * len(vectors)))
         self.weights = self.rows[:, :k].T
-        self.weights[:] = np.concatenate([
-            (np.abs(blocks) ** 2).sum(axis=1), 2.0 * off.real, -2.0 * off.imag
-        ])
+        self.weights[:n_diag] = (np.abs(blocks) ** 2).sum(axis=1)
+        for span, q in _pair_products(blocks, self.pairs):
+            np.multiply(q.real.T, 2.0, out=self.rows[span, n_diag:n_diag + n_pairs])
+            np.multiply(q.imag.T, -2.0, out=self.rows[span, n_diag + n_pairs:k])
         self.codewords = self.rows[:, k:].view(complex)
         self.codewords[:] = vectors.T
         self.x = self.codewords.T
+
+
+def _pair_products(blocks: np.ndarray, pairs: np.ndarray):
+    """Q_ij = sum_t conj(X_it) X_jt of each pair (i, j) over ``blocks``
+    (dim, slots, C), as (codeword slice, (pairs, codewords) array) per run
+    of codewords whose gathered copies hold about _HYPOTHESIS_BUDGET
+    (pair, slot, codeword) entries, so none of them is codebook-sized."""
+    count = blocks.shape[2]
+    step = max(1, _HYPOTHESIS_BUDGET // max(1, len(pairs) * blocks.shape[1]))
+    for lo in range(0, count, step):
+        span = slice(lo, min(lo + step, count))
+        yield span, np.einsum("ptc,ptc->pc", blocks[pairs[:, 0], :, span].conj(),
+                              blocks[pairs[:, 1], :, span])
 
 
 def matched_filter(y: np.ndarray, h: np.ndarray, table: MetricTable):
@@ -206,13 +222,17 @@ def _log2_det_gram(h: np.ndarray, snr_linear) -> np.ndarray:
     return out
 
 
-def capacity_batch_bytes(n_tx: int, n_rx: int, trials: int) -> int:
+def capacity_batch_bytes(n_tx: int, n_rx: int, trials: int, points: int = 1) -> int:
     """Bytes :func:`ergodic_capacity` holds at once besides its per-trial
-    values: one batch's Gaussian draw plus one block's channel, conjugate
-    transpose, Gram matrix and Cholesky factor."""
+    values, for a grid of ``points`` SNRs: one batch's real parts (8 bytes
+    each) plus, per block of k matrices, its imaginary draw, channel,
+    conjugate transpose, Gram matrix, scaled copy and Cholesky factor, the
+    copies of their diagonals, and its k log-determinants per SNR point
+    with their two partial sums.  Counts every block array as if all were
+    held together."""
     n = min(CAPACITY_BATCH, trials)
     k = min(n, max(1, _CAPACITY_BLOCK // (n_rx * n_tx)))
-    return 16 * (n * n_rx * n_tx + k * n_rx * (2 * n_tx + 3 * n_rx))
+    return 8 * (n * n_rx * n_tx + k * n_rx * (5 * n_tx + 6 * n_rx + 5) + k * (points + 2))
 
 
 def instantaneous_capacity(h: np.ndarray, snr_linear: float) -> float:
@@ -229,10 +249,12 @@ def ergodic_capacity(n_tx: int, n_rx: int, snr_linear, trials: int, seed: int,
     sees the same channels, and each estimate is bitwise the one a scalar
     call at that SNR returns.  Reports the standard error of the mean so
     consumers can set principled tolerances.  Deterministic in (seed, n_tx,
-    n_rx, trials).  Each batch of CAPACITY_BATCH trials is one Gaussian
-    draw; its log-determinants are taken in blocks of at most
+    n_rx, trials).  Each batch of CAPACITY_BATCH trials draws its real parts
+    at once; its log-determinants are taken in blocks of at most
     _CAPACITY_BLOCK channel entries, one Gram matrix per block for the
-    whole grid.
+    whole grid, and each block draws its own imaginary parts just before
+    it is used.  That is the stream of one (2, n, n_rx, n_tx) draw per
+    batch: all real parts first, then the imaginary parts in trial order.
     """
     if model != "rayleigh":
         raise ValueError(f"unsupported capacity channel model {model!r}")
@@ -245,13 +267,34 @@ def ergodic_capacity(n_tx: int, n_rx: int, snr_linear, trials: int, seed: int,
     block = max(1, _CAPACITY_BLOCK // (n_rx * n_tx))
     values = np.empty(snrs.shape + (trials,))
     for done in range(0, trials, CAPACITY_BATCH):
-        planes = rng.standard_normal((2, min(CAPACITY_BATCH, trials - done), n_rx, n_tx))
-        for lo in range(0, planes.shape[1], block):
-            h = channel_mod.complex_from_planes(planes[:, lo:lo + block])
+        real = rng.standard_normal((min(CAPACITY_BATCH, trials - done), n_rx, n_tx))
+        for lo in range(0, len(real), block):
+            h = _block_channel(rng, real[lo:lo + block])
             values[..., done + lo:done + lo + len(h)] = _log2_det_gram(h, snrs)
-        del planes   # free this batch's draw before the next one is made
+        del real   # free this batch's real parts before the next ones are drawn
     estimates = []
     for row in values.reshape(-1, trials):
-        std_err = float(row.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
-        estimates.append(CapacityEstimate(float(row.mean()), std_err, trials))
+        mean = row.mean()
+        estimates.append(CapacityEstimate(float(mean), _std_err(row, mean), trials))
     return estimates if snrs.ndim else estimates[0]
+
+
+def _block_channel(rng: np.random.Generator, real: np.ndarray) -> np.ndarray:
+    """CN(0, 1) channels from a block of standard-normal real parts and one
+    draw of as many imaginary parts, each scaled by 1/sqrt(2) as
+    :func:`channel.complex_normal` scales them."""
+    h = np.empty(real.shape, dtype=complex)
+    np.multiply(real, 1 / np.sqrt(2.0), out=h.real)
+    np.multiply(rng.standard_normal(real.shape), 1 / np.sqrt(2.0), out=h.imag)
+    return h
+
+
+def _std_err(row: np.ndarray, mean) -> float:
+    """Standard error of the mean of ``row``, bitwise row.std(ddof=1) /
+    sqrt(n), with the squared deviations formed in ``row`` itself so that no
+    trial-sized temporary is made; ``row`` is overwritten."""
+    if len(row) < 2:
+        return float("inf")
+    row -= mean
+    np.multiply(row, row, out=row)
+    return float(np.sqrt(row.sum() / (len(row) - 1)) / np.sqrt(len(row)))

@@ -330,7 +330,8 @@ def parse_config(source) -> ExperimentConfig:
         _check_bytes("trials", 8 * len(snr_db) * trials,
                      f"one capacity value per SNR point and trial ({len(snr_db)} x {trials})")
         for n_tx, n_rx in antennas:
-            _check_bytes("antennas", detection.capacity_batch_bytes(n_tx, n_rx, trials),
+            _check_bytes("antennas",
+                         detection.capacity_batch_bytes(n_tx, n_rx, trials, len(snr_db)),
                          f"one batch of {n_tx}x{n_rx} channels")
         config = ExperimentConfig(
             experiment="capacity",

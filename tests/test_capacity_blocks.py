@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from risim import channel, detection
-from risim.channel import complex_from_planes, complex_normal, stream_rng
+from risim.channel import complex_normal, stream_rng
 from risim.detection import (CAPACITY_BATCH, capacity_batch_bytes, ergodic_capacity,
                              instantaneous_capacity)
 
@@ -26,10 +26,20 @@ def slogdet_reference(n_tx, n_rx, snr, trials, seed):
 @pytest.mark.parametrize("shape", [(4096, 16, 16), (4097, 5, 17), (3, 2, 3), (1, 1, 1)])
 @pytest.mark.parametrize("block", [1, 255, 256, 4096])
 def test_block_assembly_is_bitwise_complex_normal(shape, block):
-    whole = complex_normal(np.random.default_rng(4), shape)
-    planes = np.random.default_rng(4).standard_normal((2, *shape))
-    parts = [complex_from_planes(planes[:, lo:lo + block]) for lo in range(0, shape[0], block)]
+    # the engine's order: all real parts, then each block's imaginary parts
+    rng = np.random.default_rng(4)
+    real = rng.standard_normal(shape)
+    parts = [detection._block_channel(rng, real[lo:lo + block])
+             for lo in range(0, shape[0], block)]
+    # against the complex channel of one (2, n, n_rx, n_tx) draw
+    whole_rng = np.random.default_rng(4)
+    planes = whole_rng.standard_normal((2, *shape))
+    whole = np.empty(shape, dtype=complex)
+    whole.real, whole.imag = planes[0] * (1 / np.sqrt(2.0)), planes[1] * (1 / np.sqrt(2.0))
     assert np.array_equal(np.concatenate(parts).view(np.float64), whole.view(np.float64))
+    assert np.array_equal(whole.view(np.float64),
+                          complex_normal(np.random.default_rng(4), shape).view(np.float64))
+    assert rng.standard_normal() == whole_rng.standard_normal()
 
 
 @pytest.mark.parametrize("n_tx, n_rx", [(1, 1), (2, 3), (3, 2), (16, 16), (5, 17)])
@@ -62,8 +72,19 @@ def test_one_gaussian_draw_per_batch(monkeypatch, n_tx, n_rx, trials):
     monkeypatch.setattr(channel, "stream_rng",
                         lambda *key: RecordingGenerator(original(*key), calls))
     ergodic_capacity(n_tx, n_rx, 10.0, trials, seed=1)
-    sizes = [min(CAPACITY_BATCH, trials - done) for done in range(0, trials, CAPACITY_BATCH)]
-    assert calls == [(2, n, n_rx, n_tx) for n in sizes]
+    assert calls == draw_calls(n_tx, n_rx, trials)
+
+
+def draw_calls(n_tx, n_rx, trials):
+    """Per batch: one draw of its real parts, then one draw of each block's
+    imaginary parts."""
+    block = max(1, detection._CAPACITY_BLOCK // (n_tx * n_rx))
+    calls = []
+    for done in range(0, trials, CAPACITY_BATCH):
+        n = min(CAPACITY_BATCH, trials - done)
+        calls.append((n, n_rx, n_tx))
+        calls += [(min(block, n - lo), n_rx, n_tx) for lo in range(0, n, block)]
+    return calls
 
 
 @pytest.mark.parametrize("n_tx, n_rx", [(16, 16), (5, 17), (1, 1), (300, 300)])

@@ -58,7 +58,9 @@ def single_snr_reference(n_tx, n_rx, snr, trials, seed):
     for done in range(0, trials, CAPACITY_BATCH):
         planes = rng.standard_normal((2, min(CAPACITY_BATCH, trials - done), n_rx, n_tx))
         for lo in range(0, planes.shape[1], block):
-            h = channel.complex_from_planes(planes[:, lo:lo + block])
+            part = planes[:, lo:lo + block]
+            h = np.empty(part.shape[1:], dtype=complex)
+            h.real, h.imag = part[0] * (1 / np.sqrt(2.0)), part[1] * (1 / np.sqrt(2.0))
             gram = h @ np.conj(np.swapaxes(h, -1, -2))
             gram *= snr / n_tx
             gram[..., d, d] += 1.0
@@ -89,6 +91,18 @@ class RecordingGenerator:
         raise AssertionError(f"capacity drew through Generator.{name}")
 
 
+def draw_calls(n_tx, n_rx, trials):
+    """Per batch: one draw of its real parts, then one draw of each block's
+    imaginary parts."""
+    block = max(1, detection._CAPACITY_BLOCK // (n_tx * n_rx))
+    calls = []
+    for done in range(0, trials, CAPACITY_BATCH):
+        n = min(CAPACITY_BATCH, trials - done)
+        calls.append((n, n_rx, n_tx))
+        calls += [(min(block, n - lo), n_rx, n_tx) for lo in range(0, n, block)]
+    return calls
+
+
 def test_one_stream_and_one_draw_per_batch_for_the_whole_grid(monkeypatch):
     keys, calls = [], []
     original = channel.stream_rng
@@ -103,8 +117,7 @@ def test_one_stream_and_one_draw_per_batch_for_the_whole_grid(monkeypatch):
                            "snr_db": GRID_DB, "trials": trials, "seed": 2})
     assert len(run_capacity(config)) == len(pairs) * len(GRID_DB)
     assert keys == [(2, n_tx, n_rx) for n_tx, n_rx in pairs]
-    sizes = [min(CAPACITY_BATCH, trials - done) for done in range(0, trials, CAPACITY_BATCH)]
-    assert calls == [(2, n, n_rx, n_tx) for n_tx, n_rx in pairs for n in sizes]
+    assert calls == [call for n_tx, n_rx in pairs for call in draw_calls(n_tx, n_rx, trials)]
 
 
 @pytest.mark.parametrize("n_tx, n_rx", [(16, 16), (5, 17), (1, 1)])
@@ -139,6 +152,20 @@ def test_traced_grid_peak_stays_within_the_batch_estimate(n_tx, n_rx):
         tracemalloc.stop()
     # the per-trial values grow to one row of 8-byte values per SNR point
     assert peak <= capacity_batch_bytes(n_tx, n_rx, trials) + 8 * len(snrs) * trials
+
+
+@pytest.mark.parametrize("snr_db", [[10.0], GRID_DB])
+def test_traced_1x1_peak_leaves_no_trial_sized_temporary(snr_db):
+    # 1x1 keeps the batch small, so the per-trial values dominate the peak
+    # and a second trial-sized array (as row.std makes) would exceed it
+    trials, snrs = 1 << 18, db_to_linear(snr_db)
+    tracemalloc.start()
+    try:
+        ergodic_capacity(1, 1, snrs, trials, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= capacity_batch_bytes(1, 1, trials, len(snrs)) + 8 * len(snrs) * trials
 
 
 def test_grid_must_be_one_dimensional():

@@ -271,8 +271,8 @@ def test_capacity_trials_over_the_byte_budget_exit_2(tmp_path, capsys, trials):
     assert not (tmp_path / "capacity.csv").exists()
 
 
-@pytest.mark.parametrize("pair, trials", [([91, 91], 20_000), ([4096, 4096], 50_000),
-                                          ([1, 2365], 2)])
+@pytest.mark.parametrize("pair, trials", [([128, 128], 20_000), ([4096, 4096], 50_000),
+                                          ([1, 2364], 2)])
 def test_capacity_antennas_over_the_byte_budget_exit_2(tmp_path, capsys, pair, trials):
     assert detection.capacity_batch_bytes(*pair, trials) > MAX_RUN_BYTES
     cfg = capacity_config([[1, 1], pair], trials)
@@ -280,7 +280,7 @@ def test_capacity_antennas_over_the_byte_budget_exit_2(tmp_path, capsys, pair, t
     assert not (tmp_path / "capacity.csv").exists()
 
 
-@pytest.mark.parametrize("pair, trials", [([90, 90], 20_000), ([1, 2364], 2),
+@pytest.mark.parametrize("pair, trials", [([127, 127], 20_000), ([1, 2363], 2),
                                           ([1, 1], MAX_RUN_BYTES // 8)])
 def test_capacity_just_under_the_byte_budget_parses(pair, trials):
     assert detection.capacity_batch_bytes(*pair, trials) <= MAX_RUN_BYTES

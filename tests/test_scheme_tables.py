@@ -12,6 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from risim.detection import MetricTable
 from risim.im_schemes import (
     GeneralizedSM,
     MediaBasedModulation,
@@ -119,3 +120,45 @@ def test_codebook_columns_are_the_mapped_transmit_vectors(name):
     for word in range(book.count):
         column = scheme.transmit_vector(scheme.map_word(word)).reshape(-1)
         assert column.tobytes() == book.vectors[:, word].tobytes(), word
+
+
+def whole_codebook_table(vectors, slots, diagonal):
+    """Pairs and rows of the ML metric table from one einsum over gathered
+    (pairs, slots, C) copies of the whole codebook."""
+    blocks = vectors.reshape(-1, slots, vectors.shape[1])
+    used = np.any(blocks != 0, axis=1).astype(np.float32)
+    pairs = np.argwhere(np.triu(used @ used.T > 0, k=1) & (not diagonal))
+    q = np.einsum("ptc,ptc->pc", blocks[pairs[:, 0]].conj(), blocks[pairs[:, 1]])
+    touched = np.any(q != 0, axis=1)
+    off = q[touched]
+    weights = np.concatenate([(np.abs(blocks) ** 2).sum(axis=1), 2.0 * off.real, -2.0 * off.imag])
+    return pairs[touched], np.hstack([weights.T, np.ascontiguousarray(vectors.T).view(np.float64)])
+
+
+def assert_table_is_the_whole_codebook_build(vectors, slots, diagonal):
+    table = MetricTable(vectors, slots, diagonal)
+    pairs, rows = whole_codebook_table(vectors, slots, diagonal)
+    assert np.array_equal(table.pairs, pairs)
+    assert table.rows.shape == rows.shape
+    assert table.rows.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_metric_table_rows_are_bitwise_the_whole_codebook_build(name):
+    scheme = PINNED[name][0]()
+    assert_table_is_the_whole_codebook_build(scheme.codebook().vectors, scheme.n_slots,
+                                             scheme.model == "subcarrier")
+
+
+def test_metric_table_keeps_pairs_touched_only_in_a_later_run_of_codewords():
+    # 6 candidate pairs over 2 slots: runs of 5,461 codewords, so 8 runs
+    rng = np.random.default_rng(3)
+    count = 40_000
+    vectors = rng.standard_normal((8, count)) + 1j * rng.standard_normal((8, count))
+    vectors[0:2, :-1] = 0                   # antenna 0 only in the last codeword
+    vectors[4:8, :] = 0
+    # antennas 2 and 3 meet only in codeword 0, where Q_23 cancels exactly
+    vectors[4:6, 0], vectors[6:8, 0] = [1 + 2j, 3 - 1j], [3 + 1j, -1 + 2j]
+    table = MetricTable(vectors, 2)
+    assert [0, 1] in table.pairs.tolist() and [2, 3] not in table.pairs.tolist()
+    assert_table_is_the_whole_codebook_build(vectors, 2, False)
