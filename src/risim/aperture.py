@@ -211,11 +211,11 @@ def direction_grid(theta_step_deg: float = 1.0, phi_step_deg: float = 1.0):
     return theta, phi
 
 
-def direction_count(theta_step_deg: float, phi_step_deg: float) -> int:
+def direction_count(theta_step_deg: float, phi_step_deg: float) -> int | float:
     """Directions of :func:`direction_grid`, without building it (np.arange
-    has ceil((stop - start) / step) entries)."""
-    return (math.ceil(_THETA_STOP_DEG / theta_step_deg)
-            * math.ceil(_PHI_STOP_DEG / phi_step_deg))
+    has ceil((stop - start) / step) entries); inf for a step too fine to count."""
+    counts = (_THETA_STOP_DEG / theta_step_deg, _PHI_STOP_DEG / phi_step_deg)
+    return math.inf if math.inf in counts else math.ceil(counts[0]) * math.ceil(counts[1])
 
 
 def scan_angle(spec: SteeringSpec, wavelength: float) -> float:

@@ -10,8 +10,9 @@ byte-identical result files.
 import json
 import math
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,9 +47,9 @@ ATOM_RESISTANCE_OHM = 0.5
 
 @dataclass(frozen=True)
 class TrialPolicy:
-    max_trials: int = DEFAULT_MAX_TRIALS
-    min_errors: int = DEFAULT_MIN_ERRORS
-    batch_size: int = DEFAULT_BATCH_SIZE
+    max_trials: int
+    min_errors: int
+    batch_size: int
 
 
 @dataclass(frozen=True)
@@ -56,33 +57,6 @@ class ChannelSpec:
     model: str                    # "awgn" | "rayleigh" | "rician"
     k_factor: float = 0.0
     los_structure: str = "dft"
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    experiment: str
-    seed: int = 1
-    output: str | None = None
-    scheme: dict | None = None
-    channel: ChannelSpec | None = None
-    n_rx: int = 1
-    snr_db: tuple = ()
-    trials: TrialPolicy = field(default_factory=TrialPolicy)
-    antennas: tuple = ()
-    capacity_trials: int = 50_000
-    geometry: dict | None = None
-    scan_angles_deg: tuple = ()
-    period_cells: int = 4
-    grid_step_deg: tuple = (1.0, 1.0)
-    element_exponent: float = 0.0
-    couple_atom_loss: bool = False
-    quantize_bits: int | None = None
-    num_steps: int = 16
-    single_harmonics: tuple = ()
-    shift_fractions: tuple = ()
-    multi_targets: tuple = ()
-    harmonic_range: int | None = None
-    output_dir: str | None = None
 
 
 class _Section:
@@ -120,35 +94,23 @@ class _Section:
             return value
         above = value > low if strict else value >= low
         below = high is None or (value < high if strict_high else value <= high)
-        if not (math.isfinite(value) and above and below):
+        # a JSON integer is finite, and math.isfinite overflows past 1e308
+        if not ((type(value) is int or math.isfinite(value)) and above and below):
             limits = f"{'>' if strict else '>='} {low}"
             if high is not None:
                 limits += f" and {'<' if strict_high else '<='} {high}"
             raise ConfigError(f"{self._name(key)} must be {limits}, got {value!r}")
         return value
 
+    def section(self, key, absent=None):
+        """The object at ``key``; a missing or null one reads as ``absent`` or {}."""
+        value = self.take(key)
+        return _Section((absent or {}) if value is None else value, self._name(key))
+
     def finish(self):
         if self._data:
             extras = ", ".join(self._name(k) for k in sorted(self._data))
             raise ConfigError(f"unknown key(s): {extras}")
-
-
-def _parse_trials(raw) -> TrialPolicy:
-    if raw is None:
-        return TrialPolicy()
-    sec = _Section(raw, "trials")
-    policy = TrialPolicy(
-        max_trials=int(sec.take("max_trials", DEFAULT_MAX_TRIALS, kind=int)),
-        min_errors=int(sec.take("min_errors", DEFAULT_MIN_ERRORS, kind=int)),
-        batch_size=int(sec.take("batch_size", DEFAULT_BATCH_SIZE, kind=int)),
-    )
-    sec.finish()
-    if policy.max_trials < 1 or policy.min_errors < 1 or policy.batch_size < 1:
-        raise ConfigError("trials.* values must be >= 1")
-    if policy.batch_size > MAX_BATCH_SIZE:
-        raise ConfigError(f"trials.batch_size must be <= {MAX_BATCH_SIZE}, "
-                          f"got {policy.batch_size}")
-    return policy
 
 
 def _parse_scheme(raw) -> im_schemes.Scheme:
@@ -171,26 +133,22 @@ def _codeword_length(scheme) -> int:
     return scheme.dim * scheme.n_slots
 
 
-def _parse_channel(raw) -> ChannelSpec:
-    sec = _Section(raw if raw is not None else {"model": "rayleigh"}, "channel")
+def _parse_channel(parent: _Section) -> ChannelSpec:
+    sec = parent.section("channel", {"model": "rayleigh"})
     model = sec.take("model", required=True, kind=str)
     if model not in ("awgn", "rayleigh", "rician"):
         raise ConfigError(f"channel.model must be awgn/rayleigh/rician, got {model!r}")
-    k_factor = 0.0
-    los_structure = "dft"
-    if model == "rician":
-        k_factor = float(sec.take("K", required=True, kind=(int, float)))
-        if not math.isfinite(k_factor) or k_factor < 0:
-            raise ConfigError(f"channel.K must be a finite number >= 0, got {k_factor}")
-        los_raw = sec.take("los")
-        if los_raw is not None:
-            los_sec = _Section(los_raw, "channel.los")
-            los_structure = los_sec.take("structure", "dft", kind=str)
-            los_sec.finish()
-            if los_structure not in ("dft", "ones"):
-                raise ConfigError("channel.los.structure must be 'dft' or 'ones'")
+    if model != "rician":
+        sec.finish()
+        return ChannelSpec(model)
+    k_factor = float(sec.bounded("K", 0, required=True))
+    los = sec.section("los")
+    structure = los.take("structure", "dft", kind=str)
+    los.finish()
+    if structure not in ("dft", "ones"):
+        raise ConfigError("channel.los.structure must be 'dft' or 'ones'")
     sec.finish()
-    return ChannelSpec(model, k_factor, los_structure)
+    return ChannelSpec(model, k_factor, structure)
 
 
 def _is_number(value) -> bool:
@@ -216,37 +174,227 @@ def _parse_snr_grid(raw) -> tuple:
     return tuple(values)
 
 
-def _parse_harmonic_targets(sec: _Section, num_steps: int) -> tuple:
-    """single_harmonics, shift_fractions and multi_targets of a harmonics run."""
-    def harmonic(m, key):
-        # the synthesized harmonic aliases from |m| = L/2 on
-        if type(m) is not int or abs(m) >= num_steps / 2:
-            raise ConfigError(f"{key}: harmonic {m!r} must be an integer with "
-                              f"|m| < num_steps/2 = {num_steps / 2:g}")
-        return m
+@dataclass(frozen=True)
+class BerConfig:
+    """A BER curve of one scheme over one channel model (``run_ber``)."""
+    experiment: ClassVar[str] = "ber"
+    scheme: dict
+    channel: ChannelSpec
+    n_rx: int
+    snr_db: tuple
+    trials: TrialPolicy
+    seed: int
+    output: str | None
 
-    singles = [harmonic(m, "single_harmonics")
-               for m in _parse_list(sec.take("single_harmonics", []), "single_harmonics")]
-    shifts = _parse_list(sec.take("shift_fractions", []), "shift_fractions")
-    for f in shifts:
-        if not _is_number(f):
-            raise ConfigError(f"shift_fractions entries must be finite numbers, got {f!r}")
-    targets = []
-    for group in _parse_list(sec.take("multi_targets", []), "multi_targets"):
-        one = []
-        for entry in _parse_list(group, "multi_targets groups"):
-            w = entry[1] if isinstance(entry, list) and len(entry) == 2 else None
-            parts = w if isinstance(w, list) and len(w) == 2 else [w]
-            if not all(_is_number(v) for v in parts):
-                raise ConfigError("multi_targets entries must be [m, weight] pairs with a "
-                                  f"number or [re, im] weight, got {entry!r}")
-            one.append((harmonic(entry[0], "multi_targets"), complex(*parts)))
-        if len({m for m, _ in one}) != len(one):
-            raise ConfigError(f"multi_targets group repeats a harmonic: {group!r}")
-        if sum(abs(w) ** 2 for _, w in one) > 1.0 + 1e-12:
-            raise ConfigError(f"multi_targets group asks for more than unit power: {group!r}")
-        targets.append(tuple(one))
-    return tuple(singles), tuple(float(f) for f in shifts), tuple(targets)
+    @classmethod
+    def parse(cls, sec: _Section, seed: int) -> "BerConfig":
+        scheme_cfg = sec.take("scheme", required=True)
+        scheme = _parse_scheme(scheme_cfg)  # validates feasibility
+        if scheme.model == "analytic":
+            raise ConfigError(f"scheme type {scheme_cfg.get('type')!r} has no statistical-channel "
+                              "transmit model; it is exercised through the harmonic toolchain")
+        channel = _parse_channel(sec)
+        n_rx = sec.bounded("n_rx", 1, 1, kind=int)
+        if scheme.model == "subcarrier" and n_rx != 1:
+            raise ConfigError(f"n_rx must be 1 for subcarrier schemes, got {n_rx}")
+        if channel.model == "awgn" and scheme.model not in ("vector", "subcarrier"):
+            raise ConfigError("awgn channel supports only single-stream schemes")
+        if channel.model == "awgn" and getattr(scheme, "n_tx", 1) != 1:
+            raise ConfigError("awgn channel cannot separate transmit antennas; use fading")
+        if channel.model == "rician" and scheme.model == "state":
+            raise ConfigError("channel-state schemes define their own per-state fading draws; "
+                              "use the rayleigh model")
+        trial_sec = sec.section("trials")
+        trials = TrialPolicy(
+            trial_sec.bounded("max_trials", 1, DEFAULT_MAX_TRIALS, kind=int),
+            trial_sec.bounded("min_errors", 1, DEFAULT_MIN_ERRORS, kind=int),
+            trial_sec.bounded("batch_size", 1, DEFAULT_BATCH_SIZE, kind=int, high=MAX_BATCH_SIZE))
+        trial_sec.finish()
+        dim, count = _codeword_length(scheme), 1 << scheme.bits_per_interval
+        _check_bytes("scheme", 16 * dim * count,
+                     f"a codebook of {count} codewords of length {dim}")
+        batch = min(trials.batch_size, trials.max_trials)
+        _check_bytes("n_rx", 16 * batch * n_rx * dim,
+                     f"one batch's channel draw ({batch} x {n_rx} x {dim})")
+        snr_db = _parse_snr_grid(sec.take("snr_db", required=True))
+        return cls(dict(scheme_cfg), channel, n_rx, snr_db, trials, seed, sec.take("output", kind=str))
+
+
+@dataclass(frozen=True)
+class CapacityConfig:
+    """Ergodic Rayleigh capacity per antenna pair and SNR (``run_capacity``)."""
+    experiment: ClassVar[str] = "capacity"
+    antennas: tuple
+    snr_db: tuple
+    capacity_trials: int
+    seed: int
+    output: str | None
+
+    @classmethod
+    def parse(cls, sec: _Section, seed: int) -> "CapacityConfig":
+        antennas = _parse_list(sec.take("antennas", required=True), "antennas", non_empty=True)
+        for pair in antennas:
+            if (not isinstance(pair, list) or len(pair) != 2
+                    or not all(type(v) is int and v >= 1 for v in pair)):
+                raise ConfigError(f"antennas entries must be [n_tx, n_rx] pairs, got {pair!r}")
+        # parsed as in a BER config, but the sweep draws Rayleigh channels only
+        if _parse_channel(sec).model != "rayleigh":
+            raise ConfigError("channel.model: capacity sweeps support only the rayleigh model")
+        snr_db = _parse_snr_grid(sec.take("snr_db", required=True))
+        trials = sec.bounded("trials", 2, 50_000, kind=int)
+        _check_bytes("trials", 8 * len(snr_db) * trials,
+                     f"one capacity value per SNR point and trial ({len(snr_db)} x {trials})")
+        for n_tx, n_rx in antennas:
+            _check_bytes("antennas",
+                         detection.capacity_batch_bytes(n_tx, n_rx, trials, len(snr_db)),
+                         f"one batch of {n_tx}x{n_rx} channels")
+        return cls(tuple(map(tuple, antennas)), snr_db, trials, seed, sec.take("output", kind=str))
+
+
+@dataclass(frozen=True)
+class PatternConfig:
+    """Steered far-field patterns of one aperture (``run_pattern``)."""
+    experiment: ClassVar[str] = "pattern"
+    geometry: dict
+    scan_angles_deg: tuple
+    period_cells: int
+    grid_step_deg: tuple
+    element_exponent: float
+    couple_atom_loss: bool
+    quantize_bits: int | None
+    output_dir: str
+    seed: int
+
+    @classmethod
+    def parse(cls, sec: _Section, seed: int) -> "PatternConfig":
+        geo_sec = _Section(sec.take("geometry", required=True), "geometry")
+        rows, cols = (geo_sec.bounded(k, 1, required=True, kind=int) for k in ("rows", "cols"))
+        geometry = {"rows": rows, "cols": cols}
+        for key, to_si in (("dx_mm", 1e-3), ("dy_mm", 1e-3), ("fc_ghz", 1e9)):
+            geometry[key] = float(geo_sec.bounded(key, 0, required=True, strict=True))
+            # in metres a subnormal spacing underflows to 0; in Hz a carrier
+            # past 1.8e299 GHz overflows to inf, a wavelength of 0
+            if not 0 < geometry[key] * to_si < math.inf:
+                raise ConfigError(f"geometry.{key} = {geometry[key]!r} is out of range in SI units")
+        geo_sec.finish()
+        _check_bytes("geometry", aperture.element_bytes(rows, cols),
+                     f"the per-angle element arrays of a {rows}x{cols} aperture")
+        angles = _parse_list(sec.take("scan_angles_deg", required=True), "scan_angles_deg",
+                             non_empty=True)
+        for a in angles:
+            # SteeringSpec takes a non-negative phase range, so only 0..90 deg steer
+            if not _is_number(a) or not 0.0 <= a <= 90.0:
+                raise ConfigError(f"scan_angles_deg entries must be numbers in [0, 90], got {a!r}")
+        grid = sec.section("grid")
+        # at least two elevations in 0..90 deg and two azimuths in 0..360 deg
+        theta_step = float(grid.bounded("theta_step_deg", 0, 1.0, strict=True, high=90))
+        phi_step = float(grid.bounded("phi_step_deg", 0, 1.0, strict=True,
+                                      high=360, strict_high=True))
+        grid.finish()
+        directions = aperture.direction_count(theta_step, phi_step)
+        _check_bytes("grid", aperture.sweep_bytes(rows, cols, directions),
+                     f"the shared kernels and text of {directions} directions on a "
+                     f"{rows}x{cols} aperture")
+        quantize_bits = sec.bounded("quantize_bits", 1, kind=int, high=MAX_QUANTIZE_BITS)
+        period_cells = sec.bounded("period_cells", 1, 4, kind=int)
+        geom = _aperture_geometry(geometry)
+        for a in angles:
+            phase_range = _steering_range(geom, float(a), period_cells)
+            if phase_range > 2.0 * np.pi + 1e-12:
+                raise ConfigError(f"scan_angles_deg: scan angle {float(a)} deg needs "
+                                  f"{np.rad2deg(phase_range):.1f} deg of range over "
+                                  f"{period_cells} cells; reduce period_cells")
+        return cls(geometry, tuple(float(a) for a in angles), period_cells, (theta_step, phi_step),
+                   float(sec.bounded("element_exponent", 0, 0.0)),
+                   sec.take("couple_atom_loss", False, kind=bool), quantize_bits,
+                   sec.take("output_dir", "patterns", kind=str), seed)
+
+
+@dataclass(frozen=True)
+class HarmonicsConfig:
+    """Harmonic spectra of time-coded atoms (``run_harmonics``)."""
+    experiment: ClassVar[str] = "harmonics"
+    num_steps: int
+    single_harmonics: tuple
+    shift_fractions: tuple
+    multi_targets: tuple
+    harmonic_range: int | None    # None reports |m| <= num_steps
+    output_dir: str
+    seed: int
+
+    @classmethod
+    def parse(cls, sec: _Section, seed: int) -> "HarmonicsConfig":
+        num_steps = sec.bounded("num_steps", 2, 16, kind=int)
+
+        def harmonic(m, key):
+            # the synthesized harmonic aliases from |m| = L/2 on
+            if type(m) is not int or abs(m) >= num_steps / 2:
+                raise ConfigError(f"{key}: harmonic {m!r} must be an integer with "
+                                  f"|m| < num_steps/2 = {num_steps / 2:g}")
+            return m
+
+        singles = [harmonic(m, "single_harmonics")
+                   for m in _parse_list(sec.take("single_harmonics", []), "single_harmonics")]
+        shifts = _parse_list(sec.take("shift_fractions", []), "shift_fractions")
+        for f in shifts:
+            if not _is_number(f):
+                raise ConfigError(f"shift_fractions entries must be finite numbers, got {f!r}")
+            ticks = f * num_steps  # a shift is a whole number of the L steps
+            if not _is_number(ticks) or abs(ticks - round(ticks)) > 1e-9:
+                raise ConfigError(f"shift_fractions: {f!r} is not an integer number of steps "
+                                  f"for num_steps = {num_steps}")
+        targets = []
+        for group in _parse_list(sec.take("multi_targets", []), "multi_targets"):
+            one = []
+            for entry in _parse_list(group, "multi_targets groups"):
+                w = entry[1] if isinstance(entry, list) and len(entry) == 2 else None
+                parts = w if isinstance(w, list) and len(w) == 2 else [w]
+                if not all(_is_number(v) for v in parts):
+                    raise ConfigError("multi_targets entries must be [m, weight] pairs with a "
+                                      f"number or [re, im] weight, got {entry!r}")
+                one.append((harmonic(entry[0], "multi_targets"), complex(*parts)))
+            if len({m for m, _ in one}) != len(one):
+                raise ConfigError(f"multi_targets group repeats a harmonic: {group!r}")
+            if sum(abs(w) ** 2 for _, w in one) > 1.0 + 1e-12:
+                raise ConfigError(f"multi_targets group asks for more than unit power: {group!r}")
+            targets.append(tuple(one))
+        harmonic_range = sec.bounded("harmonic_range", 0, kind=int)
+        m_range, key = ((num_steps, "num_steps") if harmonic_range is None
+                        else (harmonic_range, "harmonic_range"))
+        _check_bytes(key, spacetime.spectrum_bytes(num_steps, m_range),
+                     f"one spectrum of {2 * m_range + 1} harmonics over {num_steps} steps")
+        return cls(num_steps, tuple(singles), tuple(float(f) for f in shifts), tuple(targets),
+                   harmonic_range, sec.take("output_dir", "harmonics", kind=str), seed)
+
+
+@dataclass(frozen=True)
+class CodebookConfig:
+    """A scheme's whole codeword table (``codebook_csv``)."""
+    experiment: ClassVar[str] = "codebook"
+    scheme: dict
+    seed: int
+    output: str | None
+
+    _check_scheme = staticmethod(_parse_scheme)  # the whole codebook must fit
+
+    @classmethod
+    def parse(cls, sec: _Section, seed: int) -> "CodebookConfig":
+        scheme = sec.take("scheme", required=True)
+        cls._check_scheme(scheme)
+        return cls(dict(scheme), seed, sec.take("output", kind=str))
+
+
+@dataclass(frozen=True)
+class RateConfig(CodebookConfig):
+    """A scheme's throughput (``im_schemes.rate_of``)."""
+    experiment: ClassVar[str] = "rate"
+    _check_scheme = staticmethod(im_schemes.rate_of)  # a formula: no codebook is built
+
+
+# experiment name -> config type; parse_config dispatches on the name
+EXPERIMENTS = {kind.experiment: kind for kind in (BerConfig, CapacityConfig, PatternConfig,
+                                                  HarmonicsConfig, CodebookConfig, RateConfig)}
+ExperimentConfig = BerConfig | CapacityConfig | PatternConfig | HarmonicsConfig | CodebookConfig
 
 
 def parse_config(source) -> ExperimentConfig:
@@ -266,167 +414,10 @@ def parse_config(source) -> ExperimentConfig:
         raw = source
     sec = _Section(raw, "")
     experiment = sec.take("experiment", required=True, kind=str)
-    seed = sec.take("seed", 1, kind=int)
-    if seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
-
-    if experiment == "ber":
-        scheme_cfg = sec.take("scheme", required=True)
-        scheme = _parse_scheme(scheme_cfg)  # validates feasibility
-        if scheme.model == "analytic":
-            raise ConfigError(
-                f"scheme type {scheme_cfg.get('type')!r} has no statistical-channel "
-                "transmit model; it is exercised through the harmonic toolchain"
-            )
-        channel = _parse_channel(sec.take("channel"))
-        n_rx = int(sec.take("n_rx", 1, kind=int))
-        if n_rx < 1:
-            raise ConfigError("n_rx must be >= 1")
-        if scheme.model == "subcarrier" and n_rx != 1:
-            raise ConfigError(f"n_rx must be 1 for subcarrier schemes, got {n_rx}")
-        if channel.model == "awgn" and scheme.model not in ("vector", "subcarrier"):
-            raise ConfigError("awgn channel supports only single-stream schemes")
-        if channel.model == "awgn" and getattr(scheme, "n_tx", 1) != 1:
-            raise ConfigError("awgn channel cannot separate transmit antennas; use fading")
-        if channel.model == "rician" and scheme.model == "state":
-            raise ConfigError(
-                "channel-state schemes define their own per-state fading draws; "
-                "use the rayleigh model"
-            )
-        trials = _parse_trials(sec.take("trials"))
-        dim, count = _codeword_length(scheme), 1 << scheme.bits_per_interval
-        _check_bytes("scheme", 16 * dim * count,
-                     f"a codebook of {count} codewords of length {dim}")
-        batch = min(trials.batch_size, trials.max_trials)
-        _check_bytes("n_rx", 16 * batch * n_rx * dim,
-                     f"one batch's channel draw ({batch} x {n_rx} x {dim})")
-        config = ExperimentConfig(
-            experiment="ber",
-            seed=seed,
-            scheme=dict(scheme_cfg),
-            channel=channel,
-            n_rx=n_rx,
-            snr_db=_parse_snr_grid(sec.take("snr_db", required=True)),
-            trials=trials,
-            output=sec.take("output", kind=str),
-        )
-    elif experiment == "capacity":
-        antennas_raw = sec.take("antennas", required=True)
-        if not isinstance(antennas_raw, list) or not antennas_raw:
-            raise ConfigError("antennas must be a non-empty list of [n_tx, n_rx] pairs")
-        antennas = []
-        for pair in antennas_raw:
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(type(v) is int and v >= 1 for v in pair)):
-                raise ConfigError(f"antennas entries must be [n_tx, n_rx] pairs, got {pair!r}")
-            antennas.append((pair[0], pair[1]))
-        channel = _parse_channel(sec.take("channel"))
-        if channel.model != "rayleigh":
-            raise ConfigError("capacity sweeps support only the rayleigh model")
-        snr_db = _parse_snr_grid(sec.take("snr_db", required=True))
-        trials = int(sec.take("trials", 50_000, kind=int))
-        if trials < 2:
-            raise ConfigError("trials must be >= 2")
-        _check_bytes("trials", 8 * len(snr_db) * trials,
-                     f"one capacity value per SNR point and trial ({len(snr_db)} x {trials})")
-        for n_tx, n_rx in antennas:
-            _check_bytes("antennas",
-                         detection.capacity_batch_bytes(n_tx, n_rx, trials, len(snr_db)),
-                         f"one batch of {n_tx}x{n_rx} channels")
-        config = ExperimentConfig(
-            experiment="capacity",
-            seed=seed,
-            antennas=tuple(antennas),
-            snr_db=snr_db,
-            capacity_trials=trials,
-            channel=channel,
-            output=sec.take("output", kind=str),
-        )
-    elif experiment == "pattern":
-        geo_sec = _Section(sec.take("geometry", required=True), "geometry")
-        geometry = {
-            "rows": geo_sec.bounded("rows", 1, required=True, kind=int),
-            "cols": geo_sec.bounded("cols", 1, required=True, kind=int),
-            "dx_mm": float(geo_sec.bounded("dx_mm", 0, required=True, strict=True)),
-            "dy_mm": float(geo_sec.bounded("dy_mm", 0, required=True, strict=True)),
-            "fc_ghz": float(geo_sec.bounded("fc_ghz", 0, required=True, strict=True)),
-        }
-        geo_sec.finish()
-        rows, cols = geometry["rows"], geometry["cols"]
-        _check_bytes("geometry", aperture.element_bytes(rows, cols),
-                     f"the per-angle element arrays of a {rows}x{cols} aperture")
-        angles = _parse_list(sec.take("scan_angles_deg", required=True), "scan_angles_deg",
-                             non_empty=True)
-        for a in angles:
-            # SteeringSpec takes a non-negative phase range, so only 0..90 deg steer
-            if not _is_number(a) or not 0.0 <= a <= 90.0:
-                raise ConfigError(f"scan_angles_deg entries must be numbers in [0, 90], got {a!r}")
-        grid_raw = sec.take("grid")
-        theta_step, phi_step = 1.0, 1.0
-        if grid_raw is not None:
-            grid_sec = _Section(grid_raw, "grid")
-            # at least two elevations in 0..90 deg and two azimuths in 0..360 deg
-            theta_step = float(grid_sec.bounded("theta_step_deg", 0, 1.0, strict=True,
-                                                high=90))
-            phi_step = float(grid_sec.bounded("phi_step_deg", 0, 1.0, strict=True,
-                                              high=360, strict_high=True))
-            grid_sec.finish()
-        directions = aperture.direction_count(theta_step, phi_step)
-        _check_bytes("grid", aperture.sweep_bytes(rows, cols, directions),
-                     f"the shared kernels and text of {directions} directions on a "
-                     f"{rows}x{cols} aperture")
-        quantize_bits = sec.bounded("quantize_bits", 1, kind=int, high=MAX_QUANTIZE_BITS)
-        period_cells = int(sec.bounded("period_cells", 1, 4, kind=int))
-        geom = _aperture_geometry(geometry)
-        for a in angles:
-            phase_range = _steering_range(geom, float(a), period_cells)
-            if phase_range > 2.0 * np.pi + 1e-12:
-                raise ConfigError(
-                    f"scan_angles_deg: scan angle {float(a)} deg needs "
-                    f"{np.rad2deg(phase_range):.1f} deg of range over {period_cells} "
-                    "cells; reduce period_cells"
-                )
-        config = ExperimentConfig(
-            experiment="pattern",
-            seed=seed,
-            geometry=geometry,
-            scan_angles_deg=tuple(float(a) for a in angles),
-            period_cells=period_cells,
-            grid_step_deg=(theta_step, phi_step),
-            element_exponent=float(sec.bounded("element_exponent", 0, 0.0)),
-            couple_atom_loss=bool(sec.take("couple_atom_loss", False, kind=bool)),
-            quantize_bits=quantize_bits,
-            output_dir=sec.take("output_dir", "patterns", kind=str),
-        )
-    elif experiment == "harmonics":
-        num_steps = sec.bounded("num_steps", 2, 16, kind=int)
-        singles, shifts, targets = _parse_harmonic_targets(sec, num_steps)
-        config = ExperimentConfig(
-            experiment="harmonics",
-            seed=seed,
-            num_steps=num_steps,
-            single_harmonics=singles,
-            shift_fractions=shifts,
-            multi_targets=targets,
-            harmonic_range=sec.bounded("harmonic_range", 0, kind=int),
-            output_dir=sec.take("output_dir", "harmonics", kind=str),
-        )
-    elif experiment in ("codebook", "rate"):
-        scheme_cfg = sec.take("scheme", required=True)
-        if experiment == "codebook":
-            _parse_scheme(scheme_cfg)
-        else:
-            im_schemes.rate_of(scheme_cfg)  # formula only: no codebook is built
-        config = ExperimentConfig(
-            experiment=experiment,
-            seed=seed,
-            scheme=dict(scheme_cfg),
-            output=sec.take("output", kind=str),
-        )
-    else:
-        raise ConfigError(
-            f"experiment must be ber/capacity/pattern/harmonics/codebook/rate, got {experiment!r}"
-        )
+    seed = sec.bounded("seed", 0, 1, kind=int)
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"experiment must be {'/'.join(EXPERIMENTS)}, got {experiment!r}")
+    config = EXPERIMENTS[experiment].parse(sec, seed)
     sec.finish()
     return config
 
@@ -752,12 +743,8 @@ def run_harmonics(config: ExperimentConfig, out_base: Path):
     if config.shift_fractions:
         base = spacetime.synthesize_single_harmonic(1, num)
         for frac in config.shift_fractions:
-            ticks = frac * num
-            if abs(ticks - round(ticks)) > 1e-9:
-                raise ConfigError(
-                    f"shift fraction {frac} is not an integer number of steps for L = {num}"
-                )
-            shifted = spacetime.phase_shift_harmonic(base, int(round(ticks)) % num)
+            # parse_config checked that frac * num is a whole number of steps
+            shifted = spacetime.phase_shift_harmonic(base, round(frac * num) % num)
             spectrum = spacetime.harmonic_coefficients(shifted, harmonics)
             spec_path = out_dir / f"spectrum_shift{frac:.3f}.csv"
             spectrum.to_csv(spec_path)

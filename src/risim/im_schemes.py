@@ -637,12 +637,17 @@ def _build_mbm(cfg):
                                 cfg.pop("constellation", "psk"))
 
 
-def _reject_booleans(config: dict) -> None:
-    """No scheme key is boolean, and JSON true/false would pass as 1/0."""
+def _check_config(config) -> None:
+    """A scheme config is an object with a string type, and no key is
+    boolean: JSON true/false would pass as 1/0."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"scheme must be an object, got {config!r}")
     for key, value in config.items():
         if isinstance(value, bool) or (
                 isinstance(value, list) and any(isinstance(v, bool) for v in value)):
             raise ConfigError(f"scheme.{key} must not be a boolean, got {value!r}")
+    if not isinstance(config.get("type", ""), str):
+        raise ConfigError(f"scheme.type must be a string, got {config['type']!r}")
 
 
 def _from_keys(config: dict, build):
@@ -665,7 +670,7 @@ def _from_keys(config: dict, build):
 
 def build_scheme(config: dict) -> Scheme:
     """Instantiate a scheme from its config dict; unknown keys rejected."""
-    _reject_booleans(config)
+    _check_config(config)
     kind = config.get("type")
     if kind not in _SCHEME_BUILDERS:
         raise ConfigError(
@@ -692,7 +697,7 @@ _RATE_FORMULAS = {
 
 def rate_of(config: dict) -> float:
     """Throughput of a scheme config, by formula where one is registered."""
-    _reject_booleans(config)
+    _check_config(config)
     formula = _RATE_FORMULAS.get(config.get("type"))
     if formula is not None:
         return _from_keys(config, formula)

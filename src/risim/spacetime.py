@@ -97,6 +97,14 @@ def harmonic_coefficients(steps, harmonics) -> HarmonicSpectrum:
     return HarmonicSpectrum(dict(zip(ms.tolist(), coeffs.tolist())))
 
 
+def spectrum_bytes(num_steps: int, m_range: int) -> int:
+    """Bytes a harmonics run holds at once over |m| <= ``m_range``, a bound
+    on its tracemalloc peaks: a spectrum's weight matrix and temporaries (32
+    per harmonic and step), the entries and CSV rows of a spectrum (320 per
+    harmonic), a sequence's CSV rows (256 per step) and 1 MB of small objects."""
+    return (32 * num_steps + 320) * (2 * m_range + 1) + 256 * num_steps + (1 << 20)
+
+
 def default_harmonic_range(num_steps: int) -> range:
     """Reporting range |m| <= L; energy beyond sits in sinc sidelobes."""
     return range(-num_steps, num_steps + 1)

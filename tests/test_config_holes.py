@@ -2,15 +2,16 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from risim import aperture, detection, im_schemes
+from risim import aperture, detection, im_schemes, spacetime
 from risim.cli import main
 from risim.errors import ConfigError
 from risim.harness import (MAX_BATCH_SIZE, MAX_PATTERN_SWEEP_BYTES, MAX_RUN_BYTES,
-                           _codeword_length, parse_config)
+                           _codeword_length, parse_config, run_harmonics)
 
 
 def rician_config(k):
@@ -89,9 +90,19 @@ def assert_exit_2(tmp_path, capsys, command, cfg, key):
     ("scan_angles_deg", [float("nan")]),
     ("scan_angles_deg", [True]),
     ("scan_angles_deg", [-5]),
+    # 0 m once converted from mm, and an infinite carrier in Hz
+    ("geometry.dx_mm", 5e-324),
+    ("geometry.dy_mm", 5e-324),
+    ("geometry.fc_ghz", 1e308),
 ])
 def test_bad_pattern_values_exit_2(tmp_path, capsys, key, value):
     assert_exit_2(tmp_path, capsys, "pattern", pattern_config(**{key: value}), key)
+
+
+@pytest.mark.parametrize("key", ["grid.theta_step_deg", "grid.phi_step_deg"])
+def test_subnormal_grid_step_exits_2(tmp_path, capsys, key):
+    # the direction count used to overflow and raise OverflowError
+    assert_exit_2(tmp_path, capsys, "pattern", pattern_config(**{key: 5e-324}), "grid")
 
 
 def test_pattern_config_accepts_valid_edges():
@@ -188,6 +199,50 @@ def test_bad_harmonics_values_exit_2(tmp_path, capsys, key, value):
     assert_exit_2(tmp_path, capsys, "harmonics", harmonics_config(**{key: value}), key)
 
 
+def test_fractional_shift_exits_2_before_any_file(tmp_path, capsys):
+    # the runner used to write the single-harmonic files, then stop at the shift
+    cfg = harmonics_config(single_harmonics=[1], shift_fractions=[0.3])
+    assert_exit_2(tmp_path, capsys, "harmonics", cfg, "shift_fractions")
+    assert not [p for p in tmp_path.rglob("*") if p.name != "exp.json"]
+
+
+@pytest.mark.parametrize("changes, key", [
+    ({"harmonic_range": 322_006}, "harmonic_range"),
+    ({"harmonic_range": 10 ** 12}, "harmonic_range"),
+    ({"num_steps": 2887}, "num_steps"),
+    ({"num_steps": 1 << 22}, "num_steps"),
+    ({"num_steps": 1 << 22, "harmonic_range": 0}, "harmonic_range"),
+])
+def test_harmonics_over_the_byte_budget_exit_2(tmp_path, capsys, changes, key):
+    cfg = harmonics_config(single_harmonics=[1], **changes)
+    m_range = cfg.get("harmonic_range", cfg["num_steps"])
+    assert spacetime.spectrum_bytes(cfg["num_steps"], m_range) > MAX_RUN_BYTES
+    assert_exit_2(tmp_path, capsys, "harmonics", cfg, key)
+    with pytest.raises(ConfigError, match=str(MAX_RUN_BYTES)):
+        parse_config(cfg)
+
+
+@pytest.mark.parametrize("changes", [{"harmonic_range": 322_005}, {"num_steps": 2886}])
+def test_harmonics_just_under_the_byte_budget_parse(changes):
+    config = parse_config(harmonics_config(single_harmonics=[1], **changes))
+    m_range = config.num_steps if config.harmonic_range is None else config.harmonic_range
+    assert spacetime.spectrum_bytes(config.num_steps, m_range) <= MAX_RUN_BYTES
+
+
+@pytest.mark.parametrize("num_steps, m_range", [(4, 4096), (256, 256), (4096, 4)])
+def test_harmonics_run_stays_within_its_byte_estimate(tmp_path, num_steps, m_range):
+    config = parse_config(harmonics_config(
+        num_steps=num_steps, harmonic_range=m_range, single_harmonics=[1],
+        shift_fractions=[0.5], multi_targets=[[[1, 0.7], [-1, 0.7]]]))
+    tracemalloc.start()
+    try:
+        run_harmonics(config, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= spacetime.spectrum_bytes(num_steps, m_range)
+
+
 def test_harmonics_config_accepts_valid_edges():
     config = parse_config(harmonics_config(
         single_harmonics=[-7, 0, 7], shift_fractions=[0, 0.5],
@@ -240,6 +295,16 @@ BIG_GSM = {"type": "gsm", "n_tx": 30, "n_active": 15, "order": 4}  # 2^29 codewo
 def test_scheme_with_too_many_codewords_exits_2(tmp_path, capsys, command, cfg):
     assert_exit_2(tmp_path, capsys, command, cfg, "scheme")
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["ber", "codebook", "rate"])
+@pytest.mark.parametrize("scheme, key", [([1], "scheme"), ("sm", "scheme"),
+                                         ({"type": ["sm"]}, "scheme.type")])
+def test_malformed_scheme_exits_2(tmp_path, capsys, command, scheme, key):
+    # these used to raise AttributeError or TypeError and exit 3
+    cfg = (ber_config(scheme) if command == "ber"
+           else {"experiment": command, "scheme": scheme, "output": "book.csv"})
+    assert_exit_2(tmp_path, capsys, command, cfg, key)
 
 
 @pytest.mark.parametrize("batch_size", [MAX_BATCH_SIZE + 1, 4_000_000_000])
@@ -319,7 +384,8 @@ def test_ber_byte_budget_accepts_its_edges():
     assert parse_config(cfg).n_rx == 1024
 
 
-@pytest.mark.parametrize("rows, cols", [(2048, 2049), (100_000, 100_000)])
+@pytest.mark.parametrize("rows, cols", [(2048, 2049), (100_000, 100_000),
+                                       pytest.param(10 ** 400, 1, id="1e400-1")])
 def test_pattern_elements_over_the_byte_budget_exit_2(tmp_path, capsys, rows, cols):
     # 4 directions, so only the element arrays can exceed the budget
     cfg = pattern_config(**{"geometry.rows": rows, "geometry.cols": cols,

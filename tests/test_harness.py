@@ -281,15 +281,14 @@ class TestRunners:
         assert len(summary) == 6
         assert (tmp_path / "harm" / "spectrum_m+1.csv").exists()
 
-    def test_harmonics_rejects_fractional_step(self, tmp_path):
-        config = parse_config({
-            "experiment": "harmonics",
-            "num_steps": 16,
-            "shift_fractions": [0.3],
-            "output_dir": "harm",
-        })
+    def test_harmonics_rejects_fractional_step(self):
         with pytest.raises(ConfigError, match="integer"):
-            run_harmonics(config, tmp_path)
+            parse_config({
+                "experiment": "harmonics",
+                "num_steps": 16,
+                "shift_fractions": [0.3],
+                "output_dir": "harm",
+            })
 
     def test_codebook_csv(self, tmp_path):
         path = tmp_path / "book.csv"
