@@ -251,16 +251,6 @@ def steering_phase(geom: ApertureGeometry, spec: SteeringSpec) -> np.ndarray:
     return wrap_phase(p * (spec.phase_range / spec.period_cells))
 
 
-def far_field_phase(geom: ApertureGeometry, theta: float, phi: float) -> np.ndarray:
-    """Array-factor phase of each element toward direction (theta, phi)."""
-    if not 0.0 <= theta <= np.pi / 2 + 1e-12:
-        raise ValueError("theta must lie in [0, pi/2]")
-    p = np.arange(geom.rows)[:, None]
-    q = np.arange(geom.cols)[None, :]
-    kc = geom.wavenumber
-    return kc * np.sin(theta) * (p * geom.dx * np.cos(phi) + q * geom.dy * np.sin(phi))
-
-
 def compose_phase(modulation, steering, farfield, amplitude=None) -> PhaseCoding:
     """Sum the modulation, steering, and array-factor phase terms.
 
@@ -323,8 +313,8 @@ class ArrayKernels:
     """The excitation-independent part of the array factor of one geometry
     on one direction grid, every chunk held at once.
 
-    Build it once and pass it to :func:`radiation_pattern` (or
-    :func:`spacetime.harmonic_pattern`) for each excitation on that grid;
+    Build it once and pass it to :func:`radiation_pattern` for each
+    excitation on that grid;
     the fields are bitwise equal to those computed without it.  It holds
     16 * (rows + cols) bytes per direction.
     """
@@ -345,13 +335,21 @@ def _block_edges(directions: int, cols: int) -> list:
     return [*range(0, max(directions - 1, 1), step), directions]
 
 
-def _array_factor(excitation: np.ndarray, geom: ApertureGeometry, theta=None, phi=None,
-                  element_exponent: float = 0.0, kernels: ArrayKernels | None = None
-                  ) -> FarFieldGrid:
-    """Coherent sum over elements for every grid direction (default grid:
-    :func:`direction_grid`).  Without ``kernels`` the kernels are computed
-    one chunk of directions at a time, so large grids stay within memory."""
-    excitation = np.asarray(excitation, dtype=complex)
+def radiation_pattern(coding: PhaseCoding, geom: ApertureGeometry,
+                      theta=None, phi=None, element_exponent: float = 0.0,
+                      kernels: ArrayKernels | None = None) -> FarFieldGrid:
+    """Reflected far-field pattern of one aperture state.
+
+    f(theta, phi) = sum_pq a_e(p,q) exp(j phi_e(p,q))
+                    exp(j kc sin(theta) (x_p cos(phi) + y_q sin(phi)))
+    with an optional cos(theta)**q element factor (isotropic by default),
+    for every direction of the grid (default: :func:`direction_grid`).
+    ``kernels`` built for (geom, theta, phi) saves recomputing the
+    direction terms when many states share one grid; without them the
+    kernels are computed one chunk of directions at a time, so large grids
+    stay within memory.
+    """
+    excitation = coding.excitation
     if excitation.shape != (geom.rows, geom.cols):
         raise ValueError(
             f"excitation shape {excitation.shape} does not match geometry "
@@ -382,20 +380,6 @@ def _array_factor(excitation: np.ndarray, geom: ApertureGeometry, theta=None, ph
     if element_exponent > 0:
         field = field * np.cos(theta)[:, None] ** element_exponent
     return FarFieldGrid(theta, phi, field)
-
-
-def radiation_pattern(coding: PhaseCoding, geom: ApertureGeometry,
-                      theta=None, phi=None, element_exponent: float = 0.0,
-                      kernels: ArrayKernels | None = None) -> FarFieldGrid:
-    """Reflected far-field pattern of one aperture state.
-
-    f(theta, phi) = sum_pq a_e(p,q) exp(j phi_e(p,q))
-                    exp(j kc sin(theta) (x_p cos(phi) + y_q sin(phi)))
-    with an optional cos(theta)**q element factor (isotropic by default).
-    ``kernels`` built for (geom, theta, phi) saves recomputing the
-    direction terms when many states share one grid.
-    """
-    return _array_factor(coding.excitation, geom, theta, phi, element_exponent, kernels)
 
 
 def directivity_map(grid: FarFieldGrid) -> np.ndarray:

@@ -336,6 +336,9 @@ class HarmonicsConfig:
         singles = [harmonic(m, "single_harmonics")
                    for m in _parse_list(sec.take("single_harmonics", []), "single_harmonics")]
         shifts = _parse_list(sec.take("shift_fractions", []), "shift_fractions")
+        if shifts and num_steps < 3:
+            raise ConfigError(f"shift_fractions: a shift delays the ramp of harmonic 1, which "
+                              f"aliases for num_steps = {num_steps}; need num_steps >= 3")
         for f in shifts:
             if not _is_number(f):
                 raise ConfigError(f"shift_fractions entries must be finite numbers, got {f!r}")
@@ -408,7 +411,9 @@ def parse_config(source) -> ExperimentConfig:
             raw = json.loads(Path(source).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-        except json.JSONDecodeError as exc:
+        # ValueError covers JSONDecodeError, text that is not UTF-8 and integers
+        # past int's digit limit; RecursionError, arrays nested too deep
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
     else:
         raw = source

@@ -27,8 +27,7 @@ import numpy as np
 
 from .detection import CandidateSet
 from .errors import ConfigError
-from .modulation import Constellation, bits_to_int, int_to_bits, is_power_of_two
-from .spacetime import harmonic_coefficients, phase_shift_harmonic, synthesize_single_harmonic
+from .modulation import Constellation, int_to_bits, is_power_of_two
 
 # the one point of schemes whose only message is the index
 _UNIT_POINT = np.ones(1, dtype=complex)
@@ -53,15 +52,6 @@ class IMSymbol:
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
         object.__setattr__(self, "symbols", tuple(complex(s) for s in self.symbols))
-
-
-def _require_bits(bits, expected: int) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.int8).reshape(-1)
-    if arr.size != expected:
-        raise ValueError(f"expected {expected} bits, got {arr.size}")
-    if np.any((arr != 0) & (arr != 1)):
-        raise ValueError("bits must be 0/1")
-    return arr
 
 
 def _int_log2(value: int, what: str) -> int:
@@ -162,14 +152,8 @@ class Scheme:
         index, labels = self._split(word)
         return IMSymbol(self.domain, self.patterns[index], self._symbols(self.points[labels]))
 
-    def map_bits(self, bits) -> IMSymbol:
-        return self.map_word(bits_to_int(_require_bits(bits, self.bits_per_interval)))
-
     def demap_word(self, symbol: IMSymbol) -> int:
         return self._word(self._index_of(symbol.indices), symbol.symbols)
-
-    def demap(self, symbol: IMSymbol) -> np.ndarray:
-        return int_to_bits(self.demap_word(symbol), self.bits_per_interval)
 
     def _symbols(self, values) -> np.ndarray:
         """The symbols an IMSymbol lists for a word's ``n_symbols`` points."""
@@ -202,6 +186,7 @@ class Scheme:
 # --------------------------------------------------------------------------
 # spatial domain
 # --------------------------------------------------------------------------
+
 
 class SisoModulation(Scheme):
     """Plain M-ary PSK/QAM on a single transmit element."""
@@ -298,27 +283,22 @@ class QuadratureSM(Scheme):
         x[rows, q_ant] += 1j * values[:, 0].imag
         return x
 
-    def symbol_from_vector(self, x: np.ndarray) -> IMSymbol:
-        """Recover (I antenna, Q antenna, symbol) from a transmit vector."""
-        i_ant = int(np.argmax(np.abs(x.real)))
-        q_ant = int(np.argmax(np.abs(x.imag)))
-        s = x[i_ant].real + 1j * x[q_ant].imag
-        return IMSymbol(self.domain, (i_ant, q_ant), (s,))
-
 
 # --------------------------------------------------------------------------
 # frequency domain
 # --------------------------------------------------------------------------
 
+
 class SimOok(Scheme):
     """Harmonic-index keying with PSK on the generated tone.
 
     Index bits pick the reflected harmonic m from a configured alphabet;
-    symbol bits pick the tone's phase, realized physically by circularly
-    shifting the phase ramp (the delay s solves m*s = -k*L/M mod L, the
-    rotation a delay imparts on harmonic m).  Feasibility of every
-    (harmonic, phase) pair is checked at construction.  The analytic
-    codeword is the tone over the alphabet positions.
+    symbol bits pick the tone's phase.  The surface keys that phase by
+    circularly delaying the L-step phase ramp of harmonic m, so each
+    (harmonic, phase) pair needs a delay s that solves m*s = -k*L/M mod L
+    (the rotation a delay imparts on harmonic m); construction checks that
+    every pair has one.  The analytic codeword is the tone over the
+    alphabet positions.
     """
 
     domain = "frequency"
@@ -368,35 +348,6 @@ class SimOok(Scheme):
         s = (c // g) * pow(a // g, -1, reduced) % reduced
         return int(s)
 
-    def to_sequence(self, symbol: IMSymbol) -> np.ndarray:
-        """Physical L-step coding realizing the keyed tone."""
-        m = symbol.indices[0]
-        k = self._word(0, symbol.symbols)   # the tone's phase label
-        ramp = synthesize_single_harmonic(m, self.num_steps)
-        return phase_shift_harmonic(ramp, self._solve_shift(m, k))
-
-    def from_sequence(self, steps) -> IMSymbol:
-        """Demodulate a received coding: dominant alphabet tone, then phase."""
-        spectrum = harmonic_coefficients(steps, self.harmonics)
-        m = max(self.harmonics, key=spectrum.magnitude)
-        reference = harmonic_coefficients(synthesize_single_harmonic(m, self.num_steps), [m])[m]
-        rotation = np.angle(spectrum[m] / reference)
-        return IMSymbol(self.domain, (m,), (np.exp(1j * rotation),))
-
-
-def ofdm_modulate(symbols: np.ndarray) -> np.ndarray:
-    """Time samples x_t = (1/sqrt(N)) sum_a X_a exp(j 2 pi a t / N) (unitary)."""
-    symbols = np.asarray(symbols, dtype=complex)
-    n = symbols.shape[-1]
-    return np.fft.ifft(symbols, axis=-1) * np.sqrt(n)
-
-
-def ofdm_demodulate(samples: np.ndarray) -> np.ndarray:
-    """Forward unitary DFT; exact inverse of :func:`ofdm_modulate`."""
-    samples = np.asarray(samples, dtype=complex)
-    n = samples.shape[-1]
-    return np.fft.fft(samples, axis=-1) / np.sqrt(n)
-
 
 class _SubsetBlockScheme(Scheme):
     """Shared machinery for per-block subset activation (OFDM-IM, SC-IM)."""
@@ -419,18 +370,6 @@ class _SubsetBlockScheme(Scheme):
 
     def _amplitudes(self, values):
         return values * self._scale
-
-    def demap_flagged(self, symbol: IMSymbol) -> tuple[np.ndarray, bool]:
-        """Demap with a validity flag; an invalid activation set falls back
-        to the nearest valid one (minimal symmetric difference, lowest rank)."""
-        indices = tuple(sorted(symbol.indices))
-        index = self._row_index.get(indices)
-        exact = index is not None
-        if not exact:
-            rows = self.patterns.tolist()
-            mismatch = [len(set(row).symmetric_difference(indices)) for row in rows]
-            index = mismatch.index(min(mismatch))
-        return int_to_bits(self._word(index, symbol.symbols), self.bits_per_interval), exact
 
 
 class OfdmIm(_SubsetBlockScheme):
@@ -474,6 +413,7 @@ class ScIm(_SubsetBlockScheme):
 # --------------------------------------------------------------------------
 # dispersion (space-time) domain
 # --------------------------------------------------------------------------
+
 
 def dispersion_set(count: int, n_tx: int, n_slots: int, seed: int) -> np.ndarray:
     """Q random complex dispersion matrices, Frobenius-normalized so each
@@ -530,6 +470,7 @@ class SpaceTimeShiftKeying(Scheme):
 # channel-state domain
 # --------------------------------------------------------------------------
 
+
 class MediaBasedModulation(Scheme):
     """Channel-state index modulation: log2 S state bits + log2 M symbol bits.
 
@@ -555,6 +496,7 @@ class MediaBasedModulation(Scheme):
 # --------------------------------------------------------------------------
 # rate formulas
 # --------------------------------------------------------------------------
+
 
 def rate_ra_ssk(n_tx: int, states_per_antenna) -> float:
     """log2 nT + mean over antennas of log2 of their pattern-state counts."""

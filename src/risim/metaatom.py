@@ -1,12 +1,9 @@
 """Tunable meta-atom reflection model.
 
 A meta-atom is one sub-wavelength cell of the reconfigurable surface.  Its
-complex reflection coefficient is obtained three ways:
-
-- analytically from the surface admittance of the equivalent circuit,
-- from a tabulated full-wave dataset swept over (frequency, C, R) of the
-  embedded tunable diode,
-- as one point of an M-ary PSK reflection constellation.
+complex reflection coefficient is interpolated from a tabulated full-wave
+dataset swept over (frequency, C, R) of the embedded tunable diode; a
+pattern run with atom loss takes its element amplitudes from it.
 
 Angles are radians in the API and degrees in CSV files.  Phases are wrapped
 to [-pi, pi) everywhere.
@@ -17,34 +14,11 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError
 from .util import wrap_phase
-
-FREE_SPACE_ADMITTANCE = 1.0 / (120.0 * np.pi)  # siemens
 
 # Sweep ranges of the tabulated diode model.
 CAPACITANCE_RANGE_PF = (0.01, 1.50)
 RESISTANCE_RANGE_OHM = (0.1, 4.0)
-
-
-@dataclass(frozen=True)
-class SurfaceAdmittance:
-    """Complex surface admittance in siemens.
-
-    ``pec_limit`` marks the perfect-electric-conductor limit (admittance
-    diverging to infinity); the stored value is ignored in that case.
-    """
-
-    value: complex
-    pec_limit: bool = False
-
-    def __post_init__(self):
-        if self.pec_limit:
-            return
-        if not np.isfinite(self.value):
-            raise ValueError("admittance must be finite unless flagged as the PEC limit")
-        if self.value.real < -1e-15:
-            raise ValueError(f"negative conductance {self.value.real} (active surface)")
 
 
 @dataclass(frozen=True)
@@ -58,10 +32,6 @@ class ReflectionState:
         if not 0.0 <= self.amplitude <= 1.0 + 1e-12:
             raise ValueError(f"amplitude {self.amplitude} outside [0, 1] (passive surface)")
         object.__setattr__(self, "phase", float(wrap_phase(self.phase)))
-
-    @property
-    def value(self) -> complex:
-        return self.amplitude * np.exp(1j * self.phase)
 
 
 @dataclass(frozen=True)
@@ -78,53 +48,6 @@ class DiodeState:
         lo, hi = RESISTANCE_RANGE_OHM
         if not lo <= self.resistance_ohm <= hi:
             raise ValueError(f"resistance {self.resistance_ohm} ohm outside [{lo}, {hi}] ohm")
-
-
-def reflection_from_admittance(ys: SurfaceAdmittance) -> ReflectionState:
-    """Reflection coefficient of a surface with admittance ``ys``.
-
-    Gamma = (Y0 - Ys) / (Y0 + Ys) with Y0 the free-space admittance.  A
-    purely reactive surface reflects with unit amplitude; the PEC limit
-    gives Gamma = -1 exactly.
-    """
-    if ys.pec_limit:
-        return ReflectionState(1.0, np.pi)  # wraps to -pi, i.e. Gamma = -1
-    gamma = (FREE_SPACE_ADMITTANCE - ys.value) / (FREE_SPACE_ADMITTANCE + ys.value)
-    # Round-off can push |Gamma| infinitesimally above 1 for reactive surfaces.
-    mag = min(abs(gamma), 1.0)
-    return ReflectionState(mag, float(np.angle(gamma)))
-
-
-def serrodyne_admittance(t: float, omega_m: float) -> SurfaceAdmittance:
-    """Time-varying admittance that frequency-shifts the reflection.
-
-    Ys(t) = -j * Y0 * tan(omega_m * t / 2) makes the reflection coefficient
-    a pure rotating phasor: Gamma(t) = exp(j * omega_m * t).  At
-    omega_m * t = pi (mod 2 pi) the tangent diverges; the PEC-limit flag is
-    returned there so the caller still gets the continuous value Gamma = -1.
-    """
-    if omega_m <= 0:
-        raise ValueError("omega_m must be positive")
-    theta = omega_m * t
-    if abs(np.cos(theta / 2.0)) < 1e-12:
-        return SurfaceAdmittance(0j, pec_limit=True)
-    return SurfaceAdmittance(-1j * FREE_SPACE_ADMITTANCE * np.tan(theta / 2.0))
-
-
-def psk_constellation(order: int, amplitude: float = 1.0) -> list[ReflectionState]:
-    """M-ary PSK reflection constellation with uniform 2*pi/M spacing.
-
-    Point m reflects with Gamma_m = A * exp(j * 2 * pi * m / M).  Mean
-    constellation energy is A**2 exactly.
-    """
-    if order < 2 or order & (order - 1):
-        raise ConfigError(f"PSK order must be a power of two >= 2, got {order}")
-    if not 0.0 < amplitude <= 1.0:
-        raise ConfigError(f"amplitude must be in (0, 1], got {amplitude}")
-    return [
-        ReflectionState(amplitude, float(wrap_phase(2.0 * np.pi * m / order)))
-        for m in range(order)
-    ]
 
 
 class GridBoundsError(ValueError):

@@ -18,14 +18,6 @@ def is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
 
-def bits_to_int(bits) -> int:
-    """MSB-first bit array -> integer."""
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
-
-
 def int_to_bits(value: int, width: int) -> np.ndarray:
     """Integer -> MSB-first bit array of fixed width."""
     if value < 0 or value >= (1 << width):
@@ -64,7 +56,8 @@ def qam_points(order: int) -> np.ndarray:
 
 
 class Constellation:
-    """Bit-labelled constellation with Gray mapping and exact demapping."""
+    """Bit-labelled constellation with Gray mapping; ``label_points[label]`` is
+    the point of an MSB-first bit word given as an integer label."""
 
     def __init__(self, kind: str, order: int):
         if kind == "psk":
@@ -76,14 +69,10 @@ class Constellation:
         self.kind = kind
         self.order = order
         self.bits_per_symbol = int(np.log2(order))
-        # the points in label order (label = bit word as integer) and the
-        # label of each point
+        # the points in label order (label = bit word as integer)
         self.label_points = np.empty(order, dtype=complex)
-        self._point_index_to_label = np.empty(order, dtype=np.int64)
         for k in range(order):
-            label = self._label_of_index(k)
-            self.label_points[label] = self.points[k]
-            self._point_index_to_label[k] = label
+            self.label_points[self._label_of_index(k)] = self.points[k]
 
     def _label_of_index(self, k: int) -> int:
         if self.kind == "psk":
@@ -92,12 +81,3 @@ class Constellation:
         i_idx, q_idx = divmod(k, side)
         half = self.bits_per_symbol // 2
         return (gray_encode(i_idx) << half) | gray_encode(q_idx)
-
-    def modulate(self, label: int) -> complex:
-        """Symbol for one MSB-first bit word given as an integer label."""
-        return complex(self.label_points[label])
-
-    def demodulate(self, symbol: complex) -> int:
-        """Label of the nearest constellation point."""
-        idx = int(np.argmin(np.abs(self.points - symbol)))
-        return int(self._point_index_to_label[idx])

@@ -1,4 +1,4 @@
-"""Periodic time codings of the surface reflection and their harmonics.
+"""Harmonic spectra of periodic time codings of the surface reflection.
 
 A coding sequence holds L per-step reflection coefficients Gamma^n
 (n = 1..L); step n occupies the interval [(n-1)*T0/L, n*T0/L) of the
@@ -12,40 +12,17 @@ plain time average of the sequence.  Circularly delaying the sequence by
 s steps leaves every |a^m| untouched and rotates arg a^m by -2*pi*m*s/L;
 that sign convention (delay = negative rotation for positive m) is fixed
 here and verified against a quadrature oracle in the tests.
+
+The codings are synthesized here (single-harmonic phase ramps, their
+integer delays, phase-only multi-harmonic targets), and they and their
+spectra are written as CSV; ``risim harmonics`` runs all of it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .aperture import ApertureGeometry, ArrayKernels, FarFieldGrid, _array_factor
 from .util import mag_to_db, write_csv
-
-
-@dataclass(frozen=True)
-class CodingSequence:
-    """L-step periodic coding: ``steps`` has the step axis last."""
-
-    steps: np.ndarray
-    period: float  # T0, seconds
-
-    def __post_init__(self):
-        steps = np.asarray(self.steps, dtype=complex)
-        if steps.shape[-1] < 1:
-            raise ValueError("sequence needs at least one step")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-        if np.any(np.abs(steps) > 1.0 + 1e-12):
-            raise ValueError("|Gamma| > 1 violates passivity")
-        object.__setattr__(self, "steps", steps)
-
-    @property
-    def num_steps(self) -> int:
-        return self.steps.shape[-1]
-
-    @property
-    def harmonic_spacing(self) -> float:
-        return 1.0 / self.period
 
 
 @dataclass(frozen=True)
@@ -65,9 +42,6 @@ class HarmonicSpectrum:
 
     def dominant(self) -> int:
         return max(self.coeffs, key=lambda m: abs(self.coeffs[m]))
-
-    def power(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.coeffs.values()))
 
     def to_csv(self, path) -> None:
         """Rows of m,mag_db,phase_deg sorted by harmonic index."""
@@ -105,11 +79,6 @@ def spectrum_bytes(num_steps: int, m_range: int) -> int:
     return (32 * num_steps + 320) * (2 * m_range + 1) + 256 * num_steps + (1 << 20)
 
 
-def default_harmonic_range(num_steps: int) -> range:
-    """Reporting range |m| <= L; energy beyond sits in sinc sidelobes."""
-    return range(-num_steps, num_steps + 1)
-
-
 def synthesize_single_harmonic(m: int, num_steps: int) -> np.ndarray:
     """Phase ramp whose slope places the dominant harmonic at index m.
 
@@ -137,23 +106,6 @@ def phase_shift_harmonic(steps, n_shift) -> np.ndarray:
     if not 0 <= n_shift <= num:
         raise ValueError(f"n_shift must lie in [0, L], got {n_shift}")
     return np.roll(steps, int(n_shift), axis=-1)
-
-
-def shift_for_phase(phase_des_rad: float, num_steps: int) -> int:
-    """Step count realizing a commanded phase of the m = +1 harmonic.
-
-    n_shift = -phase * L / (2*pi) mod L, the delay whose rotation
-    -2*pi*n_shift/L equals the commanded phase.  The commanded phase must
-    land on the L-point grid.
-    """
-    ticks = -phase_des_rad * num_steps / (2.0 * np.pi)
-    nearest = round(ticks)
-    if abs(ticks - nearest) > 1e-9:
-        raise ValueError(
-            f"phase {np.rad2deg(phase_des_rad):.3f} deg is not a multiple of "
-            f"{360.0 / num_steps} deg"
-        )
-    return int(nearest % num_steps)
 
 
 @dataclass(frozen=True)
@@ -229,38 +181,6 @@ def synthesize_multi_harmonic(targets, num_steps: int, max_iterations: int = 200
         if residual < tolerance or stalled:
             break
     return MultiHarmonicResult(x, residual, iterations)
-
-
-def element_harmonic_amplitudes(sequences, m: int) -> np.ndarray:
-    """a^m of every element of an (..., L) array of codings."""
-    arr = np.asarray(sequences)
-    if arr.dtype == object:
-        raise ValueError("every element must share the same number of steps")
-    arr = arr.astype(complex)
-    num = arr.shape[-1]
-    weights = _coefficient_weights(num, np.array([m]))[0]
-    return arr @ weights
-
-
-def harmonic_pattern(sequences, m: int, geom: ApertureGeometry,
-                     theta=None, phi=None, element_exponent: float = 0.0,
-                     kernels: ArrayKernels | None = None) -> FarFieldGrid:
-    """Far-field pattern of the aperture at harmonic m.
-
-    ``sequences`` holds one L-step coding per element, shape
-    (rows, cols, L); the per-element a^m replace the static reflection
-    coefficients in the aperture sum, so harmonic 0 of static codings
-    reproduces the ordinary radiation pattern.  ``kernels`` are as in
-    :func:`aperture.radiation_pattern`.
-    """
-    arr = np.asarray(sequences)
-    if arr.dtype == object or arr.ndim != 3:
-        raise ValueError(
-            "sequences must be a (rows, cols, L) array; mismatched step counts "
-            "across elements are not representable"
-        )
-    amplitudes = element_harmonic_amplitudes(arr, m)
-    return _array_factor(amplitudes, geom, theta, phi, element_exponent, kernels)
 
 
 def sequence_to_csv(steps, path) -> None:

@@ -12,7 +12,6 @@ from risim.aperture import (
     direction_grid,
     directivity_map,
     directivity_normalization,
-    far_field_phase,
     peak_directivity,
     pseudo_random_codings,
     quantize_phase,
@@ -66,20 +65,6 @@ class TestSteeringPhase:
     def test_single_cell_period_is_uniform(self, geom):
         spec = SteeringSpec(1, 2 * np.pi, geom.dx)
         assert np.abs(steering_phase(geom, spec)).max() < 1e-12
-
-
-class TestFarFieldPhase:
-    def test_broadside_all_zero(self, geom):
-        assert np.all(far_field_phase(geom, 0.0, 0.0) == 0)
-
-    def test_first_element_zero_any_direction(self, geom):
-        phase = far_field_phase(geom, np.deg2rad(37.0), np.deg2rad(123.0))
-        assert phase[0, 0] == 0.0
-
-    def test_half_wavelength_endfire(self):
-        geom = ApertureGeometry(4, 4, 0.0107068735 / 2, 0.0107068735 / 2, 28e9)
-        phase = far_field_phase(geom, np.pi / 2, 0.0)
-        assert phase[1, 0] == pytest.approx(np.pi)
 
 
 class TestComposePhase:

@@ -206,6 +206,35 @@ def test_fractional_shift_exits_2_before_any_file(tmp_path, capsys):
     assert not [p for p in tmp_path.rglob("*") if p.name != "exp.json"]
 
 
+def test_shift_at_two_steps_exits_2(tmp_path, capsys):
+    # a shift delays the harmonic-1 ramp, which aliases at two steps: this
+    # config used to parse and then stop the run with exit 3
+    cfg = harmonics_config(num_steps=2, shift_fractions=[0.5])
+    assert_exit_2(tmp_path, capsys, "harmonics", cfg, "shift_fractions")
+
+
+def test_shift_at_three_steps_runs(tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(harmonics_config(num_steps=3, shift_fractions=[1 / 3])))
+    assert main(["harmonics", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "patterns" / "spectrum_shift0.333.csv").exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"experiment": "rate", "seed": 1' + "0" * 5000 + "}",  # past int's digit limit
+    '{"experiment": "rate", "scheme": ' + "[" * 200_000 + "]" * 200_000 + "}",
+    b"\xff",                                                # not UTF-8
+], ids=["5000-digit-seed", "200000-deep-array", "byte-0xff"])
+def test_malformed_config_file_exits_2(tmp_path, capsys, text):
+    # each of these used to escape parse_config as a raw error and exit 3
+    path = tmp_path / "exp.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["rate", "--config", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        parse_config(path)
+
+
 @pytest.mark.parametrize("changes, key", [
     ({"harmonic_range": 322_006}, "harmonic_range"),
     ({"harmonic_range": 10 ** 12}, "harmonic_range"),

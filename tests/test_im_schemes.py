@@ -4,6 +4,7 @@ import pytest
 from risim.errors import ConfigError
 from risim.im_schemes import (
     GeneralizedSM,
+    IMSymbol,
     MediaBasedModulation,
     OfdmIm,
     QuadratureSM,
@@ -16,11 +17,10 @@ from risim.im_schemes import (
     build_scheme,
     codebook_rows,
     dispersion_set,
-    ofdm_demodulate,
-    ofdm_modulate,
     rate_of,
     rate_ra_ssk,
 )
+from risim.spacetime import harmonic_coefficients, phase_shift_harmonic, synthesize_single_harmonic
 
 ENUMERABLE = [
     SisoModulation(2),
@@ -76,43 +76,45 @@ class TestSpatialMappers:
     def test_sm_msb_first_example(self):
         # "1001" -> first two bits pick antenna 2, last two pick QPSK +j
         scheme = SpatialModulation(4, 4)
-        symbol = scheme.map_bits([1, 0, 0, 1])
+        symbol = scheme.map_word(0b1001)
         assert symbol.indices == (2,)
         assert symbol.symbols[0] == pytest.approx(1j)
 
     def test_sm_all_zero_word(self):
-        symbol = SpatialModulation(2, 2).map_bits([0, 0])
+        symbol = SpatialModulation(2, 2).map_word(0b00)
         assert symbol.indices == (0,)
         assert symbol.symbols[0] == pytest.approx(1.0)
 
     def test_ssk_binary_index(self):
-        assert SpaceShiftKeying(8).map_bits([1, 0, 1]).indices == (5,)
+        assert SpaceShiftKeying(8).map_word(0b101).indices == (5,)
 
     def test_gsm_combinadic_codebook(self):
         scheme = GeneralizedSM(4, 2, 2)
-        subsets = [scheme.map_bits([b1, b0, 0]).indices for b1, b0 in
-                   ((0, 0), (0, 1), (1, 0), (1, 1))]
+        subsets = [scheme.map_word(index << 1).indices for index in range(4)]
         assert subsets == [(0, 1), (0, 2), (0, 3), (1, 2)]
 
     def test_gsm_shares_energy(self):
         scheme = GeneralizedSM(4, 2, 2)
-        x = scheme.transmit_vector(scheme.map_bits([0, 0, 0]))
+        x = scheme.transmit_vector(scheme.map_word(0b000))
         assert np.sum(np.abs(x) ** 2) == pytest.approx(1.0)
         assert np.count_nonzero(x) == 2
 
     def test_qsm_reuses_antenna(self):
         scheme = QuadratureSM(2, 4)
-        same = scheme.map_bits([0, 0, 0, 0])
+        same = scheme.map_word(0b0000)
         assert same.indices == (0, 0)
         x = scheme.transmit_vector(same)
         assert x[0] == pytest.approx(same.symbols[0])
 
     def test_qsm_vector_recovery(self):
+        # the nearest codeword to a word's transmit vector is that word's alone
         scheme = QuadratureSM(4, 16)
+        book = scheme.codebook()
         for word in range(0, 1 << scheme.bits_per_interval, 7):
-            sym = scheme.map_word(word)
-            x = scheme.transmit_vector(sym)
-            assert scheme.demap_word(scheme.symbol_from_vector(x)) == word
+            x = scheme.transmit_vector(scheme.map_word(word))
+            distances = np.sum(np.abs(book.vectors - x[:, None]) ** 2, axis=0)
+            assert int(np.argmin(distances)) == word
+            assert np.count_nonzero(distances < 1e-12) == 1
 
     def test_qsm_rejects_axis_constellations(self):
         with pytest.raises(ConfigError):
@@ -122,36 +124,43 @@ class TestSpatialMappers:
 
     def test_bit_length_mismatch(self):
         with pytest.raises(ValueError, match="bits"):
-            SpatialModulation(4, 4).map_bits([1, 0, 1])
+            SpatialModulation(4, 4).map_word(1 << 4)
 
 
 class TestSimOok:
     def test_index_only_mode(self):
         scheme = SimOok([-2, -1, 1, 2], 1, 16)
         assert scheme.bits_per_interval == 2
-        assert scheme.map_bits([1, 0]).indices == (1,)
+        assert scheme.map_word(0b10).indices == (1,)
 
     def test_mapping_example(self):
         # alphabet position 1 gets harmonic -1; "10" phase bits -> 180 deg
         scheme = SimOok([-2, -1, 1, 2], 4, 16)
-        symbol = scheme.map_bits([0, 1, 1, 0])
+        symbol = scheme.map_word(0b0110)
         assert symbol.indices == (-1,)
         assert np.angle(symbol.symbols[0]) == pytest.approx(np.pi)
 
     def test_two_harmonic_alphabet_example(self):
         # bits "110": index bit 1 -> alphabet[1], symbol bits "10" -> 180 deg
         scheme = SimOok([-1, 1], 4, 16)
-        symbol = scheme.map_bits([1, 1, 0])
+        symbol = scheme.map_word(0b110)
         assert symbol.indices == (scheme.harmonics[1],)
         assert np.angle(symbol.symbols[0]) == pytest.approx(np.pi)
 
     def test_physical_loopback_through_harmonics(self):
-        # bits -> coding sequence -> Fourier analysis -> bits, ideal channel
+        # bits -> coding sequence -> Fourier analysis -> bits, ideal channel:
+        # the delay the scheme solves for keys each phase onto its tone
         scheme = SimOok([-2, -1, 1, 2], 4, 16)
         for word in range(1 << scheme.bits_per_interval):
-            sequence = scheme.to_sequence(scheme.map_word(word))
-            recovered = scheme.from_sequence(sequence)
-            assert scheme.demap_word(recovered) == word
+            index, label = divmod(word, scheme.order)   # index bits come first
+            m = scheme.harmonics[index]
+            sequence = phase_shift_harmonic(synthesize_single_harmonic(m, 16),
+                                            scheme._solve_shift(m, label))
+            spectrum = harmonic_coefficients(sequence, scheme.harmonics)
+            tone = max(scheme.harmonics, key=spectrum.magnitude)
+            reference = harmonic_coefficients(synthesize_single_harmonic(tone, 16), [tone])[tone]
+            rotation = np.exp(1j * np.angle(spectrum[tone] / reference))
+            assert scheme.demap_word(IMSymbol("frequency", (tone,), (rotation,))) == word
 
     def test_rejects_carrier_harmonic(self):
         with pytest.raises(ConfigError):
@@ -171,45 +180,24 @@ class TestOfdmIm:
     def test_all_active_degenerates_to_ofdm(self):
         scheme = OfdmIm(4, 4, 2)
         assert scheme.index_bits == 0
-        symbol = scheme.map_bits([1, 0, 1, 1])
+        symbol = scheme.map_word(0b1011)
         assert symbol.indices == (0, 1, 2, 3)
 
     def test_inactive_subcarriers_zero(self):
         scheme = OfdmIm(4, 2, 2)
-        x = scheme.transmit_vector(scheme.map_bits([0, 0, 1, 0]))
+        x = scheme.transmit_vector(scheme.map_word(0b0010))
         assert np.count_nonzero(x) == 2
-
-    def test_modulate_demodulate_roundtrip(self):
-        rng = np.random.default_rng(8)
-        symbols = rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64))
-        back = ofdm_demodulate(ofdm_modulate(symbols))
-        assert np.max(np.abs(back - symbols)) < 1e-10
-
-    def test_modulate_matches_direct_sum(self):
-        # oracle: evaluate (1/sqrt(N)) sum_a X_a e^{j 2 pi a t / N} directly
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        t = np.arange(16)
-        direct = np.array([
-            np.sum(x * np.exp(2j * np.pi * np.arange(16) * tt / 16)) for tt in t
-        ]) / np.sqrt(16)
-        assert ofdm_modulate(x) == pytest.approx(direct)
 
     def test_unused_ranks_never_emitted(self):
         scheme = OfdmIm(4, 2, 2)  # C(4,2)=6 subsets, only 4 rank values used
         seen = {scheme.map_word(w).indices for w in range(16)}
         assert seen == {(0, 1), (0, 2), (0, 3), (1, 2)}
 
-    def test_invalid_set_demaps_to_nearest_with_flag(self):
+    def test_invalid_set_is_refused(self):
         scheme = OfdmIm(4, 2, 2)
-        from risim.im_schemes import IMSymbol
-
         bad = IMSymbol("frequency", (1, 3), (1.0, -1.0))  # rank 4: unused codeword
-        bits, exact = scheme.demap_flagged(bad)
-        assert not exact
-        assert len(bits) == 4
         with pytest.raises(ValueError, match="valid activation"):
-            scheme.demap(bad)
+            scheme.demap_word(bad)
 
 
 class TestScIm:
@@ -223,7 +211,7 @@ class TestScIm:
     def test_all_slots_active_degenerates(self):
         scheme = ScIm(4, 4, 2)
         assert scheme.index_bits == 0
-        assert scheme.map_bits([0, 1, 1, 0]).indices == (0, 1, 2, 3)
+        assert scheme.map_word(0b0110).indices == (0, 1, 2, 3)
 
 
 class TestStsk:
@@ -253,7 +241,7 @@ class TestMbm:
     def test_single_state_degenerates_to_mary(self):
         scheme = MediaBasedModulation(1, 4)
         assert scheme.bits_per_interval == 2
-        assert scheme.map_bits([0, 1]).indices == (0,)
+        assert scheme.map_word(0b01).indices == (0,)
 
 
 class TestRates:

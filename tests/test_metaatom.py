@@ -2,113 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from risim.errors import ConfigError
 from risim.metaatom import (
-    FREE_SPACE_ADMITTANCE as Y0,
     DiodeState,
     GridBoundsError,
     ReflectionState,
     ResponseTable,
-    SurfaceAdmittance,
     default_response_table,
-    psk_constellation,
-    reflection_from_admittance,
-    serrodyne_admittance,
 )
 
 
 @pytest.fixture(scope="module")
 def table():
     return default_response_table()
-
-
-class TestReflectionFromAdmittance:
-    def test_matched_surface_absorbs(self):
-        gamma = reflection_from_admittance(SurfaceAdmittance(complex(Y0)))
-        assert gamma.amplitude == pytest.approx(0.0, abs=1e-15)
-
-    def test_zero_admittance_is_pmc(self):
-        gamma = reflection_from_admittance(SurfaceAdmittance(0j))
-        assert gamma.value == pytest.approx(1.0)
-
-    def test_quarter_turn_identity(self):
-        # (1 + j tan(t/2)) / (1 - j tan(t/2)) = e^{jt}; oracle: direct evaluation
-        theta = np.pi / 2
-        ys = SurfaceAdmittance(-1j * Y0 * np.tan(theta / 2))
-        oracle = (Y0 - ys.value) / (Y0 + ys.value)
-        gamma = reflection_from_admittance(ys)
-        assert gamma.value == pytest.approx(oracle)
-        assert gamma.value == pytest.approx(np.exp(1j * theta))
-
-    def test_pec_limit_flag(self):
-        gamma = reflection_from_admittance(SurfaceAdmittance(0j, pec_limit=True))
-        assert gamma.value == pytest.approx(-1.0)
-
-    def test_active_surface_rejected(self):
-        with pytest.raises(ValueError):
-            SurfaceAdmittance(complex(-0.01, 0.0))
-
-    @given(st.floats(-1e3, 1e3, allow_nan=False))
-    def test_reactive_surface_reflects_fully(self, susceptance):
-        gamma = reflection_from_admittance(SurfaceAdmittance(1j * susceptance * Y0))
-        assert abs(gamma.amplitude - 1.0) < 1e-12
-
-
-class TestSerrodyne:
-    def test_t_zero_full_reflection(self):
-        ys = serrodyne_admittance(0.0, 1.0)
-        assert ys.value == 0j
-        assert reflection_from_admittance(ys).value == pytest.approx(1.0)
-
-    def test_half_period_hits_pec_limit(self):
-        omega = 2 * np.pi * 1e6
-        ys = serrodyne_admittance(np.pi / omega, omega)
-        assert ys.pec_limit
-        assert reflection_from_admittance(ys).value == pytest.approx(-1.0)
-
-    def test_quarter_period_is_plus_j(self):
-        omega = 2 * np.pi
-        gamma = reflection_from_admittance(serrodyne_admittance(0.25, omega))
-        assert gamma.value == pytest.approx(1j)
-
-    def test_rotating_phasor_round_trip(self):
-        # arg Gamma(t) tracks omega*t (mod 2 pi) over a full period
-        omega = 2 * np.pi * 3e9
-        for k in range(256):
-            t = k / 256 * 2 * np.pi / omega
-            gamma = reflection_from_admittance(serrodyne_admittance(t, omega))
-            err = np.angle(gamma.value * np.exp(-1j * omega * t))
-            assert abs(err) < 1e-9
-            assert abs(gamma.amplitude - 1.0) < 1e-12
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            serrodyne_admittance(0.0, 0.0)
-
-
-class TestPskConstellation:
-    def test_bpsk(self):
-        states = psk_constellation(2)
-        assert [s.value for s in states] == pytest.approx([1.0, -1.0])
-
-    def test_qpsk(self):
-        values = [s.value for s in psk_constellation(4)]
-        assert values == pytest.approx([1, 1j, -1, -1j])
-
-    def test_8psk_spacing_45_deg(self):
-        phases = np.unwrap([s.phase for s in psk_constellation(8)])
-        assert np.diff(phases) == pytest.approx(np.full(7, np.pi / 4))
-
-    @pytest.mark.parametrize("order,amp", [(2, 1.0), (4, 0.8), (16, 0.5)])
-    def test_energy_and_zero_sum(self, order, amp):
-        states = psk_constellation(order, amp)
-        values = np.array([s.value for s in states])
-        assert np.mean(np.abs(values) ** 2) == pytest.approx(amp ** 2)
-        assert np.sum(values) == pytest.approx(0, abs=1e-12)
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ConfigError):
-            psk_constellation(6)
 
 
 class TestResponseTable:

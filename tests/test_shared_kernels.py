@@ -19,7 +19,6 @@ from risim.aperture import (
     radiation_pattern,
 )
 from risim.harness import parse_config, run_pattern
-from risim.spacetime import harmonic_pattern
 from risim.util import _CSV_BLOCK_ROWS, _strings_text, row_templates, write_csv
 
 GEOM_A = ApertureGeometry(20, 20, 2.8e-3, 2.8e-3, 28e9)
@@ -72,17 +71,6 @@ def test_default_grid_kernels():
     coding = random_coding(GEOM_B, 4)
     assert np.array_equal(radiation_pattern(coding, GEOM_B, kernels=kernels).field,
                           radiation_pattern(coding, GEOM_B).field)
-
-
-def test_harmonic_pattern_with_shared_kernels():
-    theta, phi = direction_grid(2.0, 3.0)
-    kernels = ArrayKernels(GEOM_B, theta, phi)
-    rng = np.random.default_rng(5)
-    sequences = np.exp(1j * rng.uniform(-np.pi, np.pi, (GEOM_B.rows, GEOM_B.cols, 8)))
-    for m in (-1, 0, 1, 3):
-        shared = harmonic_pattern(sequences, m, GEOM_B, theta, phi, 1.0, kernels=kernels)
-        alone = harmonic_pattern(sequences, m, GEOM_B, theta, phi, 1.0)
-        assert np.array_equal(shared.field, alone.field)
 
 
 def reference_kernels(geom, theta, phi, chunk):

@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
-from risim.aperture import ApertureGeometry, PhaseCoding, radiation_pattern
 from risim.spacetime import (
-    CodingSequence,
     HarmonicSpectrum,
-    default_harmonic_range,
     harmonic_coefficients,
-    harmonic_pattern,
     phase_shift_harmonic,
     sequence_to_csv,
-    shift_for_phase,
     synthesize_multi_harmonic,
     synthesize_single_harmonic,
 )
@@ -53,7 +48,7 @@ class TestHarmonicCoefficients:
     def test_slope_selects_harmonic_minus2_to_plus2(self):
         for m in (-2, -1, 0, 1, 2):
             spectrum = harmonic_coefficients(
-                synthesize_single_harmonic(m, 16), default_harmonic_range(16)
+                synthesize_single_harmonic(m, 16), range(-16, 17)
             )
             assert spectrum.dominant() == m
 
@@ -71,9 +66,9 @@ class TestHarmonicCoefficients:
         rng = np.random.default_rng(3)
         for num in (4, 8, 16):
             steps = np.exp(2j * np.pi * rng.random(num))
-            spectrum = harmonic_coefficients(steps, default_harmonic_range(num))
+            spectrum = harmonic_coefficients(steps, range(-num, num + 1))
             time_power = np.mean(np.abs(steps) ** 2)
-            assert spectrum.power() <= time_power + 1e-12
+            assert sum(spectrum.magnitude(m) ** 2 for m in spectrum) <= time_power + 1e-12
 
 
 class TestSingleHarmonic:
@@ -84,13 +79,13 @@ class TestSingleHarmonic:
         for num in (4, 8, 16, 32):
             for m in range(-(num // 2) + 1, num // 2):
                 spectrum = harmonic_coefficients(
-                    synthesize_single_harmonic(m, num), default_harmonic_range(num)
+                    synthesize_single_harmonic(m, num), range(-num, num + 1)
                 )
                 assert spectrum.dominant() == m
 
     def test_image_suppression_minus2_l16(self):
         spectrum = harmonic_coefficients(
-            synthesize_single_harmonic(-2, 16), default_harmonic_range(16)
+            synthesize_single_harmonic(-2, 16), range(-16, 17)
         )
         dominant = spectrum.magnitude(-2)
         rest = max(spectrum.magnitude(m) for m in spectrum if m != -2)
@@ -108,10 +103,10 @@ def ramp():
 
 class TestPhaseShift:
     def test_zero_and_full_shift_identity(self, ramp):
-        base = harmonic_coefficients(ramp, default_harmonic_range(16))
+        base = harmonic_coefficients(ramp, range(-16, 17))
         for shift in (0, 16):
             shifted = harmonic_coefficients(
-                phase_shift_harmonic(ramp, shift), default_harmonic_range(16)
+                phase_shift_harmonic(ramp, shift), range(-16, 17)
             )
             for m in base:
                 assert shifted[m] == pytest.approx(base[m])
@@ -126,10 +121,10 @@ class TestPhaseShift:
     def test_magnitudes_invariant_for_all_shifts(self):
         rng = np.random.default_rng(7)
         steps = np.exp(2j * np.pi * rng.random(16))
-        base = harmonic_coefficients(steps, default_harmonic_range(16))
+        base = harmonic_coefficients(steps, range(-16, 17))
         for shift in range(17):
             shifted = harmonic_coefficients(
-                phase_shift_harmonic(steps, shift), default_harmonic_range(16)
+                phase_shift_harmonic(steps, shift), range(-16, 17)
             )
             for m in base:
                 assert abs(shifted.magnitude(m) - base.magnitude(m)) < 1e-12
@@ -148,13 +143,6 @@ class TestPhaseShift:
             phase_shift_harmonic(ramp, 2.5)
         with pytest.raises(ValueError, match="integer"):
             phase_shift_harmonic(ramp, 4.0)
-
-    def test_shift_for_phase_formula(self):
-        # commanded phase -> step count, e.g. -90 deg needs L/4 steps at L=16
-        assert shift_for_phase(np.deg2rad(-90.0), 16) == 4
-        assert shift_for_phase(0.0, 16) == 0
-        with pytest.raises(ValueError, match="multiple"):
-            shift_for_phase(np.deg2rad(-85.0), 16)
 
 
 class TestMultiHarmonic:
@@ -192,60 +180,6 @@ class TestMultiHarmonic:
         a = synthesize_multi_harmonic([(1, 0.6), (3, 0.6)], 16, seed=5)
         b = synthesize_multi_harmonic([(1, 0.6), (3, 0.6)], 16, seed=5)
         assert np.array_equal(a.steps, b.steps)
-
-
-@pytest.fixture(scope="module")
-def geom():
-    return ApertureGeometry(8, 8, 2.8e-3, 2.8e-3, 28e9)
-
-
-class TestHarmonicPattern:
-    def test_static_coding_reduces_to_radiation_pattern(self, geom):
-        rng = np.random.default_rng(1)
-        phase = rng.uniform(-np.pi, np.pi, (8, 8))
-        sequences = np.repeat(np.exp(1j * phase)[:, :, None], 16, axis=2)
-        static = radiation_pattern(PhaseCoding(np.ones((8, 8)), phase), geom)
-        fundamental = harmonic_pattern(sequences, 0, geom)
-        assert np.allclose(fundamental.field, static.field, atol=1e-9)
-        first = harmonic_pattern(sequences, 1, geom)
-        assert np.max(np.abs(first.field)) < 1e-9
-
-    def test_uniform_ramp_peak_is_mn_sinc(self, geom):
-        num = 16
-        ramp = synthesize_single_harmonic(1, num)
-        sequences = np.broadcast_to(ramp, (8, 8, num))
-        grid = harmonic_pattern(sequences, 1, geom)
-        expected = 64 * unnormalized_sinc(np.pi / num)
-        assert np.abs(grid.field).max() == pytest.approx(expected)
-        theta, _ = grid.peak_direction()
-        assert theta == 0.0
-
-    def test_ramp_plus_steering_steers_harmonic(self, geom):
-        from risim.aperture import SteeringSpec, compose_phase, scan_angle, steering_phase
-
-        num = 16
-        spec = SteeringSpec(4, np.deg2rad(280.0), geom.dx)
-        predicted = scan_angle(spec, geom.wavelength)
-        steer = compose_phase(np.zeros((8, 8)), steering_phase(geom, spec),
-                              np.zeros((8, 8)))
-        ramp = synthesize_single_harmonic(1, num)
-        sequences = np.exp(1j * steer.phase)[:, :, None] * ramp[None, None, :]
-        grid = harmonic_pattern(sequences, 1, geom)
-        theta, _ = grid.peak_direction()
-        assert abs(theta - predicted) <= np.deg2rad(1.0)
-
-    def test_ragged_sequences_rejected(self, geom):
-        bad = [[np.ones(16)] * 8] * 7 + [[np.ones(8)] * 8]
-        with pytest.raises(ValueError, match="steps|rows"):
-            harmonic_pattern(np.asarray(bad, dtype=object), 1, geom)
-
-
-def test_coding_sequence_validation():
-    with pytest.raises(ValueError, match="passivity"):
-        CodingSequence(np.full(8, 1.5 + 0j), 1e-6)
-    seq = CodingSequence(np.ones(8, dtype=complex), 1e-6)
-    assert seq.num_steps == 8
-    assert seq.harmonic_spacing == pytest.approx(1e6)
 
 
 def test_spectrum_export(tmp_path):
