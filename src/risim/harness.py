@@ -544,11 +544,16 @@ def run_ber(config: ExperimentConfig, threads: int = 1) -> BerCurve:
     independent channel draw plus AWGN, detects with the exact ML detector,
     and counts errored bits (index and symbol bits alike).
 
-    One pool of ``threads`` workers serves the whole curve.  Every point
-    runs in waves of ``threads`` consecutive batches; a finished wave is
-    folded in index order and, unless the point has stopped, its next wave
-    is queued behind the other points' work, so waves of different points
-    overlap.  Batches past the stop in a wave are computed but never counted.
+    One pool of ``threads`` workers serves the whole curve, with at most
+    ``threads`` batches in flight.  Each point folds its batches in index
+    order and stops at the first one that meets its stop rule.  A freed
+    worker takes certain work first: the next batch of a live point whose
+    started batches are all folded, which is sure to be folded.  Only when
+    no point has certain work does it speculate, on the batch nearest to
+    its point's fold, never more than ``threads - 1`` batches past it; a
+    speculative batch past the stop is computed but never counted.  Which
+    batches are computed depends on timing; which are folded, and so every
+    result, does not.
     """
     scheme = im_schemes.build_scheme(config.scheme)
     model = _BerModel(scheme, config.channel, config.n_rx)
@@ -567,31 +572,35 @@ def run_ber(config: ExperimentConfig, threads: int = 1) -> BerCurve:
     def run_batch(p, b):
         return model.simulate(stream_rng(config.seed, p, b), batch_size(b), snrs[p])
 
+    started = [0] * len(snrs)      # batches submitted per point
+    folded = [0] * len(snrs)       # batches folded per point
+    live = [True] * len(snrs)      # the point has not met its stop rule
+    finished = {}                  # (point, batch) -> errors, not yet folded
+    running = {}                   # future -> (point, batch)
     pool = ThreadPoolExecutor(max_workers=width)
     try:
-        def submit_wave(p, start):
-            wave = range(start, min(start + width, n_batches))
-            return start, [pool.submit(run_batch, p, b) for b in wave]
-
-        waves = {p: submit_wave(p, 0) for p in range(len(snrs))}
-        pending = {f for _, futures in waves.values() for f in futures}
-        while pending:
-            # finished futures must leave the set, or wait() returns at once
-            _, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for p, (start, futures) in list(waves.items()):
-                if not all(f.done() for f in futures):
-                    continue
-                del waves[p]
-                results = [f.result() for f in futures]  # a failed batch raises here
-                for b, result in enumerate(results, start):
-                    errors[p] += result
-                    trials[p] += batch_size(b)
-                    if errors[p] >= policy.min_errors:
-                        break
-                else:
-                    if start + width < n_batches:
-                        waves[p] = submit_wave(p, start + width)
-                        pending.update(waves[p][1])
+        while True:
+            while len(running) < width:
+                # a batch's depth is how far past its point's fold it lies:
+                # depth 0 is certain to be folded, so it always goes first
+                ready = [(started[p] - folded[p], p) for p in range(len(snrs)) if live[p]
+                         and started[p] < n_batches and started[p] - folded[p] < width]
+                if not ready:
+                    break
+                p = min(ready)[1]
+                running[pool.submit(run_batch, p, started[p])] = p, started[p]
+                started[p] += 1
+            if not running:
+                break
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                p, b = running.pop(future)
+                finished[p, b] = future.result()  # a failed batch raises here
+                while live[p] and (p, folded[p]) in finished:
+                    errors[p] += finished.pop((p, folded[p]))
+                    trials[p] += batch_size(folded[p])
+                    folded[p] += 1
+                    live[p] = errors[p] < policy.min_errors and folded[p] < n_batches
     finally:
         pool.shutdown(cancel_futures=True)
     points = tuple(_ber_point(*point, bits) for point in zip(config.snr_db, trials, errors))
@@ -689,16 +698,13 @@ def run_pattern(config: ExperimentConfig, out_base: Path):
         phase_range = _steering_range(geom, angle_deg, config.period_cells)
         spec = aperture.SteeringSpec(config.period_cells, phase_range, geom.dx)
         predicted = aperture.scan_angle(spec, geom.wavelength)
+        # steering_phase is wrapped already; PhaseCoding's wrap leaves it as it is
         steer = aperture.steering_phase(geom, spec)
-        coding = aperture.compose_phase(
-            np.zeros((geom.rows, geom.cols)), steer, np.zeros((geom.rows, geom.cols))
-        )
-        phase = coding.phase
+        phase = np.broadcast_to(steer[:, None], (geom.rows, geom.cols))
         if config.quantize_bits is not None:
             phase = aperture.quantize_phase(phase, config.quantize_bits)
-        amplitude = coding.amplitude
-        if table is not None:
-            amplitude = _atom_loss_amplitudes(phase, table, geo["fc_ghz"])
+        amplitude = (np.ones(phase.shape) if table is None
+                     else _atom_loss_amplitudes(phase, table, geo["fc_ghz"]))
         coding = aperture.PhaseCoding(amplitude, phase)
 
         grid = aperture.radiation_pattern(coding, geom, theta, phi,

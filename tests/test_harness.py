@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -344,7 +345,7 @@ class TestBatchScheduler:
     CONFIG = dict(max_trials=7 * 1024 - 100, min_errors=300, batch_size=1024)
     SNR_DB = [-10.0, 0.0, 3.0, 30.0, -10.0]
 
-    def run(self, monkeypatch, threads):
+    def run(self, monkeypatch, threads, config=None):
         from risim import harness
 
         computed = []
@@ -356,20 +357,76 @@ class TestBatchScheduler:
 
         monkeypatch.setattr(harness, "stream_rng", _KeyedGenerator)
         monkeypatch.setattr(harness._BerModel, "simulate", recording)
-        config = ber_config({"type": "psk", "order": 2}, {"model": "awgn"}, self.SNR_DB,
-                            **self.CONFIG)
+        if config is None:
+            config = ber_config({"type": "psk", "order": 2}, {"model": "awgn"}, self.SNR_DB,
+                                **self.CONFIG)
         return run_ber(config, threads=threads), computed
 
-    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
-    def test_computed_batches_follow_the_wave_rule(self, monkeypatch, threads):
-        curve, computed = self.run(monkeypatch, threads)
-        n_batches = 7
-        folded = [math.ceil(p.trials / 1024) for p in curve.points]
-        assert folded[0] == 1 and 1 < folded[1] < n_batches and folded[2] == n_batches
-        expected = {(p, b) for p, n in enumerate(folded)
-                    for b in range(min(n_batches, math.ceil(n / threads) * threads))}
+    @staticmethod
+    def assert_bounded_prefixes(curve, computed, batch_size, n_batches, threads):
+        """Each batch runs once, each point's computed batches are a prefix,
+        and no point runs more than threads - 1 batches past its fold."""
         assert len(computed) == len(set(computed))
-        assert set(computed) == expected
+        folded = [math.ceil(p.trials / batch_size) for p in curve.points]
+        counts = []
+        for p, f in enumerate(folded):
+            batches = sorted(b for q, b in computed if q == p)
+            assert batches == list(range(len(batches)))
+            assert f <= len(batches) <= min(n_batches, f + threads - 1)
+            counts.append(len(batches))
+        assert sum(counts) == len(computed)
+        return folded
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_computed_batches_are_a_bounded_prefix(self, monkeypatch, threads):
+        curve, computed = self.run(monkeypatch, threads)
+        folded = self.assert_bounded_prefixes(curve, computed, 1024, 7, threads)
+        assert folded[0] == 1 and 1 < folded[1] < 7 and folded[2] == 7
+
+    def test_certain_batches_run_before_speculation(self, monkeypatch):
+        from risim import harness
+
+        release = threading.Event()
+        started = []
+        held = []
+
+        def stub(model, rng, batch, snr):
+            key = rng.key[1:]
+            started.append(key)
+            if key == (0, 1):
+                release.set()
+            if key == (0, 0):
+                held.append(release.wait(timeout=10))
+            return 0
+
+        monkeypatch.setattr(harness, "stream_rng", _KeyedGenerator)
+        monkeypatch.setattr(harness._BerModel, "simulate", stub)
+        # no errors: every point runs all three batches
+        config = ber_config({"type": "psk", "order": 2}, {"model": "awgn"}, [0.0] * 4,
+                            max_trials=3 * 1024, min_errors=1, batch_size=1024)
+        try:
+            run_ber(config, threads=2)
+        finally:
+            release.set()
+        # while batch (0, 0) holds one worker, the other runs every batch of
+        # points 1-3, each certain when it starts, and only then speculates
+        assert held == [True]
+        others = [(p, b) for p in (1, 2, 3) for b in range(3)]
+        assert sorted(key for key in started if key[0] != 0) == others
+        assert max(started.index(key) for key in others) < started.index((0, 1))
+
+    def test_shipped_config_identical_at_one_to_three_threads(self, monkeypatch, tmp_path):
+        config = parse_config(Path(__file__).resolve().parents[1] / "configs"
+                              / "ber_rician_sm4x4_k1.json")
+        size = config.trials.batch_size
+        n_batches = math.ceil(config.trials.max_trials / size)
+        outputs = []
+        for threads in (1, 2, 3):
+            curve, computed = self.run(monkeypatch, threads, config)
+            self.assert_bounded_prefixes(curve, computed, size, n_batches, threads)
+            curve.to_csv(tmp_path / f"t{threads}.csv")
+            outputs.append((tmp_path / f"t{threads}.csv").read_bytes())
+        assert outputs == [outputs[0]] * 3
 
     def test_results_identical_at_every_thread_count(self, monkeypatch, tmp_path):
         outputs = []

@@ -60,6 +60,7 @@ EXCEPTIONS = {
     "detection.instantaneous_capacity": "single-channel capacity tested against slogdet",
     "aperture.pseudo_random_codings": "aperture states for RIS-aided MBM (ROADMAP item 9)",
     "aperture.PhaseCoding.uniform": "test fixture for uniform aperture states",
+    "aperture.compose_phase": _ACCEPTANCE,
 }
 
 
