@@ -240,9 +240,9 @@ def instantaneous_capacity(h: np.ndarray, snr_linear: float) -> float:
     return float(_log2_det_gram(np.asarray(h, dtype=complex), snr_linear))
 
 
-def ergodic_capacity(n_tx: int, n_rx: int, snr_linear, trials: int, seed: int,
-                     model: str = "rayleigh") -> "CapacityEstimate | list[CapacityEstimate]":
-    """Monte Carlo mean of the instantaneous capacity over channel draws.
+def ergodic_capacity(n_tx: int, n_rx: int, snr_linear, trials: int,
+                     seed: int) -> "CapacityEstimate | list[CapacityEstimate]":
+    """Monte Carlo mean of the instantaneous capacity over Rayleigh draws.
 
     ``snr_linear`` is one SNR, which returns one :class:`CapacityEstimate`,
     or a 1-D grid, which returns a list of them in grid order.  Every SNR
@@ -256,8 +256,6 @@ def ergodic_capacity(n_tx: int, n_rx: int, snr_linear, trials: int, seed: int,
     it is used.  That is the stream of one (2, n, n_rx, n_tx) draw per
     batch: all real parts first, then the imaginary parts in trial order.
     """
-    if model != "rayleigh":
-        raise ValueError(f"unsupported capacity channel model {model!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     snrs = np.asarray(snr_linear, dtype=float)

@@ -18,8 +18,10 @@ and adds only how its points sit on the resources, where that is not one
 point per resource.
 """
 
+import inspect
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, islice, product
 from math import comb, gcd, log2
 
@@ -61,25 +63,25 @@ def _int_log2(value: int, what: str) -> int:
 
 
 def _subset_bits(n: int, k: int) -> int:
-    """Index bits of a k-of-n activation: floor(log2 C(n, k))."""
-    return int(np.floor(np.log2(comb(n, k))))
+    """Index bits of a k-of-n activation: floor(log2 C(n, k)), exactly."""
+    return comb(n, k).bit_length() - 1
 
 
 class Scheme:
     """Common surface of all mappers, derived from the scheme's tables.
 
     Subclasses set ``domain``, ``model`` (how the harness transmits the
-    codeword), ``index_bits``, ``symbol_bits``, ``n_symbols``, ``points``
-    (label order), ``dim`` (entries per codeword row) and ``n_slots``
-    (codeword columns), and list their activation sets in
-    :meth:`_pattern_rows`.  The pattern table is built on first use, so a
-    scheme too large to enumerate can still be constructed and refused.
+    codeword), ``index_bits``, ``symbol_bits``, ``n_symbols``, ``dim``
+    (entries per codeword row) and ``n_slots`` (codeword columns), list
+    their activation sets in :meth:`_pattern_rows`, and give ``points``
+    (label order) where they have no constellation.  A constructor only
+    checks and counts; every table is built on first use, so a scheme too
+    large to enumerate is constructed and refused at once.
     """
 
     domain: str
     model: str
     dim: int
-    points: np.ndarray
     index_bits = 0
     symbol_bits = 0
     n_symbols = 1
@@ -102,7 +104,10 @@ class Scheme:
         self.constellation = Constellation(kind, order)
         self.order = order
         self.symbol_bits = self.constellation.bits_per_symbol
-        self.points = self.constellation.label_points
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        return self.constellation.label_points
 
     # tables -----------------------------------------------------------
     def _pattern_rows(self):
@@ -263,12 +268,9 @@ class QuadratureSM(Scheme):
     def __init__(self, n_tx: int, order: int, constellation: str = "qam"):
         antenna_bits = _int_log2(n_tx, "number of transmit antennas")
         self._set_constellation(constellation, order)
-        pts = self.constellation.points
-        if np.any(np.abs(pts.real) < 1e-9) or np.any(np.abs(pts.imag) < 1e-9):
-            raise ConfigError(
-                "quadrature SM needs nonzero I and Q in every constellation point "
-                "(use square QAM)"
-            )
+        if constellation != "qam":   # every PSK has the point 1; no square-QAM point is on an axis
+            raise ConfigError("quadrature SM needs nonzero I and Q in every constellation point "
+                              "(use square QAM)")
         self.index_bits = 2 * antenna_bits
         self.n_tx = self.dim = n_tx
 
@@ -297,8 +299,8 @@ class SimOok(Scheme):
     circularly delaying the L-step phase ramp of harmonic m, so each
     (harmonic, phase) pair needs a delay s that solves m*s = -k*L/M mod L
     (the rotation a delay imparts on harmonic m); construction checks that
-    every pair has one.  The analytic codeword is the tone over the
-    alphabet positions.
+    phase index 1 has one, so its multiples, every pair, do.  The analytic
+    codeword is the tone over the alphabet positions.
     """
 
     domain = "frequency"
@@ -321,10 +323,13 @@ class SimOok(Scheme):
             if num_steps % order:
                 raise ConfigError(f"PSK order {order} needs L divisible by M (L = {num_steps})")
             for m in self.harmonics:
-                for k in range(order):
-                    self._solve_shift(m, k)  # raises if infeasible
+                self._solve_shift(m, 1)  # raises if infeasible
         self.dim = len(self.harmonics)
-        self.points = np.array([np.exp(2j * np.pi * k / order) for k in range(order)])
+        operator.index(order)   # the points take range(order)
+
+    @cached_property
+    def points(self):
+        return np.array([np.exp(2j * np.pi * k / self.order) for k in range(self.order)])
 
     def _pattern_rows(self):
         return ((m,) for m in self.harmonics)
@@ -352,14 +357,13 @@ class SimOok(Scheme):
 class _SubsetBlockScheme(Scheme):
     """Shared machinery for per-block subset activation (OFDM-IM, SC-IM)."""
 
-    def __init__(self, block_size: int, n_active: int, order: int, constellation: str = "psk"):
-        if not 1 <= n_active <= block_size:
-            raise ConfigError(f"need 1 <= k <= n, got k = {n_active}, n = {block_size}")
-        self.block_size = self.dim = block_size
-        self.n_active = self.n_symbols = n_active
+    def __init__(self, n: int, k: int, order: int, constellation: str = "psk"):
+        if not 1 <= k <= n:
+            raise ConfigError(f"need 1 <= k <= n, got k = {k}, n = {n}")
+        self.block_size = self.dim = n
+        self.n_active = self.n_symbols = k
         self._set_constellation(constellation, order)
-        self.index_bits = _subset_bits(block_size, n_active)   # 0 when k = n: all active
-        self._scale = np.sqrt(block_size / n_active)
+        self.index_bits = _subset_bits(n, k)   # 0 when k = n: all active
 
     @property
     def channel_uses(self) -> int:
@@ -369,7 +373,7 @@ class _SubsetBlockScheme(Scheme):
         return combinations(range(self.block_size), self.n_active)
 
     def _amplitudes(self, values):
-        return values * self._scale
+        return values * np.sqrt(self.block_size / self.n_active)
 
 
 class OfdmIm(_SubsetBlockScheme):
@@ -396,9 +400,9 @@ class ScIm(_SubsetBlockScheme):
     domain = "time"
     model = "subcarrier"
 
-    def __init__(self, slots: int, n_active: int, order: int,
+    def __init__(self, slots: int, k: int, order: int,
                  constellation: str = "psk", symbols_per_frame: int = 16, cp_length: int = 0):
-        super().__init__(slots, n_active, order, constellation)
+        super().__init__(slots, k, order, constellation)
         if symbols_per_frame < 1 or cp_length < 0:
             raise ConfigError("symbols_per_frame must be >= 1 and cp_length >= 0")
         self.symbols_per_frame = symbols_per_frame
@@ -436,7 +440,7 @@ class SpaceTimeShiftKeying(Scheme):
     model = "matrix"
 
     def __init__(self, q_matrices: int, p_active: int, order: int, n_tx: int,
-                 n_slots: int, constellation: str = "psk", seed: int = 1):
+                 n_slots: int, constellation: str = "psk", dispersion_seed: int = 1):
         if not 1 <= p_active <= q_matrices:
             raise ConfigError(f"need 1 <= P <= Q, got P = {p_active}, Q = {q_matrices}")
         self.index_bits = _subset_bits(q_matrices, p_active)
@@ -447,7 +451,14 @@ class SpaceTimeShiftKeying(Scheme):
         self.p_active = self.n_symbols = p_active
         self.n_tx = self.dim = n_tx
         self.n_slots = n_slots
-        self.matrices = dispersion_set(q_matrices, n_tx, n_slots, seed)
+        self.dispersion_seed = dispersion_seed
+        # the stream key and shape dispersion_set takes, checked without a draw
+        np.random.SeedSequence([dispersion_seed, q_matrices, n_tx, n_slots])
+        operator.index(n_tx), operator.index(n_slots)
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        return dispersion_set(self.q_matrices, self.n_tx, self.n_slots, self.dispersion_seed)
 
     @property
     def channel_uses(self) -> int:
@@ -508,75 +519,30 @@ def rate_ra_ssk(n_tx: int, states_per_antenna) -> float:
     return float(log2(n_tx) + sum(log2(s) for s in states) / n_tx)
 
 
-_SCHEME_BUILDERS = {}
+def qsm_rate(n_tx: int, order: int, constellation: str = "qam") -> float:
+    """2 log2 nT + log2 M, whatever the constellation: the formula stays
+    defined for constellations the quadrature mapper cannot carry (BPSK)."""
+    return float(2 * _int_log2(n_tx, "number of transmit antennas")
+                 + _int_log2(order, "constellation order"))
 
 
-def _register(name):
-    def wrap(fn):
-        _SCHEME_BUILDERS[name] = fn
-        return fn
-    return wrap
+# scheme type -> constructor; a config's keys are the constructor's parameters
+SCHEME_TYPES = {
+    "psk": SisoModulation,
+    "qam": partial(SisoModulation, constellation="qam"),
+    "sm": SpatialModulation,
+    "ssk": SpaceShiftKeying,
+    "gsm": GeneralizedSM,
+    "qsm": QuadratureSM,
+    "sim_ook": SimOok,
+    "ofdm_im": OfdmIm,
+    "sc_im": ScIm,
+    "stsk": partial(SpaceTimeShiftKeying, p_active=1),
+    "mbm": MediaBasedModulation,
+}
 
-
-@_register("psk")
-def _build_psk(cfg):
-    return SisoModulation(cfg.pop("order"), cfg.pop("constellation", "psk"))
-
-
-@_register("qam")
-def _build_qam(cfg):
-    return SisoModulation(cfg.pop("order"), cfg.pop("constellation", "qam"))
-
-
-@_register("sm")
-def _build_sm(cfg):
-    return SpatialModulation(cfg.pop("n_tx"), cfg.pop("order"), cfg.pop("constellation", "psk"))
-
-
-@_register("ssk")
-def _build_ssk(cfg):
-    return SpaceShiftKeying(cfg.pop("n_tx"))
-
-
-@_register("gsm")
-def _build_gsm(cfg):
-    return GeneralizedSM(cfg.pop("n_tx"), cfg.pop("n_active"), cfg.pop("order"),
-                         cfg.pop("constellation", "psk"))
-
-
-@_register("qsm")
-def _build_qsm(cfg):
-    return QuadratureSM(cfg.pop("n_tx"), cfg.pop("order"), cfg.pop("constellation", "qam"))
-
-
-@_register("sim_ook")
-def _build_sim_ook(cfg):
-    return SimOok(cfg.pop("harmonics"), cfg.pop("order", 1), cfg.pop("num_steps", 16))
-
-
-@_register("ofdm_im")
-def _build_ofdm_im(cfg):
-    return OfdmIm(cfg.pop("n"), cfg.pop("k"), cfg.pop("order"), cfg.pop("constellation", "psk"))
-
-
-@_register("sc_im")
-def _build_sc_im(cfg):
-    return ScIm(cfg.pop("slots"), cfg.pop("k"), cfg.pop("order"),
-                cfg.pop("constellation", "psk"),
-                cfg.pop("symbols_per_frame", 16), cfg.pop("cp_length", 0))
-
-
-@_register("stsk")
-def _build_stsk(cfg):
-    return SpaceTimeShiftKeying(cfg.pop("q_matrices"), cfg.pop("p_active", 1),
-                                cfg.pop("order"), cfg.pop("n_tx"), cfg.pop("n_slots"),
-                                cfg.pop("constellation", "psk"), cfg.pop("dispersion_seed", 1))
-
-
-@_register("mbm")
-def _build_mbm(cfg):
-    return MediaBasedModulation(cfg.pop("num_states"), cfg.pop("order", 1),
-                                cfg.pop("constellation", "psk"))
+# types whose rate is a formula of their keys; RA-SSK has no mapper at all
+_RATE_FORMULAS = {"ra_ssk": rate_ra_ssk, "qsm": qsm_rate}
 
 
 def _check_config(config) -> None:
@@ -592,21 +558,23 @@ def _check_config(config) -> None:
         raise ConfigError(f"scheme.type must be a string, got {config['type']!r}")
 
 
-def _from_keys(config: dict, build):
-    """``build`` applied to the scheme config without its type; ``build``
-    pops the keys it uses, and every key must be used."""
-    cfg = dict(config)
-    kind = cfg.pop("type")
+def _from_keys(config: dict, fn):
+    """``fn`` called with the scheme config's keys, all but ``type``, as
+    its keyword arguments; a parameter without a default is required, and
+    every key must name a parameter."""
+    params = inspect.signature(fn).parameters
+    for name, param in params.items():
+        if param.default is param.empty and name not in config:
+            raise ConfigError(f"scheme.{name} is required for type {config['type']!r}")
     try:
-        value = build(cfg)
-    except KeyError as exc:
-        raise ConfigError(f"scheme.{exc.args[0]} is required for type {kind!r}") from None
+        value = fn(**{key: config[key] for key in params if key in config})
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid scheme config: {exc}") from None
-    if cfg:
-        raise ConfigError(f"unknown scheme key(s): {', '.join(sorted(cfg))}")
+    unknown = set(config) - set(params) - {"type"}
+    if unknown:
+        raise ConfigError(f"unknown scheme key(s): {', '.join(sorted(unknown))}")
     return value
 
 
@@ -614,27 +582,9 @@ def build_scheme(config: dict) -> Scheme:
     """Instantiate a scheme from its config dict; unknown keys rejected."""
     _check_config(config)
     kind = config.get("type")
-    if kind not in _SCHEME_BUILDERS:
-        raise ConfigError(
-            f"scheme.type must be one of {sorted(_SCHEME_BUILDERS)}, got {kind!r}"
-        )
-    return _from_keys(config, _SCHEME_BUILDERS[kind])
-
-
-def _qsm_rate(cfg) -> float:
-    cfg.pop("constellation", None)
-    n_tx, order = cfg.pop("n_tx"), cfg.pop("order")
-    return float(2 * _int_log2(n_tx, "number of transmit antennas")
-                 + _int_log2(order, "constellation order"))
-
-
-# RA-SSK is rate-only (no mapper exists), and QSM's formula
-# 2 log2(nT) + log2(M) is evaluated directly so it stays defined for
-# constellations the quadrature mapper itself cannot carry (e.g. BPSK)
-_RATE_FORMULAS = {
-    "ra_ssk": lambda cfg: rate_ra_ssk(cfg.pop("n_tx"), cfg.pop("states_per_antenna")),
-    "qsm": _qsm_rate,
-}
+    if kind not in SCHEME_TYPES:
+        raise ConfigError(f"scheme.type must be one of {sorted(SCHEME_TYPES)}, got {kind!r}")
+    return _from_keys(config, SCHEME_TYPES[kind])
 
 
 def rate_of(config: dict) -> float:

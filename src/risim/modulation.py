@@ -9,6 +9,9 @@ Conventions used across all mappers:
   average energy.
 """
 
+from functools import cached_property
+from math import log2
+
 import numpy as np
 
 from .errors import ConfigError
@@ -25,7 +28,8 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
     return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.int8)
 
 
-def gray_encode(k: int) -> int:
+def gray_encode(k):
+    """Gray label of an integer, or elementwise of an integer array."""
     return k ^ (k >> 1)
 
 
@@ -37,18 +41,27 @@ def gray_decode(g: int) -> int:
     return k
 
 
-def psk_points(order: int) -> np.ndarray:
-    """Unit-energy M-PSK points in natural angular order exp(j*2*pi*k/M)."""
+def _check_psk(order: int) -> None:
     if not is_power_of_two(order) or order < 2:
         raise ConfigError(f"PSK order must be a power of two >= 2, got {order}")
+
+
+def _qam_side(order: int) -> int:
+    side = int(round(np.sqrt(order)))
+    if side * side != order or not is_power_of_two(order) or order < 4:
+        raise ConfigError(f"QAM order must be an even power of two >= 4, got {order}")
+    return side
+
+
+def psk_points(order: int) -> np.ndarray:
+    """Unit-energy M-PSK points in natural angular order exp(j*2*pi*k/M)."""
+    _check_psk(order)
     return np.exp(2j * np.pi * np.arange(order) / order)
 
 
 def qam_points(order: int) -> np.ndarray:
     """Square M-QAM in natural index order (I index major), unit average energy."""
-    side = int(round(np.sqrt(order)))
-    if side * side != order or not is_power_of_two(order) or order < 4:
-        raise ConfigError(f"QAM order must be an even power of two >= 4, got {order}")
+    side = _qam_side(order)
     levels = 2 * np.arange(side) - (side - 1)
     scale = np.sqrt(2.0 * (order - 1) / 3.0)
     points = (levels[:, None] + 1j * levels[None, :]).ravel() / scale
@@ -57,27 +70,30 @@ def qam_points(order: int) -> np.ndarray:
 
 class Constellation:
     """Bit-labelled constellation with Gray mapping; ``label_points[label]`` is
-    the point of an MSB-first bit word given as an integer label."""
+    the point of an MSB-first bit word given as an integer label.  The
+    constructor only checks the order; the points are built on first use."""
 
     def __init__(self, kind: str, order: int):
-        if kind == "psk":
-            self.points = psk_points(order)
-        elif kind == "qam":
-            self.points = qam_points(order)
-        else:
+        if kind not in ("psk", "qam"):
             raise ConfigError(f"unknown constellation kind {kind!r}")
+        (_check_psk if kind == "psk" else _qam_side)(order)
         self.kind = kind
         self.order = order
-        self.bits_per_symbol = int(np.log2(order))
-        # the points in label order (label = bit word as integer)
-        self.label_points = np.empty(order, dtype=complex)
-        for k in range(order):
-            self.label_points[self._label_of_index(k)] = self.points[k]
+        self.bits_per_symbol = int(log2(order))
 
-    def _label_of_index(self, k: int) -> int:
+    @cached_property
+    def points(self) -> np.ndarray:
+        return (psk_points if self.kind == "psk" else qam_points)(self.order)
+
+    @cached_property
+    def label_points(self) -> np.ndarray:
+        """The points in label order (label = bit word as integer)."""
+        k = np.arange(self.order)
         if self.kind == "psk":
-            return gray_encode(k)
-        side = int(round(np.sqrt(self.order)))
-        i_idx, q_idx = divmod(k, side)
-        half = self.bits_per_symbol // 2
-        return (gray_encode(i_idx) << half) | gray_encode(q_idx)
+            labels = gray_encode(k)
+        else:
+            half = self.bits_per_symbol // 2
+            labels = (gray_encode(k >> half) << half) | gray_encode(k & ((1 << half) - 1))
+        label_points = np.empty(self.order, dtype=complex)
+        label_points[labels] = self.points
+        return label_points

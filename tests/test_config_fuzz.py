@@ -18,7 +18,7 @@ CONFIGS = {path.name: json.loads(path.read_text())
 # the nested objects whose keys a change may reach
 SECTIONS = ("scheme", "channel", "trials", "geometry", "grid")
 
-# integers stay small: a scheme is built before its codeword count is checked
+# integers stay small: a k-of-n scheme's binomial costs time superlinear in n
 leaves = (st.none() | st.booleans() | st.text(max_size=8) | st.integers(-4096, 4096)
           | st.floats() | st.sampled_from([1e308, -1e308, 5e-324, float("nan")]))
 keys = st.text(max_size=8)

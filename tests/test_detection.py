@@ -171,7 +171,3 @@ class TestCapacity:
         a = ergodic_capacity(2, 2, 5.0, 5_000, seed=9)
         b = ergodic_capacity(2, 2, 5.0, 5_000, seed=9)
         assert a == b == CapacityEstimate(a.mean, a.std_err, 5_000)
-
-    def test_rejects_bad_model(self):
-        with pytest.raises(ValueError):
-            ergodic_capacity(1, 1, 1.0, 10, seed=1, model="rician")

@@ -74,7 +74,7 @@ PINNED = {
         "fef30dd5de70da14", "7f37524ce69b5377", "3a347372397fb6bd"),
     "stsk-4-2-qpsk": (lambda: SpaceTimeShiftKeying(4, 2, 4, 2, 2),
         "8985af109c158531", "d0b981a6c3c9a48b", "6990ff4564a2d4dd"),
-    "stsk-8-3-qpsk-seed5": (lambda: SpaceTimeShiftKeying(8, 3, 4, 2, 2, seed=5),
+    "stsk-8-3-qpsk-seed5": (lambda: SpaceTimeShiftKeying(8, 3, 4, 2, 2, dispersion_seed=5),
         "17a169201e8b59a4", "738061f9e1d79863", "7f565ae442cbc4fa"),
     "mbm-16": (lambda: MediaBasedModulation(16),
         "e78a3e614fb6ed56", "127c282cd84becce", "b9e088d430bf8459"),

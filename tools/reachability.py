@@ -3,10 +3,9 @@
 
 Walks the syntax tree of every module of the package, without importing
 it.  The roots are the module-level code of each module (its top-level
-statements other than definitions), the ``risim`` commands (functions
-decorated with ``@cli.command()``) and the scheme registry (functions
-decorated with ``@_register(...)``, which fill
-``im_schemes._SCHEME_BUILDERS``).  From the roots the walk follows names:
+statements other than definitions, such as the scheme type table
+``im_schemes.SCHEME_TYPES``) and the ``risim`` commands (functions
+decorated with ``@cli.command()``).  From the roots the walk follows names:
 
 - a bare name reaches the function or class it is bound to at module
   level, directly or through ``from .module import name``; in a class
@@ -40,7 +39,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "risim"
 
 # (module, decorator) pairs whose function is registered, so called from outside
-ROOT_DECORATORS = {("cli", "cli.command"), ("im_schemes", "_register")}
+ROOT_DECORATORS = {("cli", "cli.command")}
 
 _ACCEPTANCE = "called by tests/test_acceptance.py, which is not edited"
 EXCEPTIONS = {
