@@ -18,7 +18,7 @@ import numpy as np
 
 from . import aperture, detection, im_schemes, metaatom, spacetime
 from .channel import complex_normal, los_matrix, stream_rng
-from .errors import ConfigError
+from .errors import ConfigError, _Section
 from .util import db_to_linear, write_csv
 
 DEFAULT_MAX_TRIALS = 10_000_000
@@ -57,60 +57,6 @@ class ChannelSpec:
     model: str                    # "awgn" | "rayleigh" | "rician"
     k_factor: float = 0.0
     los_structure: str = "dft"
-
-
-class _Section:
-    """Pops keys from one config mapping, rejecting leftovers with paths."""
-
-    def __init__(self, data, path):
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path or 'config'} must be an object")
-        self._data = dict(data)
-        self._path = path
-
-    def _name(self, key):
-        return f"{self._path}.{key}" if self._path else key
-
-    def take(self, key, default=None, required=False, kind=None):
-        if key not in self._data:
-            if required:
-                raise ConfigError(f"missing required key: {self._name(key)}")
-            return default
-        value = self._data.pop(key)
-        names = kind if isinstance(kind, tuple) else (kind,)
-        # exact types: JSON true/false would pass isinstance(value, int)
-        if kind is not None and type(value) not in names:
-            raise ConfigError(
-                f"{self._name(key)} must be {'/'.join(k.__name__ for k in names)}"
-            )
-        return value
-
-    def bounded(self, key, low, default=None, required=False, kind=(int, float),
-                strict=False, high=None, strict_high=False):
-        """take() for a finite number >= low (> low when ``strict``) and, given
-        ``high``, <= high (< high when ``strict_high``)."""
-        value = self.take(key, default, required, kind)
-        if value is None:
-            return value
-        above = value > low if strict else value >= low
-        below = high is None or (value < high if strict_high else value <= high)
-        # a JSON integer is finite, and math.isfinite overflows past 1e308
-        if not ((type(value) is int or math.isfinite(value)) and above and below):
-            limits = f"{'>' if strict else '>='} {low}"
-            if high is not None:
-                limits += f" and {'<' if strict_high else '<='} {high}"
-            raise ConfigError(f"{self._name(key)} must be {limits}, got {value!r}")
-        return value
-
-    def section(self, key, absent=None):
-        """The object at ``key``; a missing or null one reads as ``absent`` or {}."""
-        value = self.take(key)
-        return _Section((absent or {}) if value is None else value, self._name(key))
-
-    def finish(self):
-        if self._data:
-            extras = ", ".join(self._name(k) for k in sorted(self._data))
-            raise ConfigError(f"unknown key(s): {extras}")
 
 
 def _parse_scheme(raw) -> im_schemes.Scheme:
@@ -156,22 +102,14 @@ def _is_number(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
-def _parse_list(raw, key, non_empty=False) -> list:
-    if not isinstance(raw, list) or (non_empty and not raw):
-        raise ConfigError(f"{key} must be a {'non-empty ' if non_empty else ''}list")
-    return raw
+def _snr_grid(sec: _Section) -> tuple:
+    return tuple(float(v) for v in sec.bounded("snr_db", -MAX_SNR_DB, required=True,
+                                               high=MAX_SNR_DB, listed=True))
 
 
-def _parse_snr_grid(raw) -> tuple:
-    values = []
-    for v in _parse_list(raw, "snr_db", non_empty=True):
-        if not _is_number(v):
-            raise ConfigError(f"snr_db entries must be finite numbers, got {v!r}")
-        if abs(v) > MAX_SNR_DB:
-            raise ConfigError(f"snr_db entries must lie in [-{MAX_SNR_DB:g}, {MAX_SNR_DB:g}] dB, "
-                              f"got {v!r}")
-        values.append(float(v))
-    return tuple(values)
+def _draw_bytes(trials: TrialPolicy, n_rx: int, scheme) -> int:
+    """Bytes of one batch's channel draw."""
+    return 16 * min(trials.batch_size, trials.max_trials) * n_rx * _codeword_length(scheme)
 
 
 @dataclass(frozen=True)
@@ -214,9 +152,9 @@ class BerConfig:
         _check_bytes("scheme", 16 * dim * count,
                      f"a codebook of {count} codewords of length {dim}")
         batch = min(trials.batch_size, trials.max_trials)
-        _check_bytes("n_rx", 16 * batch * n_rx * dim,
+        _check_bytes("n_rx", _draw_bytes(trials, n_rx, scheme),
                      f"one batch's channel draw ({batch} x {n_rx} x {dim})")
-        snr_db = _parse_snr_grid(sec.take("snr_db", required=True))
+        snr_db = _snr_grid(sec)
         return cls(dict(scheme_cfg), channel, n_rx, snr_db, trials, seed, sec.take("output", kind=str))
 
 
@@ -232,15 +170,15 @@ class CapacityConfig:
 
     @classmethod
     def parse(cls, sec: _Section, seed: int) -> "CapacityConfig":
-        antennas = _parse_list(sec.take("antennas", required=True), "antennas", non_empty=True)
-        for pair in antennas:
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(type(v) is int and v >= 1 for v in pair)):
-                raise ConfigError(f"antennas entries must be [n_tx, n_rx] pairs, got {pair!r}")
+        antennas = sec.take("antennas", required=True, kind=list)
+        if not antennas or not all(isinstance(pair, list) and len(pair) == 2 and all(
+                type(v) is int and v >= 1 for v in pair) for pair in antennas):
+            raise ConfigError("antennas must be a non-empty list of [n_tx, n_rx] int pairs, "
+                              "each count >= 1")
         # parsed as in a BER config, but the sweep draws Rayleigh channels only
         if _parse_channel(sec).model != "rayleigh":
             raise ConfigError("channel.model: capacity sweeps support only the rayleigh model")
-        snr_db = _parse_snr_grid(sec.take("snr_db", required=True))
+        snr_db = _snr_grid(sec)
         trials = sec.bounded("trials", 2, 50_000, kind=int)
         _check_bytes("trials", 8 * len(snr_db) * trials,
                      f"one capacity value per SNR point and trial ({len(snr_db)} x {trials})")
@@ -279,12 +217,8 @@ class PatternConfig:
         geo_sec.finish()
         _check_bytes("geometry", aperture.element_bytes(rows, cols),
                      f"the per-angle element arrays of a {rows}x{cols} aperture")
-        angles = _parse_list(sec.take("scan_angles_deg", required=True), "scan_angles_deg",
-                             non_empty=True)
-        for a in angles:
-            # SteeringSpec takes a non-negative phase range, so only 0..90 deg steer
-            if not _is_number(a) or not 0.0 <= a <= 90.0:
-                raise ConfigError(f"scan_angles_deg entries must be numbers in [0, 90], got {a!r}")
+        # SteeringSpec takes a non-negative phase range, so only 0..90 deg steer
+        angles = sec.bounded("scan_angles_deg", 0.0, required=True, high=90.0, listed=True)
         grid = sec.section("grid")
         # at least two elevations in 0..90 deg and two azimuths in 0..360 deg
         theta_step = float(grid.bounded("theta_step_deg", 0, 1.0, strict=True, high=90))
@@ -325,31 +259,37 @@ class HarmonicsConfig:
     @classmethod
     def parse(cls, sec: _Section, seed: int) -> "HarmonicsConfig":
         num_steps = sec.bounded("num_steps", 2, 16, kind=int)
+        harmonic_range = sec.bounded("harmonic_range", 0, kind=int)
+        m_range, key = ((num_steps, "num_steps") if harmonic_range is None
+                        else (harmonic_range, "harmonic_range"))
+        # checked before the lists, so num_steps is small enough for float arithmetic
+        _check_bytes(key, spacetime.spectrum_bytes(num_steps, m_range),
+                     f"one spectrum of {2 * m_range + 1} harmonics over {num_steps} steps")
+        # the synthesized harmonic aliases from |m| = L/2 on
+        top = (num_steps - 1) // 2
 
         def harmonic(m, key):
-            # the synthesized harmonic aliases from |m| = L/2 on
-            if type(m) is not int or abs(m) >= num_steps / 2:
+            if type(m) is not int or abs(m) > top:
                 raise ConfigError(f"{key}: harmonic {m!r} must be an integer with "
                                   f"|m| < num_steps/2 = {num_steps / 2:g}")
             return m
 
-        singles = [harmonic(m, "single_harmonics")
-                   for m in _parse_list(sec.take("single_harmonics", []), "single_harmonics")]
-        shifts = _parse_list(sec.take("shift_fractions", []), "shift_fractions")
+        singles = sec.bounded("single_harmonics", -top, [], kind=int, high=top, listed=True)
+        shifts = sec.bounded("shift_fractions", None, [], listed=True)
         if shifts and num_steps < 3:
             raise ConfigError(f"shift_fractions: a shift delays the ramp of harmonic 1, which "
                               f"aliases for num_steps = {num_steps}; need num_steps >= 3")
         for f in shifts:
-            if not _is_number(f):
-                raise ConfigError(f"shift_fractions entries must be finite numbers, got {f!r}")
             ticks = f * num_steps  # a shift is a whole number of the L steps
             if not _is_number(ticks) or abs(ticks - round(ticks)) > 1e-9:
                 raise ConfigError(f"shift_fractions: {f!r} is not an integer number of steps "
                                   f"for num_steps = {num_steps}")
         targets = []
-        for group in _parse_list(sec.take("multi_targets", []), "multi_targets"):
+        for group in sec.take("multi_targets", [], kind=list):
+            if not isinstance(group, list):
+                raise ConfigError(f"multi_targets groups must be lists, got {group!r}")
             one = []
-            for entry in _parse_list(group, "multi_targets groups"):
+            for entry in group:
                 w = entry[1] if isinstance(entry, list) and len(entry) == 2 else None
                 parts = w if isinstance(w, list) and len(w) == 2 else [w]
                 if not all(_is_number(v) for v in parts):
@@ -361,11 +301,6 @@ class HarmonicsConfig:
             if sum(abs(w) ** 2 for _, w in one) > 1.0 + 1e-12:
                 raise ConfigError(f"multi_targets group asks for more than unit power: {group!r}")
             targets.append(tuple(one))
-        harmonic_range = sec.bounded("harmonic_range", 0, kind=int)
-        m_range, key = ((num_steps, "num_steps") if harmonic_range is None
-                        else (harmonic_range, "harmonic_range"))
-        _check_bytes(key, spacetime.spectrum_bytes(num_steps, m_range),
-                     f"one spectrum of {2 * m_range + 1} harmonics over {num_steps} steps")
         return cls(num_steps, tuple(singles), tuple(float(f) for f in shifts), tuple(targets),
                    harmonic_range, sec.take("output_dir", "harmonics", kind=str), seed)
 
@@ -545,8 +480,10 @@ def run_ber(config: ExperimentConfig, threads: int = 1) -> BerCurve:
     and counts errored bits (index and symbol bits alike).
 
     One pool of ``threads`` workers serves the whole curve, with at most
-    ``threads`` batches in flight.  Each point folds its batches in index
-    order and stops at the first one that meets its stop rule.  A freed
+    ``threads`` batches in flight; a ConfigError naming ``--threads`` refuses
+    a run whose batches in flight would draw more than ``MAX_RUN_BYTES``
+    before any worker starts.  Each point folds its batches in index order
+    and stops at the first one that meets its stop rule.  A freed
     worker takes certain work first: the next batch of a live point whose
     started batches are all folded, which is sure to be folded.  Only when
     no point has certain work does it speculate, on the batch nearest to
@@ -556,11 +493,13 @@ def run_ber(config: ExperimentConfig, threads: int = 1) -> BerCurve:
     result, does not.
     """
     scheme = im_schemes.build_scheme(config.scheme)
+    policy = config.trials
+    width = max(1, threads)
+    _check_bytes("--threads", width * _draw_bytes(policy, config.n_rx, scheme),
+                 f"{width} batches' channel draws in flight")
     model = _BerModel(scheme, config.channel, config.n_rx)
     bits = scheme.bits_per_interval
-    policy = config.trials
     n_batches = math.ceil(policy.max_trials / policy.batch_size)
-    width = max(1, threads)
     # one scalar power per point: the vectorised power rounds differently
     snrs = [db_to_linear(snr_db) for snr_db in config.snr_db]
     trials = [0] * len(snrs)

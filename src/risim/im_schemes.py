@@ -19,7 +19,6 @@ point per resource.
 """
 
 import inspect
-import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations, islice, product
@@ -28,7 +27,7 @@ from math import comb, gcd, log2
 import numpy as np
 
 from .detection import CandidateSet
-from .errors import ConfigError
+from .errors import ConfigError, _Section
 from .modulation import Constellation, int_to_bits, is_power_of_two
 
 # the one point of schemes whose only message is the index
@@ -306,8 +305,8 @@ class SimOok(Scheme):
     domain = "frequency"
     model = "analytic"
 
-    def __init__(self, harmonics, order: int = 1, num_steps: int = 16):
-        self.harmonics = tuple(int(m) for m in harmonics)
+    def __init__(self, harmonics: list, order: int = 1, num_steps: int = 16):
+        self.harmonics = tuple(harmonics)
         if len(set(self.harmonics)) != len(self.harmonics) or not self.harmonics:
             raise ConfigError("harmonic alphabet must be non-empty and unique")
         if 0 in self.harmonics:
@@ -317,15 +316,15 @@ class SimOok(Scheme):
         self.num_steps = num_steps
         self.symbol_bits = 0 if order == 1 else _int_log2(order, "PSK order")
         for m in self.harmonics:
-            if abs(m) >= num_steps / 2:
-                raise ConfigError(f"harmonic {m} aliases for L = {num_steps}")
+            if 2 * abs(m) >= num_steps:
+                raise ConfigError(f"scheme.harmonics: harmonic {m} aliases for "
+                                  f"num_steps = {num_steps}")
         if order > 1:
             if num_steps % order:
                 raise ConfigError(f"PSK order {order} needs L divisible by M (L = {num_steps})")
             for m in self.harmonics:
                 self._solve_shift(m, 1)  # raises if infeasible
         self.dim = len(self.harmonics)
-        operator.index(order)   # the points take range(order)
 
     @cached_property
     def points(self):
@@ -403,8 +402,6 @@ class ScIm(_SubsetBlockScheme):
     def __init__(self, slots: int, k: int, order: int,
                  constellation: str = "psk", symbols_per_frame: int = 16, cp_length: int = 0):
         super().__init__(slots, k, order, constellation)
-        if symbols_per_frame < 1 or cp_length < 0:
-            raise ConfigError("symbols_per_frame must be >= 1 and cp_length >= 0")
         self.symbols_per_frame = symbols_per_frame
         self.cp_length = cp_length
 
@@ -452,9 +449,6 @@ class SpaceTimeShiftKeying(Scheme):
         self.n_tx = self.dim = n_tx
         self.n_slots = n_slots
         self.dispersion_seed = dispersion_seed
-        # the stream key and shape dispersion_set takes, checked without a draw
-        np.random.SeedSequence([dispersion_seed, q_matrices, n_tx, n_slots])
-        operator.index(n_tx), operator.index(n_slots)
 
     @cached_property
     def matrices(self) -> np.ndarray:
@@ -509,13 +503,11 @@ class MediaBasedModulation(Scheme):
 # --------------------------------------------------------------------------
 
 
-def rate_ra_ssk(n_tx: int, states_per_antenna) -> float:
+def rate_ra_ssk(n_tx: int, states_per_antenna: list) -> float:
     """log2 nT + mean over antennas of log2 of their pattern-state counts."""
     states = list(states_per_antenna)
     if len(states) != n_tx:
         raise ConfigError(f"need one state count per antenna ({n_tx}), got {len(states)}")
-    if any(s < 1 for s in states):
-        raise ConfigError("state counts must be >= 1")
     return float(log2(n_tx) + sum(log2(s) for s in states) / n_tx)
 
 
@@ -544,56 +536,42 @@ SCHEME_TYPES = {
 # types whose rate is a formula of their keys; RA-SSK has no mapper at all
 _RATE_FORMULAS = {"ra_ssk": rate_ra_ssk, "qsm": qsm_rate}
 
-
-def _check_config(config) -> None:
-    """A scheme config is an object with a string type, and no key is
-    boolean: JSON true/false would pass as 1/0."""
-    if not isinstance(config, dict):
-        raise ConfigError(f"scheme must be an object, got {config!r}")
-    for key, value in config.items():
-        if isinstance(value, bool) or (
-                isinstance(value, list) and any(isinstance(v, bool) for v in value)):
-            raise ConfigError(f"scheme.{key} must not be a boolean, got {value!r}")
-    if not isinstance(config.get("type", ""), str):
-        raise ConfigError(f"scheme.type must be a string, got {config['type']!r}")
+# the integer keys, and integer-list keys by entry, whose lower bound is not
+# 1 (None: no bound)
+_LOW = {"cp_length": 0, "dispersion_seed": 0, "harmonics": None}
 
 
-def _from_keys(config: dict, fn):
-    """``fn`` called with the scheme config's keys, all but ``type``, as
-    its keyword arguments; a parameter without a default is required, and
-    every key must name a parameter."""
-    params = inspect.signature(fn).parameters
-    for name, param in params.items():
-        if param.default is param.empty and name not in config:
-            raise ConfigError(f"scheme.{name} is required for type {config['type']!r}")
-    try:
-        value = fn(**{key: config[key] for key in params if key in config})
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid scheme config: {exc}") from None
-    unknown = set(config) - set(params) - {"type"}
-    if unknown:
-        raise ConfigError(f"unknown scheme key(s): {', '.join(sorted(unknown))}")
-    return value
+def _from_keys(config, types: dict):
+    """``types[config["type"]]`` called with the scheme config's other keys
+    as its keyword arguments.  Each key is read as its parameter's
+    annotation says: ``int``, ``list`` of ints (each >= 1 unless ``_LOW``
+    says otherwise) or ``str``; a parameter without a default is required,
+    and every key must name a parameter."""
+    sec = _Section(config, "scheme")
+    kind = sec.take("type", kind=str)
+    if kind not in types:
+        raise ConfigError(f"scheme.type must be one of {sorted(types)}, got {kind!r}")
+    args = {}
+    for name, param in inspect.signature(types[kind]).parameters.items():
+        default, required = param.default, param.default is param.empty
+        if param.annotation in (int, list):
+            args[name] = sec.bounded(name, _LOW.get(name, 1), default, required, kind=int,
+                                     listed=param.annotation is list)
+        else:
+            args[name] = sec.take(name, default, required, kind=param.annotation)
+    sec.finish()
+    return types[kind](**args)
 
 
 def build_scheme(config: dict) -> Scheme:
     """Instantiate a scheme from its config dict; unknown keys rejected."""
-    _check_config(config)
-    kind = config.get("type")
-    if kind not in SCHEME_TYPES:
-        raise ConfigError(f"scheme.type must be one of {sorted(SCHEME_TYPES)}, got {kind!r}")
-    return _from_keys(config, SCHEME_TYPES[kind])
+    return _from_keys(config, SCHEME_TYPES)
 
 
 def rate_of(config: dict) -> float:
     """Throughput of a scheme config, by formula where one is registered."""
-    _check_config(config)
-    formula = _RATE_FORMULAS.get(config.get("type"))
-    if formula is not None:
-        return _from_keys(config, formula)
-    return build_scheme(config).rate()
+    value = _from_keys(config, {**SCHEME_TYPES, **_RATE_FORMULAS})
+    return value.rate() if isinstance(value, Scheme) else value
 
 
 def codebook_rows(scheme: Scheme):

@@ -85,7 +85,7 @@ def synthesize_single_harmonic(m: int, num_steps: int) -> np.ndarray:
     Gamma^n = exp(j*2*pi*m*n/L); the commanded harmonic retains amplitude
     sinc(pi*|m|/L) and the nearest image sits L indices away.
     """
-    if abs(m) >= num_steps / 2:
+    if 2 * abs(m) >= num_steps:
         raise ValueError(
             f"harmonic {m} aliases for L = {num_steps}; need |m| < L/2"
         )
@@ -138,7 +138,7 @@ def synthesize_multi_harmonic(targets, num_steps: int, max_iterations: int = 200
     if len(set(ms)) != len(ms):
         raise ValueError("duplicate target harmonics")
     for m in ms:
-        if abs(m) >= num_steps / 2:
+        if 2 * abs(m) >= num_steps:
             raise ValueError(f"harmonic {m} aliases for L = {num_steps}; need |m| < L/2")
     budget = sum(abs(w) ** 2 for _, w in targets)
     if budget > 1.0 + 1e-12:

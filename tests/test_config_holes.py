@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from risim import aperture, detection, im_schemes, spacetime
+from risim import aperture, detection, harness, im_schemes, spacetime
 from risim.cli import main
 from risim.errors import ConfigError
 from risim.harness import (MAX_BATCH_SIZE, MAX_PATTERN_SWEEP_BYTES, MAX_RUN_BYTES,
@@ -529,3 +529,47 @@ def test_capacity_trials_budget_counts_the_snr_grid(tmp_path, capsys):
     assert not (tmp_path / "capacity.csv").exists()
     cfg["trials"] = MAX_RUN_BYTES // 16
     assert parse_config(cfg).capacity_trials == 1 << 25
+
+
+HUGE = 10 ** 400   # past float range: num_steps / 2 used to raise OverflowError
+
+
+@pytest.mark.parametrize("changes", [{"single_harmonics": [1]},
+                                     {"multi_targets": [[[1, 0.5]]]}])
+def test_harmonics_with_num_steps_past_float_range_exit_2(tmp_path, capsys, changes):
+    assert_exit_2(tmp_path, capsys, "harmonics", harmonics_config(num_steps=HUGE, **changes),
+                  "num_steps")
+
+
+@pytest.mark.parametrize("scheme, code, printed", [
+    ({"harmonics": [-1, 1], "order": 4, "num_steps": HUGE}, 0, "3.000000"),
+    ({"harmonics": [1, HUGE], "num_steps": HUGE}, 2, ""),
+])
+def test_sim_ook_rate_with_num_steps_past_float_range(tmp_path, capsys, scheme, code, printed):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"experiment": "rate", "scheme": {"type": "sim_ook", **scheme}}))
+    assert main(["rate", "--config", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out.strip() == printed
+    assert ("scheme.harmonics" in captured.err) == (code == 2)
+
+
+def test_threads_whose_batches_overrun_the_byte_budget_exit_2(tmp_path, capsys, monkeypatch):
+    # one batch's channel draw is 16 * 2^16 * 200 bytes, over a third of the budget
+    cfg = ber_config({"type": "psk", "order": 2}, max_trials=1 << 20, batch_size=1 << 16)
+    cfg["n_rx"] = 200
+    assert 3 * 16 * (1 << 16) * 200 > MAX_RUN_BYTES >= 2 * 16 * (1 << 16) * 200
+
+    def no_pool(*args, **kwargs):
+        raise RuntimeError("pool created")
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    run = ["ber", "--config", str(path), "--out", str(tmp_path), "--threads"]
+    assert main([*run, "3"]) == 2
+    assert "--threads" in capsys.readouterr().err
+    # two batches fit: the run goes on to create its pool
+    assert main([*run, "2"]) == 3
+    assert "pool created" in capsys.readouterr().err
+    assert not (tmp_path / "curve.csv").exists()

@@ -279,7 +279,7 @@ class TestBuildScheme:
             build_scheme({"type": "dsm"})
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown scheme key"):
+        with pytest.raises(ConfigError, match="scheme.antennas"):
             build_scheme({"type": "sm", "n_tx": 4, "order": 4, "antennas": 2})
 
     def test_missing_key(self):

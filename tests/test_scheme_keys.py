@@ -9,6 +9,7 @@ whatever its ``order``; ``tracemalloc`` bounds what the refusal allocates.
 """
 
 import inspect
+import json
 import re
 import tracemalloc
 from math import comb, floor, log2
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from risim.cli import main
 from risim.errors import ConfigError
 from risim.harness import MAX_CODEWORDS, parse_config
 from risim.im_schemes import (_RATE_FORMULAS, SCHEME_TYPES, _subset_bits, build_scheme,
@@ -118,13 +120,13 @@ def test_binomial_past_float_range_is_refused_by_its_codeword_count(scheme, n, k
 
 @pytest.mark.parametrize("scheme, message", [
     ({"type": "stsk", "q_matrices": 8, "p_active": 4, "order": 4, "n_tx": 3, "n_slots": "4"},
-     "'str' object cannot be interpreted as an integer"),
+     "scheme.n_slots"),
     ({"type": "stsk", "q_matrices": 4, "order": 2, "n_tx": [2], "n_slots": 2},
-     "'list' object cannot be interpreted as an integer"),
+     "scheme.n_tx"),
     ({"type": "stsk", "q_matrices": 4, "order": 2, "n_tx": 2, "n_slots": 2,
-      "dispersion_seed": -1}, "expected non-negative integer"),
+      "dispersion_seed": -1}, "scheme.dispersion_seed"),
     ({"type": "sim_ook", "harmonics": [-1, 1], "order": 1.0},
-     "'float' object cannot be interpreted as an integer"),
+     "scheme.order"),
 ])
 def test_parameters_of_tables_built_later_are_checked_at_construction(scheme, message):
     # the dispersion matrices and SIM-OOK points are built on first use, and
@@ -133,3 +135,71 @@ def test_parameters_of_tables_built_later_are_checked_at_construction(scheme, me
     for fn in (build_scheme, rate_of):
         with pytest.raises(ConfigError, match=re.escape(message)):
             fn(scheme)
+
+
+# one valid config per type, every parameter given
+VALID = {
+    "psk": {"order": 4, "constellation": "psk"},
+    "qam": {"order": 16, "constellation": "qam"},
+    "sm": {"n_tx": 4, "order": 4, "constellation": "psk"},
+    "ssk": {"n_tx": 4},
+    "gsm": {"n_tx": 4, "n_active": 2, "order": 4, "constellation": "psk"},
+    "qsm": {"n_tx": 2, "order": 4, "constellation": "qam"},
+    "sim_ook": {"harmonics": [-1, 1], "order": 2, "num_steps": 16},
+    "ofdm_im": {"n": 4, "k": 2, "order": 2, "constellation": "psk"},
+    "sc_im": {"slots": 4, "k": 2, "order": 2, "constellation": "psk",
+              "symbols_per_frame": 16, "cp_length": 4},
+    "stsk": {"q_matrices": 4, "p_active": 1, "order": 2, "n_tx": 2, "n_slots": 2,
+             "constellation": "psk", "dispersion_seed": 1},
+    "mbm": {"num_states": 4, "order": 2, "constellation": "psk"},
+    "ra_ssk": {"n_tx": 2, "states_per_antenna": [2, 4]},
+}
+# 0.5, 2.0 and the list entries 2.5 and "-2" used to pass through int()
+MALFORMED = {
+    int: [1.5, 0.5, 2.0, "2", [2], None, 0, -1],
+    list: [[1.5, 2], [2, 2.5], ["1"], ["1", "-2"], [True], 3, None],
+    str: [1, ["psk"], None],
+}
+
+
+def case(command, kind, key, value):
+    return pytest.param(command, kind, key, value, id=f"{command}-{kind}-{key}={json.dumps(value)}")
+
+
+def malformed_keys():
+    """(command, type, key, value) for every scheme key of ``rate`` and
+    ``codebook`` and each malformed value of its JSON type."""
+    for kind, valid in VALID.items():
+        for command, table in (("rate", {**SCHEME_TYPES, **_RATE_FORMULAS}),
+                               ("codebook", SCHEME_TYPES)):
+            if kind not in table:
+                continue
+            params = inspect.signature(table[kind]).parameters
+            assert set(valid) == set(params), kind
+            for key, param in params.items():
+                for value in MALFORMED[param.annotation]:
+                    # 0 is a valid cyclic prefix and dispersion seed
+                    if not (value == 0 and key in ("cp_length", "dispersion_seed")):
+                        yield case(command, kind, key, value)
+    # n_tx 0 used to run a BER curve of 0/0 dispersion matrices, and n_slots 0
+    # to stop on a raw ZeroDivisionError
+    yield case("ber", "stsk", "n_tx", 0)
+    yield case("ber", "stsk", "n_slots", 0)
+
+
+@pytest.mark.parametrize("command, kind, key, value", list(malformed_keys()))
+def test_malformed_scheme_value_exits_2_naming_its_key(tmp_path, capsys, command, kind,
+                                                        key, value):
+    scheme = {"type": kind, **VALID[kind], key: value}
+    cfg = (ber_config(scheme) if command == "ber"
+           else {"experiment": command, "scheme": scheme, "output": "book.csv"})
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    out = [] if command == "rate" else ["--out", str(tmp_path)]
+    assert main([command, "--config", str(path), *out]) == 2
+    captured = capsys.readouterr()
+    assert re.search(rf"scheme\.{key}\b", captured.err), captured.err
+    assert not captured.out
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+    with pytest.raises(ConfigError, match=rf"scheme\.{key}\b"):
+        (rate_of if command == "rate" else build_scheme)(scheme)
