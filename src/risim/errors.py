@@ -1,9 +1,9 @@
 """Config errors, and ``_Section``, the one reader of every config key: a
 key of an experiment file or of a scheme config that is missing, unknown,
-of the wrong JSON type or out of bounds raises ``ConfigError`` naming its
-dotted path."""
+of the wrong JSON type, out of bounds or not one of its choices raises
+``ConfigError`` naming its dotted path."""
 
-import math
+import sys
 
 
 class ConfigError(ValueError):
@@ -50,8 +50,8 @@ class _Section:
             raise ConfigError(f"{self._name(key)} must be a non-empty list")
         names = kind if isinstance(kind, tuple) else (kind,)
         for v in value if listed else (value,):
-            # a JSON integer is finite, and math.isfinite overflows past 1e308
-            if not (type(v) in names and (type(v) is int or math.isfinite(v))
+            # a number read as a float must fit one; an int-only key is unbounded
+            if not (type(v) in names and (float not in names or abs(v) <= sys.float_info.max)
                     and (low is None or (v > low if strict else v >= low))
                     and (high is None or (v < high if strict_high else v <= high))):
                 limits = "finite" if low is None else f"{'>' if strict else '>='} {low}"
@@ -60,6 +60,13 @@ class _Section:
                 what = f"{self._name(key)}{' entries' if listed else ''}"
                 raise ConfigError(f"{what} must be {'/'.join(k.__name__ for k in names)} "
                                   f"{limits}, got {v!r}")
+        return value
+
+    def choice(self, key, options, default=None, required=False):
+        """take() for a string among ``options``."""
+        value = self.take(key, default, required, str)
+        if value is not None and value not in options:
+            raise ConfigError(f"{self._name(key)} must be {'/'.join(options)}, got {value!r}")
         return value
 
     def section(self, key, absent=None):

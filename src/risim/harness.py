@@ -9,6 +9,7 @@ byte-identical result files.
 
 import json
 import math
+import sys
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -81,25 +82,22 @@ def _codeword_length(scheme) -> int:
 
 def _parse_channel(parent: _Section) -> ChannelSpec:
     sec = parent.section("channel", {"model": "rayleigh"})
-    model = sec.take("model", required=True, kind=str)
-    if model not in ("awgn", "rayleigh", "rician"):
-        raise ConfigError(f"channel.model must be awgn/rayleigh/rician, got {model!r}")
+    model = sec.choice("model", ("awgn", "rayleigh", "rician"), required=True)
     if model != "rician":
         sec.finish()
         return ChannelSpec(model)
     k_factor = float(sec.bounded("K", 0, required=True))
     los = sec.section("los")
-    structure = los.take("structure", "dft", kind=str)
+    structure = los.choice("structure", ("dft", "ones"), "dft")
     los.finish()
-    if structure not in ("dft", "ones"):
-        raise ConfigError("channel.los.structure must be 'dft' or 'ones'")
     sec.finish()
     return ChannelSpec(model, k_factor, structure)
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; true/false would pass isinstance(value, int)."""
-    return type(value) in (int, float) and math.isfinite(value)
+    """A JSON number that fits a finite float; true/false would pass
+    isinstance(value, int)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _snr_grid(sec: _Section) -> tuple:
@@ -267,13 +265,6 @@ class HarmonicsConfig:
                      f"one spectrum of {2 * m_range + 1} harmonics over {num_steps} steps")
         # the synthesized harmonic aliases from |m| = L/2 on
         top = (num_steps - 1) // 2
-
-        def harmonic(m, key):
-            if type(m) is not int or abs(m) > top:
-                raise ConfigError(f"{key}: harmonic {m!r} must be an integer with "
-                                  f"|m| < num_steps/2 = {num_steps / 2:g}")
-            return m
-
         singles = sec.bounded("single_harmonics", -top, [], kind=int, high=top, listed=True)
         shifts = sec.bounded("shift_fractions", None, [], listed=True)
         if shifts and num_steps < 3:
@@ -295,7 +286,10 @@ class HarmonicsConfig:
                 if not all(_is_number(v) for v in parts):
                     raise ConfigError("multi_targets entries must be [m, weight] pairs with a "
                                       f"number or [re, im] weight, got {entry!r}")
-                one.append((harmonic(entry[0], "multi_targets"), complex(*parts)))
+                if type(entry[0]) is not int or abs(entry[0]) > top:
+                    raise ConfigError(f"multi_targets harmonics must be int >= {-top} and "
+                                      f"<= {top}, got {entry[0]!r}")
+                one.append((entry[0], complex(*parts)))
             if len({m for m, _ in one}) != len(one):
                 raise ConfigError(f"multi_targets group repeats a harmonic: {group!r}")
             if sum(abs(w) ** 2 for _, w in one) > 1.0 + 1e-12:
@@ -495,11 +489,12 @@ def run_ber(config: ExperimentConfig, threads: int = 1) -> BerCurve:
     scheme = im_schemes.build_scheme(config.scheme)
     policy = config.trials
     width = max(1, threads)
-    _check_bytes("--threads", width * _draw_bytes(policy, config.n_rx, scheme),
-                 f"{width} batches' channel draws in flight")
+    n_batches = -(-policy.max_trials // policy.batch_size)   # exact for any int
+    in_flight = min(width, n_batches * len(config.snr_db))
+    _check_bytes("--threads", in_flight * _draw_bytes(policy, config.n_rx, scheme),
+                 f"{in_flight} batches' channel draws in flight")
     model = _BerModel(scheme, config.channel, config.n_rx)
     bits = scheme.bits_per_interval
-    n_batches = math.ceil(policy.max_trials / policy.batch_size)
     # one scalar power per point: the vectorised power rounds differently
     snrs = [db_to_linear(snr_db) for snr_db in config.snr_db]
     trials = [0] * len(snrs)

@@ -317,8 +317,7 @@ class SimOok(Scheme):
         self.symbol_bits = 0 if order == 1 else _int_log2(order, "PSK order")
         for m in self.harmonics:
             if 2 * abs(m) >= num_steps:
-                raise ConfigError(f"scheme.harmonics: harmonic {m} aliases for "
-                                  f"num_steps = {num_steps}")
+                raise ConfigError(f"harmonic {m} aliases for L = {num_steps}")
         if order > 1:
             if num_steps % order:
                 raise ConfigError(f"PSK order {order} needs L divisible by M (L = {num_steps})")
@@ -545,20 +544,18 @@ def _from_keys(config, types: dict):
     """``types[config["type"]]`` called with the scheme config's other keys
     as its keyword arguments.  Each key is read as its parameter's
     annotation says: ``int``, ``list`` of ints (each >= 1 unless ``_LOW``
-    says otherwise) or ``str``; a parameter without a default is required,
-    and every key must name a parameter."""
+    says otherwise) or ``str``, a constellation kind; a parameter without a
+    default is required, and every key must name a parameter."""
     sec = _Section(config, "scheme")
-    kind = sec.take("type", kind=str)
-    if kind not in types:
-        raise ConfigError(f"scheme.type must be one of {sorted(types)}, got {kind!r}")
+    kind = sec.choice("type", sorted(types), required=True)
     args = {}
     for name, param in inspect.signature(types[kind]).parameters.items():
         default, required = param.default, param.default is param.empty
         if param.annotation in (int, list):
             args[name] = sec.bounded(name, _LOW.get(name, 1), default, required, kind=int,
                                      listed=param.annotation is list)
-        else:
-            args[name] = sec.take(name, default, required, kind=param.annotation)
+        else:   # str: the constellation kind
+            args[name] = sec.choice(name, Constellation.KINDS, default, required)
     sec.finish()
     return types[kind](**args)
 

@@ -10,7 +10,7 @@ Conventions used across all mappers:
 """
 
 from functools import cached_property
-from math import log2
+from math import isqrt, log2
 
 import numpy as np
 
@@ -47,8 +47,8 @@ def _check_psk(order: int) -> None:
 
 
 def _qam_side(order: int) -> int:
-    side = int(round(np.sqrt(order)))
-    if side * side != order or not is_power_of_two(order) or order < 4:
+    side = isqrt(order) if is_power_of_two(order) else 0   # exact for any int
+    if side * side != order or order < 4:
         raise ConfigError(f"QAM order must be an even power of two >= 4, got {order}")
     return side
 
@@ -73,8 +73,10 @@ class Constellation:
     the point of an MSB-first bit word given as an integer label.  The
     constructor only checks the order; the points are built on first use."""
 
+    KINDS = ("psk", "qam")
+
     def __init__(self, kind: str, order: int):
-        if kind not in ("psk", "qam"):
+        if kind not in self.KINDS:
             raise ConfigError(f"unknown constellation kind {kind!r}")
         (_check_psk if kind == "psk" else _qam_side)(order)
         self.kind = kind

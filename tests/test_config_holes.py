@@ -551,7 +551,7 @@ def test_sim_ook_rate_with_num_steps_past_float_range(tmp_path, capsys, scheme, 
     assert main(["rate", "--config", str(path)]) == code
     captured = capsys.readouterr()
     assert captured.out.strip() == printed
-    assert ("scheme.harmonics" in captured.err) == (code == 2)
+    assert ("aliases" in captured.err) == (code == 2)
 
 
 def test_threads_whose_batches_overrun_the_byte_budget_exit_2(tmp_path, capsys, monkeypatch):
@@ -572,4 +572,32 @@ def test_threads_whose_batches_overrun_the_byte_budget_exit_2(tmp_path, capsys, 
     # two batches fit: the run goes on to create its pool
     assert main([*run, "2"]) == 3
     assert "pool created" in capsys.readouterr().err
+    # a run of one batch never has more than that one in flight
+    cfg["trials"]["max_trials"] = 1 << 16
+    path.write_text(json.dumps(cfg))
+    assert main([*run, "3"]) == 3
+    assert "pool created" in capsys.readouterr().err
     assert not (tmp_path / "curve.csv").exists()
+
+
+def test_max_trials_past_float_range_runs_to_its_stop_rule(tmp_path, capsys):
+    # the batch count used to be math.ceil of a float quotient, which overflows
+    cfg = {**ber_config({"type": "psk", "order": 2}, max_trials=HUGE, batch_size=1000),
+           "channel": {"model": "awgn"}, "snr_db": [0]}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["ber", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "curve.csv").read_text().splitlines()
+    assert rows[1].split(",")[1] == "1000"   # BPSK at 0 dB errs 10 times in one batch
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("harmonics", harmonics_config(shift_fractions=[HUGE]), "shift_fractions"),
+    ("harmonics", harmonics_config(multi_targets=[[[1, HUGE]]]), "multi_targets"),
+    ("harmonics", harmonics_config(multi_targets=[[[1, [0, HUGE]]]]), "multi_targets"),
+    ("ber", {**ber_config({"type": "psk", "order": 2}), "channel": {"model": "rician", "K": HUGE}},
+     "channel.K"),
+], ids=["shift", "weight", "weight-im", "K"])
+def test_int_past_float_range_in_a_number_key_exits_2(tmp_path, capsys, command, cfg, key):
+    # math.isfinite and float() used to raise OverflowError on such an int
+    assert_exit_2(tmp_path, capsys, command, cfg, key)

@@ -158,8 +158,10 @@ VALID = {
 MALFORMED = {
     int: [1.5, 0.5, 2.0, "2", [2], None, 0, -1],
     list: [[1.5, 2], [2, 2.5], ["1"], ["1", "-2"], [True], 3, None],
-    str: [1, ["psk"], None],
+    str: [1, ["psk"], None, "foo"],
 }
+# the scheme types of each command
+COMMANDS = (("rate", {**SCHEME_TYPES, **_RATE_FORMULAS}), ("codebook", SCHEME_TYPES))
 
 
 def case(command, kind, key, value):
@@ -170,8 +172,7 @@ def malformed_keys():
     """(command, type, key, value) for every scheme key of ``rate`` and
     ``codebook`` and each malformed value of its JSON type."""
     for kind, valid in VALID.items():
-        for command, table in (("rate", {**SCHEME_TYPES, **_RATE_FORMULAS}),
-                               ("codebook", SCHEME_TYPES)):
+        for command, table in COMMANDS:
             if kind not in table:
                 continue
             params = inspect.signature(table[kind]).parameters
@@ -187,19 +188,69 @@ def malformed_keys():
     yield case("ber", "stsk", "n_slots", 0)
 
 
-@pytest.mark.parametrize("command, kind, key, value", list(malformed_keys()))
-def test_malformed_scheme_value_exits_2_naming_its_key(tmp_path, capsys, command, kind,
-                                                        key, value):
-    scheme = {"type": kind, **VALID[kind], key: value}
+def run_scheme(tmp_path, capsys, command, scheme):
+    """Exit code and captured output of ``command`` on one scheme config."""
     cfg = (ber_config(scheme) if command == "ber"
            else {"experiment": command, "scheme": scheme, "output": "book.csv"})
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(cfg))
     out = [] if command == "rate" else ["--out", str(tmp_path)]
-    assert main([command, "--config", str(path), *out]) == 2
-    captured = capsys.readouterr()
+    return main([command, "--config", str(path), *out]), capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, kind, key, value", list(malformed_keys()))
+def test_malformed_scheme_value_exits_2_naming_its_key(tmp_path, capsys, command, kind,
+                                                        key, value):
+    scheme = {"type": kind, **VALID[kind], key: value}
+    code, captured = run_scheme(tmp_path, capsys, command, scheme)
+    assert code == 2
     assert re.search(rf"scheme\.{key}\b", captured.err), captured.err
     assert not captured.out
     assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
     with pytest.raises(ConfigError, match=rf"scheme\.{key}\b"):
         (rate_of if command == "rate" else build_scheme)(scheme)
+
+
+# past float precision, and past float range
+HUGE_INTS = {"2**64": 1 << 64, "2**70": 1 << 70, "10**400": 10 ** 400}
+
+
+def huge_int_keys():
+    """(command, type, key, value) for every int scheme key of ``rate`` and
+    ``codebook`` and each int past float precision or past float range."""
+    for kind in VALID:
+        for command, table in COMMANDS:
+            if kind in table:
+                for key, param in inspect.signature(table[kind]).parameters.items():
+                    if param.annotation is int:
+                        for label, value in HUGE_INTS.items():
+                            yield pytest.param(command, kind, key, value,
+                                               id=f"{command}-{kind}-{key}={label}")
+
+
+@pytest.mark.parametrize("command, kind, key, value", list(huge_int_keys()))
+def test_huge_int_scheme_value_is_read_or_refused_never_raised(tmp_path, capsys, command,
+                                                               kind, key, value):
+    code, captured = run_scheme(tmp_path, capsys, command,
+                                {"type": kind, **VALID[kind], key: value})
+    assert code in (0, 2), captured.err
+    written = sorted(p.name for p in tmp_path.iterdir())
+    if code == 0:
+        assert captured.out
+        assert written == (["book.csv", "exp.json"] if command == "codebook" else ["exp.json"])
+    else:
+        assert not captured.out and written == ["exp.json"]
+
+
+@pytest.mark.parametrize("kind", ["qam", "sm", "gsm", "qsm"])
+@pytest.mark.parametrize("bits", [64, 70])
+def test_qam_order_past_float_precision_is_counted_exactly(tmp_path, capsys, kind, bits):
+    # the QAM side used to be a NumPy square root, which fails on such an int
+    scheme = {"type": kind, **VALID[kind], "order": 1 << bits, "constellation": "qam"}
+    code, captured = run_scheme(tmp_path, capsys, "rate", scheme)
+    assert code == 0
+    assert float(captured.out) == rate_of({**scheme, "order": 4}) + bits - 2
+    code, captured = run_scheme(tmp_path, capsys, "codebook", scheme)
+    assert code == 2
+    assert f"2^{build_scheme({**scheme, 'order': 4}).bits_per_interval + bits - 2} codewords" \
+        in captured.err
