@@ -21,11 +21,11 @@ import numpy as np
 from .util import (SPEED_OF_LIGHT, mag_to_db, row_templates, text_column, text_rows,
                    wrap_phase, write_csv)
 
-_CHUNK_DIRECTIONS = 65536
-# complex entries of one block's excitation.T @ ex product (1 MB).  BLAS
+# complex entries of one block's wider kernel, which bounds its other kernel
+# and its excitation.T @ ex product (1 MB each).  BLAS
 # treats a product's columns in groups, so blocks are whole multiples of
 # _BLOCK_ALIGN directions: each direction then takes the same path as in one
-# product over its whole chunk, and the fields stay bitwise equal.
+# product over a 65,536-direction chunk, and the fields stay bitwise equal.
 _BLOCK_ENTRIES = 1 << 16
 _BLOCK_ALIGN = 64
 # Upper bound on the text GridText keeps per direction: its text matrices hold
@@ -114,14 +114,14 @@ class FarFieldGrid:
 
     theta: np.ndarray  # rad, ascending, within [0, pi/2]
     phi: np.ndarray    # rad, ascending, within [0, 2*pi)
-    field: np.ndarray  # complex, shape (len(theta), len(phi))
+    field: np.ndarray  # complex, shape (len(theta), len(phi)), or stacked (n, ...)
 
     def __post_init__(self):
         th = np.asarray(self.theta, dtype=float)
         ph = np.asarray(self.phi, dtype=float)
         f = np.asarray(self.field, dtype=complex)
-        if th.ndim != 1 or ph.ndim != 1 or f.shape != (len(th), len(ph)):
-            raise ValueError("field shape must be (len(theta), len(phi))")
+        if th.ndim != 1 or ph.ndim != 1 or f.shape[-2:] != (len(th), len(ph)):
+            raise ValueError("field shape must end in (len(theta), len(phi))")
         if th.min() < 0 or th.max() > np.pi / 2 + 1e-9:
             raise ValueError("theta must stay in the z > 0 hemisphere [0, pi/2]")
         object.__setattr__(self, "theta", th)
@@ -276,8 +276,9 @@ def compose_phase(modulation, steering, farfield, amplitude=None) -> PhaseCoding
 
 
 def sweep_bytes(rows: int, cols: int, directions: int) -> int:
-    """Memory a pattern sweep holds for its whole run: the :class:`ArrayKernels`
-    of a rows x cols aperture plus the :class:`GridText` of its grid."""
+    """Memory budget of a pattern sweep on a rows x cols aperture: the fields
+    of one group of rows + cols scan angles (see ``harness.run_pattern``)
+    plus the :class:`GridText` of its grid."""
     return directions * (16 * (rows + cols) + _TEXT_BYTES_PER_DIRECTION)
 
 
@@ -288,97 +289,72 @@ def element_bytes(rows: int, cols: int) -> int:
 
 
 def _kernel(pos, cosines, kc) -> np.ndarray:
-    """exp(j kc pos cosines) over the outer product, built in place: the
-    phase goes into the imaginary part, where ``+= 0.0`` turns -0 into the
-    +0 that 1j * kc * outer gives, and exp overwrites it."""
-    k = np.zeros((len(pos), len(cosines)), dtype=complex)
-    np.multiply.outer(pos, cosines, out=k.imag)
-    k.imag *= kc
-    k.imag += 0.0
+    """exp(j kc pos cosines) over the outer product, bitwise equal to
+    np.exp(1j * kc * np.outer(pos, cosines)): ``+= 0.0`` turns -0 into the
+    +0 that expression gives.  The phase is built in a contiguous float
+    array and copied into the imaginary part: a complex exp that runs right
+    after an OpenBLAS zgemm is about 13 times slower unless a vectorised
+    numpy loop runs in between, which strided loops over ``k.imag`` are not."""
+    phase = np.multiply.outer(pos, cosines)
+    phase *= kc
+    phase += 0.0
+    k = np.zeros(phase.shape, dtype=complex)
+    k.imag = phase
     return np.exp(k, out=k)
 
 
-def _kernel_chunks(geom: ApertureGeometry, theta, phi):
-    """(slice, exp(j kc x u), exp(j kc y v)) per chunk of grid directions."""
-    u, v = direction_cosines(theta, phi)
-    kc = geom.wavenumber
-    x = np.arange(geom.rows) * geom.dx
-    y = np.arange(geom.cols) * geom.dy
-    for start in range(0, u.size, _CHUNK_DIRECTIONS):
-        sl = slice(start, min(start + _CHUNK_DIRECTIONS, u.size))
-        yield sl, _kernel(x, u[sl], kc), _kernel(y, v[sl], kc)   # (rows, D), (cols, D)
-
-
-class ArrayKernels:
-    """The excitation-independent part of the array factor of one geometry
-    on one direction grid, every chunk held at once.
-
-    Build it once and pass it to :func:`radiation_pattern` for each
-    excitation on that grid;
-    the fields are bitwise equal to those computed without it.  It holds
-    16 * (rows + cols) bytes per direction.
-    """
-
-    def __init__(self, geom: ApertureGeometry, theta, phi):
-        self.geom = geom
-        self.theta = np.asarray(theta, dtype=float)
-        self.phi = np.asarray(phi, dtype=float)
-        self.chunks = list(_kernel_chunks(geom, self.theta, self.phi))
-
-
-def _block_edges(directions: int, cols: int) -> list:
-    """Direction edges of the array-factor blocks of one chunk: about
-    _BLOCK_ENTRIES / cols directions, rounded down to a multiple of
+def _block_edges(directions: int, width: int) -> list:
+    """Direction edges of the array-factor blocks of a grid: about
+    _BLOCK_ENTRIES / width directions, rounded down to a multiple of
     _BLOCK_ALIGN.  A last block of one direction joins the one before it,
     since numpy multiplies one column on its matrix-vector path."""
-    step = max(_BLOCK_ALIGN, _BLOCK_ENTRIES // cols // _BLOCK_ALIGN * _BLOCK_ALIGN)
+    step = max(_BLOCK_ALIGN, _BLOCK_ENTRIES // width // _BLOCK_ALIGN * _BLOCK_ALIGN)
     return [*range(0, max(directions - 1, 1), step), directions]
 
 
-def radiation_pattern(coding: PhaseCoding, geom: ApertureGeometry,
-                      theta=None, phi=None, element_exponent: float = 0.0,
-                      kernels: ArrayKernels | None = None) -> FarFieldGrid:
-    """Reflected far-field pattern of one aperture state.
+def radiation_pattern(coding, geom: ApertureGeometry, theta=None, phi=None,
+                      element_exponent: float = 0.0) -> FarFieldGrid:
+    """Reflected far-field pattern of one aperture state, or of several.
 
     f(theta, phi) = sum_pq a_e(p,q) exp(j phi_e(p,q))
                     exp(j kc sin(theta) (x_p cos(phi) + y_q sin(phi)))
     with an optional cos(theta)**q element factor (isotropic by default),
     for every direction of the grid (default: :func:`direction_grid`).
-    ``kernels`` built for (geom, theta, phi) saves recomputing the
-    direction terms when many states share one grid; without them the
-    kernels are computed one chunk of directions at a time, so large grids
-    stay within memory.
+    ``coding`` is one :class:`PhaseCoding`, giving a (theta, phi) field, or
+    a sequence of them on the same geometry, giving a stacked
+    (codings, theta, phi) field.  The direction kernels are built one block
+    of directions at a time, used for every coding and dropped, so a call
+    holds its fields and one block of kernels.
     """
-    excitation = coding.excitation
-    if excitation.shape != (geom.rows, geom.cols):
-        raise ValueError(
-            f"excitation shape {excitation.shape} does not match geometry "
-            f"({geom.rows}, {geom.cols})"
-        )
+    single = isinstance(coding, PhaseCoding)
+    excitations = [c.excitation for c in ([coding] if single else coding)]
+    for excitation in excitations:
+        if excitation.shape != (geom.rows, geom.cols):
+            raise ValueError(
+                f"excitation shape {excitation.shape} does not match geometry "
+                f"({geom.rows}, {geom.cols})"
+            )
     if theta is None or phi is None:
         default_theta, default_phi = direction_grid()
         theta = default_theta if theta is None else theta
         phi = default_phi if phi is None else phi
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if kernels is None:
-        chunks = _kernel_chunks(geom, theta, phi)
-    elif (kernels.geom == geom and np.array_equal(kernels.theta, theta)
-          and np.array_equal(kernels.phi, phi)):
-        chunks = kernels.chunks
-    else:
-        raise ValueError("array kernels were built for a different geometry or grid")
+    u, v = direction_cosines(theta, phi)
+    kc = geom.wavenumber
+    x = np.arange(geom.rows) * geom.dx
+    y = np.arange(geom.cols) * geom.dy
 
-    out = np.empty(theta.size * phi.size, dtype=complex)
-    for sl, ex, ey in chunks:
-        edges = _block_edges(ex.shape[1], geom.cols)
-        for lo, hi in zip(edges, edges[1:]):
-            out[sl.start + lo:sl.start + hi] = np.einsum(
-                "qd,qd->d", excitation.T @ ex[:, lo:hi], ey[:, lo:hi])
+    out = np.empty((len(excitations), u.size), dtype=complex)
+    edges = _block_edges(u.size, max(geom.rows, geom.cols))
+    for lo, hi in zip(edges, edges[1:]):
+        ex, ey = _kernel(x, u[lo:hi], kc), _kernel(y, v[lo:hi], kc)   # (rows, B), (cols, B)
+        for row, excitation in zip(out, excitations):
+            row[lo:hi] = np.einsum("qd,qd->d", excitation.T @ ex, ey)
 
-    field = out.reshape(len(theta), len(phi))
+    field = out.reshape((len(theta), len(phi)) if single else (len(out), len(theta), len(phi)))
     if element_exponent > 0:
-        field = field * np.cos(theta)[:, None] ** element_exponent
+        field *= np.cos(theta)[:, None] ** element_exponent
     return FarFieldGrid(theta, phi, field)
 
 
@@ -388,6 +364,8 @@ def directivity_map(grid: FarFieldGrid) -> np.ndarray:
     The hemisphere integral uses the trapezoid rule in theta and a periodic
     uniform rule in phi, matching the grid the field was evaluated on.
     """
+    if grid.field.ndim != 2:
+        raise ValueError("directivity is defined for one pattern; index a stacked grid first")
     power = np.abs(grid.field) ** 2
     total = _hemisphere_integral(power, grid.theta, grid.phi)
     if total <= 0.0:

@@ -54,12 +54,14 @@ class _Section:
             if not (type(v) in names and (float not in names or abs(v) <= sys.float_info.max)
                     and (low is None or (v > low if strict else v >= low))
                     and (high is None or (v < high if strict_high else v <= high))):
-                limits = "finite" if low is None else f"{'>' if strict else '>='} {low}"
-                if high is not None:
-                    limits += f" and {'<' if strict_high else '<='} {high}"
+                limits = [f"{op} {bound}" for op, bound in
+                          ((">" if strict else ">=", low), ("<" if strict_high else "<=", high))
+                          if bound is not None]
+                if low is None and float in names:   # an int is finite anyway
+                    limits.insert(0, "finite")
                 what = f"{self._name(key)}{' entries' if listed else ''}"
-                raise ConfigError(f"{what} must be {'/'.join(k.__name__ for k in names)} "
-                                  f"{limits}, got {v!r}")
+                must = " ".join(["/".join(k.__name__ for k in names), " and ".join(limits)])
+                raise ConfigError(f"{what} must be {must.rstrip()}, got {v!r}")
         return value
 
     def choice(self, key, options, default=None, required=False):

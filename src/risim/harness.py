@@ -28,7 +28,7 @@ DEFAULT_BATCH_SIZE = 65_536
 # 2**52 levels already space phases in [0, 2 pi) at about one double ulp
 MAX_QUANTIZE_BITS = 52
 # bytes one run may hold in any of its largest arrays, estimated from the
-# config at parse time: a pattern sweep's kernels and text, one angle's
+# config at parse time: a pattern sweep's fields and text, one angle's
 # element arrays, a BER codebook or batch draw, a capacity batch or values
 MAX_RUN_BYTES = 1 << 29
 MAX_PATTERN_SWEEP_BYTES = MAX_RUN_BYTES
@@ -225,8 +225,8 @@ class PatternConfig:
         grid.finish()
         directions = aperture.direction_count(theta_step, phi_step)
         _check_bytes("grid", aperture.sweep_bytes(rows, cols, directions),
-                     f"the shared kernels and text of {directions} directions on a "
-                     f"{rows}x{cols} aperture")
+                     f"the fields of {rows + cols} scan angles and the text of "
+                     f"{directions} directions on a {rows}x{cols} aperture")
         quantize_bits = sec.bounded("quantize_bits", 1, kind=int, high=MAX_QUANTIZE_BITS)
         period_cells = sec.bounded("period_cells", 1, 4, kind=int)
         geom = _aperture_geometry(geometry)
@@ -609,6 +609,20 @@ def _steering_range(geom, angle_deg: float, period_cells: int) -> float:
     return geom.wavenumber * geom.dx * np.sin(np.deg2rad(angle_deg)) * period_cells
 
 
+def _steered_coding(geom, angle_deg: float, config: PatternConfig, table):
+    """(predicted scan angle in rad, aperture coding) that steers to ``angle_deg``."""
+    phase_range = _steering_range(geom, angle_deg, config.period_cells)
+    spec = aperture.SteeringSpec(config.period_cells, phase_range, geom.dx)
+    # steering_phase is wrapped already; PhaseCoding's wrap leaves it as it is
+    steer = aperture.steering_phase(geom, spec)
+    phase = np.broadcast_to(steer[:, None], (geom.rows, geom.cols))
+    if config.quantize_bits is not None:
+        phase = aperture.quantize_phase(phase, config.quantize_bits)
+    amplitude = (np.ones(phase.shape) if table is None
+                 else _atom_loss_amplitudes(phase, table, config.geometry["fc_ghz"]))
+    return aperture.scan_angle(spec, geom.wavelength), aperture.PhaseCoding(amplitude, phase)
+
+
 def run_pattern(config: ExperimentConfig, out_base: Path):
     """Steered-pattern exports for each commanded scan angle.
 
@@ -616,47 +630,44 @@ def run_pattern(config: ExperimentConfig, out_base: Path):
     scan-equation prediction, realized peak, and peak directivity.  Every
     scan angle is reachable: parse_config checks its phase range.
     """
-    geo = config.geometry
-    geom = _aperture_geometry(geo)
+    geom = _aperture_geometry(config.geometry)
     theta, phi = aperture.direction_grid(*config.grid_step_deg)
-    # what every scan angle shares: the array kernels and the grid-column text
-    kernels = aperture.ArrayKernels(geom, theta, phi)
+    # the grid-column text every scan angle shares
     text = aperture.GridText(theta, phi)
     table = metaatom.default_response_table() if config.couple_atom_loss else None
     out_dir = out_base / config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
+    # one radiation_pattern call per group of angles shares each block of
+    # kernels; a group's fields fit sweep_bytes and its element arrays the
+    # run budget
+    group = min(geom.rows + geom.cols,
+                MAX_RUN_BYTES // aperture.element_bytes(geom.rows, geom.cols))
 
     summary = []
     written = []
-    for angle_deg in config.scan_angles_deg:
-        phase_range = _steering_range(geom, angle_deg, config.period_cells)
-        spec = aperture.SteeringSpec(config.period_cells, phase_range, geom.dx)
-        predicted = aperture.scan_angle(spec, geom.wavelength)
-        # steering_phase is wrapped already; PhaseCoding's wrap leaves it as it is
-        steer = aperture.steering_phase(geom, spec)
-        phase = np.broadcast_to(steer[:, None], (geom.rows, geom.cols))
-        if config.quantize_bits is not None:
-            phase = aperture.quantize_phase(phase, config.quantize_bits)
-        amplitude = (np.ones(phase.shape) if table is None
-                     else _atom_loss_amplitudes(phase, table, geo["fc_ghz"]))
-        coding = aperture.PhaseCoding(amplitude, phase)
+    angles = config.scan_angles_deg
+    for start in range(0, len(angles), group):
+        # every coding is built before the products (see aperture._kernel)
+        steered = [(a, *_steered_coding(geom, a, config, table))
+                   for a in angles[start:start + group]]
+        fields = aperture.radiation_pattern([coding for _, _, coding in steered], geom,
+                                            theta, phi, config.element_exponent).field
+        for (angle_deg, predicted, coding), field in zip(steered, fields):
+            grid = aperture.FarFieldGrid(theta, phi, field)
+            peak_theta, peak_phi = grid.peak_direction()
+            peak_dbi = aperture.peak_directivity(grid)[1]
+            norm = aperture.directivity_normalization(grid)
 
-        grid = aperture.radiation_pattern(coding, geom, theta, phi,
-                                          config.element_exponent, kernels=kernels)
-        peak_theta, peak_phi = grid.peak_direction()
-        peak_lin, peak_dbi = aperture.peak_directivity(grid)
-        norm = aperture.directivity_normalization(grid)
-
-        tag = f"scan{angle_deg:+06.1f}".replace(".", "p")
-        coding_path = out_dir / f"coding_{tag}.csv"
-        field_path = out_dir / f"farfield_{tag}.csv"
-        uv_path = out_dir / f"farfield_uv_{tag}.csv"
-        aperture.coding_to_csv(coding, coding_path)
-        grid.to_csv(field_path, text)
-        grid.to_uv_csv(uv_path, text)
-        written += [coding_path, field_path, uv_path]
-        summary.append((angle_deg, np.rad2deg(predicted), np.rad2deg(peak_theta),
-                        np.rad2deg(peak_phi), peak_dbi, norm))
+            tag = f"scan{angle_deg:+06.1f}".replace(".", "p")
+            coding_path = out_dir / f"coding_{tag}.csv"
+            field_path = out_dir / f"farfield_{tag}.csv"
+            uv_path = out_dir / f"farfield_uv_{tag}.csv"
+            aperture.coding_to_csv(coding, coding_path)
+            grid.to_csv(field_path, text)
+            grid.to_uv_csv(uv_path, text)
+            written += [coding_path, field_path, uv_path]
+            summary.append((angle_deg, np.rad2deg(predicted), np.rad2deg(peak_theta),
+                            np.rad2deg(peak_phi), peak_dbi, norm))
     summary_path = out_dir / "summary.csv"
     write_csv(summary_path, summary, ("%.3f", "%.6f", "%.6f", "%.6f", "%.6f", "%.8f"),
               header="angle_cmd_deg,angle_pred_deg,peak_theta_deg,peak_phi_deg,"

@@ -54,6 +54,15 @@ class GridBoundsError(ValueError):
     """Query outside the tabulated grid; message names the offending axis."""
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique of a float column, without the numpy.ma import that
+    np.unique pays on first use in numpy 2.4 (17-28 ms and about 1.3 MB)."""
+    ordered = np.sort(values)
+    first = np.ones(ordered.shape, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
+
+
 class ResponseTable:
     """Tabulated complex reflection over (frequency, capacitance, resistance).
 
@@ -94,9 +103,7 @@ class ResponseTable:
                 raise ValueError(f"CSV header must be {','.join(expected)}, got {names}")
             f_col, c_col, r_col, mag_col, phase_col = np.loadtxt(
                 fh, delimiter=",", ndmin=2).T
-        freq = np.unique(f_col)
-        cap = np.unique(c_col)
-        res = np.unique(r_col)
+        freq, cap, res = (_sorted_unique(col) for col in (f_col, c_col, r_col))
         shape = (len(freq), len(cap), len(res))
         if len(f_col) != np.prod(shape):
             raise ValueError(f"CSV rows do not form a full {shape} grid")

@@ -148,6 +148,13 @@ def test_json_boolean_rate_only_parameters_rejected(tmp_path, capsys, scheme, ke
     assert_exit_2(tmp_path, capsys, "rate", cfg, key)
 
 
+def test_int_list_without_lower_bound_is_not_called_finite(tmp_path, capsys):
+    # "finite" is said only of keys that take floats
+    cfg = {"experiment": "rate", "scheme": {"type": "sim_ook", "harmonics": ["1", 2]}}
+    assert_exit_2(tmp_path, capsys, "rate", cfg,
+                  "scheme.harmonics entries must be int, got '1'")
+
+
 @pytest.mark.parametrize("key, value", [
     ("grid.theta_step_deg", 120),
     ("grid.theta_step_deg", 90.5),

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import risim
 from risim.metaatom import (
     DiodeState,
     GridBoundsError,
@@ -78,3 +84,13 @@ class TestShippedDataset:
 def test_reflection_state_wraps_phase():
     state = ReflectionState(1.0, 3 * np.pi / 2)
     assert state.phase == pytest.approx(-np.pi / 2)
+
+
+def test_default_table_loads_without_numpy_ma():
+    # np.unique imports numpy.ma on first use in numpy 2.4, at 17-28 ms
+    code = ("import sys; from risim.metaatom import default_response_table; "
+            "default_response_table(); print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(risim.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.split() == ["False"]

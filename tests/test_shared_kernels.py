@@ -7,9 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from risim import aperture
+from risim import aperture, harness
 from risim.aperture import (
-    ArrayKernels,
     ApertureGeometry,
     FarFieldGrid,
     GridText,
@@ -21,6 +20,7 @@ from risim.aperture import (
 from risim.harness import parse_config, run_pattern
 from risim.util import _CSV_BLOCK_ROWS, _strings_text, row_templates, write_csv
 
+CONFIGS = Path(__file__).parents[1] / "configs"
 GEOM_A = ApertureGeometry(20, 20, 2.8e-3, 2.8e-3, 28e9)
 GEOM_B = ApertureGeometry(6, 9, 3.1e-3, 2.2e-3, 31e9)
 
@@ -29,48 +29,6 @@ def random_coding(geom, seed):
     rng = np.random.default_rng(seed)
     return PhaseCoding(rng.uniform(0.2, 1.0, (geom.rows, geom.cols)),
                        rng.uniform(-np.pi, np.pi, (geom.rows, geom.cols)))
-
-
-def test_two_geometries_called_alternately():
-    theta, phi = direction_grid(3.0, 3.0)
-    kernels = {geom: ArrayKernels(geom, theta, phi) for geom in (GEOM_A, GEOM_B)}
-    for seed in range(6):
-        geom = (GEOM_A, GEOM_B)[seed % 2]
-        coding = random_coding(geom, seed)
-        shared = radiation_pattern(coding, geom, theta, phi, kernels=kernels[geom])
-        alone = radiation_pattern(coding, geom, theta, phi)
-        assert np.array_equal(shared.field, alone.field)
-
-
-def test_kernels_of_another_geometry_or_grid_are_refused():
-    theta, phi = direction_grid(3.0, 3.0)
-    kernels = ArrayKernels(GEOM_A, theta, phi)
-    coding_b = random_coding(GEOM_B, 0)
-    with pytest.raises(ValueError, match="different geometry or grid"):
-        radiation_pattern(coding_b, GEOM_B, theta, phi, kernels=kernels)
-    coding_a = random_coding(GEOM_A, 0)
-    with pytest.raises(ValueError, match="different geometry or grid"):
-        radiation_pattern(coding_a, GEOM_A, *direction_grid(3.0, 4.0), kernels=kernels)
-
-
-def test_grid_of_more_than_one_chunk_with_element_factor():
-    geom = ApertureGeometry(4, 5, 2.8e-3, 2.8e-3, 28e9)
-    theta, phi = direction_grid(0.5, 0.75)
-    assert theta.size * phi.size == 86_880
-    kernels = ArrayKernels(geom, theta, phi)
-    assert len(kernels.chunks) == 2
-    for exponent in (0.0, 1.5):
-        coding = random_coding(geom, 3)
-        shared = radiation_pattern(coding, geom, theta, phi, exponent, kernels=kernels)
-        alone = radiation_pattern(coding, geom, theta, phi, exponent)
-        assert np.array_equal(shared.field, alone.field)
-
-
-def test_default_grid_kernels():
-    kernels = ArrayKernels(GEOM_B, *direction_grid())
-    coding = random_coding(GEOM_B, 4)
-    assert np.array_equal(radiation_pattern(coding, GEOM_B, kernels=kernels).field,
-                          radiation_pattern(coding, GEOM_B).field)
 
 
 def reference_kernels(geom, theta, phi, chunk):
@@ -83,32 +41,67 @@ def reference_kernels(geom, theta, phi, chunk):
              np.exp(1j * kc * np.outer(y, v[s:s + chunk]))) for s in range(0, u.size, chunk)]
 
 
+def one_product_per_chunk(excitation, geom, theta, phi, exponent=0.0):
+    out = np.concatenate([np.einsum("qd,qd->d", excitation.T @ ex, ey)
+                          for ex, ey in reference_kernels(geom, theta, phi, 65536)])
+    field = out.reshape(theta.size, phi.size)
+    return field * np.cos(theta)[:, None] ** exponent if exponent > 0 else field
+
+
+def test_stacked_codings_on_two_geometries_called_alternately():
+    theta, phi = direction_grid(3.0, 3.0)
+    for seed in range(6):
+        geom = (GEOM_A, GEOM_B)[seed % 2]
+        codings = [random_coding(geom, seed + k) for k in range(3)]
+        stacked = radiation_pattern(codings, geom, theta, phi)
+        assert stacked.field.shape == (3, theta.size, phi.size)
+        for coding, field in zip(codings, stacked.field):
+            assert np.array_equal(field, radiation_pattern(coding, geom, theta, phi).field)
+    with pytest.raises(ValueError, match="does not match geometry"):
+        radiation_pattern([random_coding(GEOM_A, 0), random_coding(GEOM_B, 0)], GEOM_A,
+                          theta, phi)
+    # a stack of as many patterns as elevations would integrate over the stack
+    square = radiation_pattern([random_coding(GEOM_B, k) for k in range(31)], GEOM_B,
+                               theta, phi)
+    assert square.field.shape == (theta.size, theta.size, phi.size)
+    with pytest.raises(ValueError, match="one pattern"):
+        aperture.peak_directivity(square)
+
+
+def test_grid_of_more_than_one_chunk_with_element_factor():
+    geom = ApertureGeometry(4, 5, 2.8e-3, 2.8e-3, 28e9)
+    theta, phi = direction_grid(0.5, 0.75)
+    assert theta.size * phi.size == 86_880
+    codings = [random_coding(geom, 3), random_coding(geom, 4)]
+    for exponent in (0.0, 1.5):
+        stacked = radiation_pattern(codings, geom, theta, phi, exponent).field
+        for coding, field in zip(codings, stacked):
+            want = one_product_per_chunk(coding.excitation, geom, theta, phi, exponent)
+            assert field.tobytes() == want.tobytes()
+            assert radiation_pattern(coding, geom, theta, phi, exponent).field.tobytes() \
+                == want.tobytes()
+
+
+def test_default_grid():
+    coding = random_coding(GEOM_B, 4)
+    want = one_product_per_chunk(coding.excitation, GEOM_B, *direction_grid())
+    assert radiation_pattern(coding, GEOM_B).field.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("geom, steps", [(GEOM_A, (1.0, 1.0)), (GEOM_B, (3.0, 3.0)),
                                          (ApertureGeometry(4, 5, 2.8e-3, 2.8e-3, 28e9),
                                           (0.5, 0.75))])
-def test_kernels_built_in_place_are_bitwise_the_expression(geom, steps):
-    theta, phi = direction_grid(*steps)
-    kernels = ArrayKernels(geom, theta, phi)
-    want = reference_kernels(geom, theta, phi, kernels.chunks[0][1].shape[1])
-    assert len(kernels.chunks) == len(want)
-    for (_, ex, ey), (wx, wy) in zip(kernels.chunks, want):
-        assert np.array_equal(ex.view(np.uint64), wx.view(np.uint64))
-        assert np.array_equal(ey.view(np.uint64), wy.view(np.uint64))
-
-
-@pytest.mark.parametrize("geom, steps", [(GEOM_A, (1.0, 1.0)),
-                                         (ApertureGeometry(4, 5, 2.8e-3, 2.8e-3, 28e9),
-                                          (0.5, 0.75))])
-def test_kernel_build_peak_stays_near_what_is_held(geom, steps):
-    theta, phi = direction_grid(*steps)
-    tracemalloc.start()
-    try:
-        kernels = ArrayKernels(geom, theta, phi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    held = sum(ex.nbytes + ey.nbytes for _, ex, ey in kernels.chunks)
-    assert peak <= held + (2 << 20)
+def test_block_kernels_are_bitwise_the_expression(geom, steps):
+    u, v = direction_cosines(*direction_grid(*steps))
+    x = np.arange(geom.rows) * geom.dx
+    y = np.arange(geom.cols) * geom.dy
+    kc = geom.wavenumber
+    edges = aperture._block_edges(u.size, max(geom.rows, geom.cols))
+    for lo, hi in zip(edges, edges[1:]):
+        for pos, cosines in ((x, u[lo:hi]), (y, v[lo:hi])):
+            want = np.exp(1j * kc * np.outer(pos, cosines))
+            assert np.array_equal(aperture._kernel(pos, cosines, kc).view(np.uint64),
+                                  want.view(np.uint64))
 
 
 def column_stack_bytes(tmp_path, grid):
@@ -180,12 +173,6 @@ def test_templates_for_another_row_count_are_refused(tmp_path):
                   templates=templates)
 
 
-def one_product_per_chunk(excitation, kernels):
-    out = np.concatenate([np.einsum("qd,qd->d", excitation.T @ ex, ey)
-                          for _, ex, ey in kernels.chunks])
-    return out.reshape(kernels.theta.size, kernels.phi.size)
-
-
 # 2^16 / cols directions, unrounded, would leave BLAS column groups split
 # across blocks on 4x5 and 7x3 (fields then differ in the last bits); the
 # 0.5 x 0.75 deg grid has a second chunk of 21,344 directions
@@ -195,12 +182,12 @@ def one_product_per_chunk(excitation, kernels):
 @pytest.mark.parametrize("steps", [(1.0, 1.0), (0.5, 0.75), (3.0, 0.7)])
 def test_blocked_field_bitwise_equals_one_product_per_chunk(geom, steps):
     theta, phi = direction_grid(*steps)
-    kernels = ArrayKernels(geom, theta, phi)
-    coding = random_coding(geom, 7)
-    want = one_product_per_chunk(coding.excitation, kernels)
-    assert radiation_pattern(coding, geom, theta, phi, kernels=kernels).field.tobytes() \
-        == want.tobytes()
-    assert radiation_pattern(coding, geom, theta, phi).field.tobytes() == want.tobytes()
+    codings = [random_coding(geom, 7 + k) for k in range(3)]
+    stacked = radiation_pattern(codings, geom, theta, phi).field
+    for coding, field in zip(codings, stacked):
+        want = one_product_per_chunk(coding.excitation, geom, theta, phi)
+        assert radiation_pattern(coding, geom, theta, phi).field.tobytes() == want.tobytes()
+        assert field.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("directions", [1, 2, 63, 64, 65, 3263, 3264, 3265, 65536])
@@ -214,16 +201,60 @@ def test_block_edges_are_aligned_and_have_no_one_direction_tail(directions, cols
     assert np.all(sizes[:-1] * cols <= max(aperture._BLOCK_ENTRIES, aperture._BLOCK_ALIGN * cols))
 
 
-def test_pattern_run_peak_stays_near_the_sweep_estimate(tmp_path):
-    # a whole-chunk excitation.T @ ex (20 x 32,760 complex) goes past this
-    config = parse_config(Path(__file__).parents[1] / "configs" / "pattern_steering.json")
-    geo = config.geometry
-    estimate = aperture.sweep_bytes(geo["rows"], geo["cols"],
-                                    aperture.direction_count(*config.grid_step_deg))
+def traced_peak(config, out_dir):
     tracemalloc.start()
     try:
-        run_pattern(config, tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
+        run_pattern(config, out_dir)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= estimate + (4 << 20)
+
+
+ATOM_LOSS_20X20 = {"experiment": "pattern",
+                   "geometry": {"rows": 20, "cols": 20, "dx_mm": 2.8, "dy_mm": 2.8, "fc_ghz": 28.0},
+                   "scan_angles_deg": [5, 17, 33, 51], "period_cells": 4,
+                   "couple_atom_loss": True, "output_dir": "patterns"}
+
+
+@pytest.mark.parametrize("config", [CONFIGS / "pattern_steering.json", ATOM_LOSS_20X20],
+                         ids=["steering", "atom-loss"])
+def test_pattern_run_peak_stays_near_its_fields_and_text(tmp_path, config):
+    # the run holds one group's fields, the grid text and one block of kernels,
+    # not the kernels of every direction (16 (rows + cols) D bytes)
+    config = parse_config(config)
+    directions = aperture.direction_count(*config.grid_step_deg)
+    held = 16 * len(config.scan_angles_deg) * directions + 64 * directions
+    assert traced_peak(config, tmp_path) <= held + (4 << 20)
+
+
+def test_tall_aperture_run_stays_far_under_its_sweep_budget(tmp_path):
+    # blocks are sized by the wider side: 320 directions of 200 x positions
+    cfg = {**ATOM_LOSS_20X20, "geometry": {**ATOM_LOSS_20X20["geometry"], "rows": 200},
+           "scan_angles_deg": [10], "couple_atom_loss": False}
+    config = parse_config(cfg)
+    directions = aperture.direction_count(*config.grid_step_deg)
+    assert aperture.sweep_bytes(200, 20, directions) > 110 << 20
+    assert traced_peak(config, tmp_path) <= 16 * directions + 64 * directions + (4 << 20)
+
+
+def test_scan_angles_run_in_groups_that_write_the_same_bytes(tmp_path, monkeypatch):
+    # a group holds at most rows + cols angles, and no more element arrays
+    # than the run budget allows
+    config = parse_config({**ATOM_LOSS_20X20, "geometry": {**ATOM_LOSS_20X20["geometry"],
+                                                           "rows": 2, "cols": 2},
+                           "scan_angles_deg": [0, 10, 20, 30, 40],
+                           "grid": {"theta_step_deg": 10.0, "phi_step_deg": 30.0}})
+    calls = []
+    real = aperture.radiation_pattern
+    monkeypatch.setattr(aperture, "radiation_pattern",
+                        lambda codings, *args: calls.append(len(codings)) or real(codings, *args))
+    outputs = []
+    for angles_in_budget in (None, 3, 1):
+        if angles_in_budget:
+            monkeypatch.setattr(harness, "MAX_RUN_BYTES",
+                                angles_in_budget * aperture.element_bytes(2, 2))
+        files = run_pattern(config, tmp_path / str(angles_in_budget))
+        outputs.append([(f.name, f.read_bytes()) for f in files])
+    assert calls == [4, 1, 3, 2, 1, 1, 1, 1, 1]
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0]) == 16
