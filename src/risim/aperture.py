@@ -18,8 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .util import (SPEED_OF_LIGHT, mag_to_db, row_templates, text_column, text_rows,
-                   wrap_phase, write_csv)
+from .util import SPEED_OF_LIGHT, mag_to_db, text_column, text_rows, wrap_phase, write_csv
 
 # complex entries of one block's wider kernel, which bounds its other kernel
 # and its excitation.T @ ex product (1 MB each).  BLAS
@@ -134,9 +133,8 @@ class FarFieldGrid:
         return float(self.theta[it]), float(self.phi[ip])
 
     def mag_db(self) -> np.ndarray:
-        """|field| in dB, with exact zeros floored at -300 dB."""
-        mag = np.abs(self.field)
-        return np.where(mag > 0, mag_to_db(np.maximum(mag, 1e-15)), -300.0)
+        """|field| in dB, floored at -300 dB."""
+        return mag_to_db(np.abs(self.field))
 
     def to_csv(self, path, text=None) -> None:
         """Rows of theta_deg,phi_deg,mag_db,phase_deg (floor at -300 dB).
@@ -148,14 +146,13 @@ class FarFieldGrid:
         phase = np.rad2deg(np.angle(self.field))
         rows = np.column_stack([self.mag_db().ravel(), phase.ravel()])
         write_csv(path, rows, "%.6f", header="theta_deg,phi_deg,mag_db,phase_deg",
-                  templates=text.field_rows)
+                  lead=text.field_rows)
 
     def to_uv_csv(self, path, text=None) -> None:
         """Rows of u,v,mag_db with u = sin(theta)cos(phi), v = sin(theta)sin(phi);
         ``text`` as in :meth:`to_csv`."""
         text = self._text(text)
-        write_csv(path, self.mag_db().ravel(), "%.6f", header="u,v,mag_db",
-                  templates=text.uv_rows)
+        write_csv(path, self.mag_db().ravel(), "%.6f", header="u,v,mag_db", lead=text.uv_rows)
 
     def _text(self, text):
         if text is None:
@@ -176,10 +173,11 @@ class GridText:
     """The grid columns of the far-field CSVs, formatted once per grid.
 
     theta_deg,phi_deg are expanded from one text row per axis value and u,v
-    come from one per direction; each is held as :func:`util.row_templates`
-    (text matrices of the leading columns), so a sweep that writes many
+    come from one per direction; each is held as one (directions, width)
+    text matrix of the leading columns, ending in a comma, which
+    :func:`util.write_csv` takes as ``lead``.  So a sweep that writes many
     patterns on one grid formats only mag_db and phase_deg per pattern.
-    Each set is formatted on first use.
+    Each matrix is formatted on first use.
     """
 
     def __init__(self, theta, phi):
@@ -187,17 +185,17 @@ class GridText:
         self.phi = np.asarray(phi, dtype=float)
 
     @cached_property
-    def field_rows(self) -> list:
+    def field_rows(self) -> np.ndarray:
         th = text_column(np.rad2deg(self.theta), "%.6f")
         ph = text_column(np.rad2deg(self.phi), "%.6f")
         lead = text_rows([th[:, None], ph[None]], end=b",")   # (theta, phi, width)
-        return row_templates(lead.reshape(th.shape[0] * ph.shape[0], -1), "%.6f", 2)
+        return lead.reshape(th.shape[0] * ph.shape[0], -1)
 
     @cached_property
-    def uv_rows(self) -> list:
+    def uv_rows(self) -> np.ndarray:
         u, v = direction_cosines(self.theta, self.phi)
         columns = [text_column(u, "%.6f"), text_column(v, "%.6f")]
-        return row_templates(text_rows(columns, end=b","), "%.6f", 1)
+        return text_rows(columns, end=b",")
 
 
 _THETA_STOP_DEG = 90.0 + 1e-9   # theta includes 90 deg

@@ -31,7 +31,6 @@ MAX_QUANTIZE_BITS = 52
 # config at parse time: a pattern sweep's fields and text, one angle's
 # element arrays, a BER codebook or batch draw, a capacity batch or values
 MAX_RUN_BYTES = 1 << 29
-MAX_PATTERN_SWEEP_BYTES = MAX_RUN_BYTES
 # the BER engine and the codebook export hold every codeword, and the
 # trial draws of one batch are not chunked
 MAX_CODEWORDS = 1 << 16
@@ -675,51 +674,40 @@ def run_pattern(config: ExperimentConfig, out_base: Path):
     return written + [summary_path]
 
 
+def _harmonic_codings(config: HarmonicsConfig):
+    """(kind, param, file tag, steps, residual text, writes a sequence) of
+    every coding of a harmonics run, in file order, built one at a time."""
+    num = config.num_steps
+    for m in config.single_harmonics:
+        yield "single", m, f"m{m:+d}", spacetime.synthesize_single_harmonic(m, num), "", True
+    if config.shift_fractions:   # harmonic 1 aliases at num_steps 2
+        base = spacetime.synthesize_single_harmonic(1, num)
+        for frac in config.shift_fractions:
+            # parse_config checked that frac * num is a whole number of steps
+            shifted = spacetime.phase_shift_harmonic(base, round(frac * num) % num)
+            yield "shift", frac, f"shift{frac:.3f}", shifted, "", False
+    for i, targets in enumerate(config.multi_targets):
+        result = spacetime.synthesize_multi_harmonic(list(targets), num, seed=config.seed)
+        yield "multi", i, f"multi{i}", result.steps, f"{result.residual:.8f}", True
+
+
 def run_harmonics(config: ExperimentConfig, out_base: Path):
     """Harmonic-synthesis exports: single tones, phase shifts, multi-tone."""
-    num = config.num_steps
-    m_range = config.harmonic_range if config.harmonic_range is not None else num
+    m_range = config.harmonic_range if config.harmonic_range is not None else config.num_steps
     harmonics = range(-m_range, m_range + 1)
     out_dir = out_base / config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     summary = ["kind,param,dominant_m,dominant_mag,residual"]
-
-    for m in config.single_harmonics:
-        steps = spacetime.synthesize_single_harmonic(m, num)
+    for kind, param, tag, steps, residual, with_sequence in _harmonic_codings(config):
+        if with_sequence:
+            written.append(out_dir / f"sequence_{tag}.csv")
+            spacetime.sequence_to_csv(steps, written[-1])
         spectrum = spacetime.harmonic_coefficients(steps, harmonics)
-        seq_path = out_dir / f"sequence_m{m:+d}.csv"
-        spec_path = out_dir / f"spectrum_m{m:+d}.csv"
-        spacetime.sequence_to_csv(steps, seq_path)
-        spectrum.to_csv(spec_path)
-        written += [seq_path, spec_path]
+        written.append(out_dir / f"spectrum_{tag}.csv")
+        spectrum.to_csv(written[-1])
         dom = spectrum.dominant()
-        summary.append(f"single,{m},{dom},{spectrum.magnitude(dom):.8f},")
-
-    if config.shift_fractions:
-        base = spacetime.synthesize_single_harmonic(1, num)
-        for frac in config.shift_fractions:
-            # parse_config checked that frac * num is a whole number of steps
-            shifted = spacetime.phase_shift_harmonic(base, round(frac * num) % num)
-            spectrum = spacetime.harmonic_coefficients(shifted, harmonics)
-            spec_path = out_dir / f"spectrum_shift{frac:.3f}.csv"
-            spectrum.to_csv(spec_path)
-            written.append(spec_path)
-            summary.append(
-                f"shift,{frac},{spectrum.dominant()},"
-                f"{spectrum.magnitude(spectrum.dominant()):.8f},"
-            )
-
-    for i, targets in enumerate(config.multi_targets):
-        result = spacetime.synthesize_multi_harmonic(list(targets), num, seed=config.seed)
-        spectrum = spacetime.harmonic_coefficients(result.steps, harmonics)
-        seq_path = out_dir / f"sequence_multi{i}.csv"
-        spec_path = out_dir / f"spectrum_multi{i}.csv"
-        spacetime.sequence_to_csv(result.steps, seq_path)
-        spectrum.to_csv(spec_path)
-        written += [seq_path, spec_path]
-        dom = spectrum.dominant()
-        summary.append(f"multi,{i},{dom},{spectrum.magnitude(dom):.8f},{result.residual:.8f}")
+        summary.append(f"{kind},{param},{dom},{spectrum.magnitude(dom):.8f},{residual}")
 
     summary_path = out_dir / "summary.csv"
     summary_path.write_text("\n".join(summary) + "\n")

@@ -44,12 +44,9 @@ class HarmonicSpectrum:
         return max(self.coeffs, key=lambda m: abs(self.coeffs[m]))
 
     def to_csv(self, path) -> None:
-        """Rows of m,mag_db,phase_deg sorted by harmonic index."""
-        rows = []
-        for m in sorted(self.coeffs):
-            a = self.coeffs[m]
-            mag_db_val = mag_to_db(abs(a)) if abs(a) > 1e-15 else -300.0
-            rows.append((m, mag_db_val, np.rad2deg(np.angle(a))))
+        """Rows of m,mag_db,phase_deg sorted by harmonic index (floor at -300 dB)."""
+        rows = [(m, mag_to_db(abs(a)), np.rad2deg(np.angle(a)))
+                for m, a in sorted(self.coeffs.items())]
         write_csv(path, rows, ("%d", "%.6f", "%.6f"), header="m,mag_db,phase_deg")
 
 
@@ -112,7 +109,6 @@ def phase_shift_harmonic(steps, n_shift) -> np.ndarray:
 class MultiHarmonicResult:
     steps: np.ndarray
     residual: float
-    iterations: int
 
 
 def synthesize_multi_harmonic(targets, num_steps: int, max_iterations: int = 200,
@@ -133,7 +129,7 @@ def synthesize_multi_harmonic(targets, num_steps: int, max_iterations: int = 200
     """
     targets = [(int(m), complex(w)) for m, w in targets]
     if not targets:
-        return MultiHarmonicResult(np.ones(num_steps, dtype=complex), 0.0, 0)
+        return MultiHarmonicResult(np.ones(num_steps, dtype=complex), 0.0)
     ms = [m for m, _ in targets]
     if len(set(ms)) != len(ms):
         raise ValueError("duplicate target harmonics")
@@ -170,8 +166,7 @@ def synthesize_multi_harmonic(targets, num_steps: int, max_iterations: int = 200
         return sinc / num_steps * np.exp(-1j * np.pi * np.array(ms) / num_steps) * f[bins]
 
     residual = float(np.max(np.abs(achieved(x) - weights)))
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for _ in range(max_iterations):
         spectrum = np.fft.fft(x)
         spectrum[bins] = desired_bins
         x_new = project_unit(np.fft.ifft(spectrum))
@@ -180,7 +175,7 @@ def synthesize_multi_harmonic(targets, num_steps: int, max_iterations: int = 200
         residual = float(np.max(np.abs(achieved(x) - weights)))
         if residual < tolerance or stalled:
             break
-    return MultiHarmonicResult(x, residual, iterations)
+    return MultiHarmonicResult(x, residual)
 
 
 def sequence_to_csv(steps, path) -> None:

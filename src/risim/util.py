@@ -1,7 +1,6 @@
 """Small numeric helpers shared across modules."""
 
 import re
-from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +17,8 @@ def db_to_linear(db):
 
 
 def mag_to_db(x):
-    return 20.0 * np.log10(x)
-
+    """20 log10(x), floored at 1e-15, so zero and NaN give exactly -300 dB."""
+    return 20.0 * np.log10(np.fmax(x, 1e-15))
 
 
 _CSV_BLOCK_ROWS = 1 << 14  # rows per block of text, which bounds memory
@@ -28,19 +27,6 @@ _DIGIT_FORMAT = re.compile(r"%(?:\.(\d|1[0-5])f|d)\Z")
 _EXACT_LIMIT = 2.0 ** 52
 _COMMA = np.frombuffer(b",", np.uint8)
 _MINUS, _POINT, _ZERO = b"-.0"
-
-
-class RowTemplate(NamedTuple):
-    """One block's leading columns for :func:`write_csv`: their text, one
-    zero-padded row of bytes per row (ending in a comma), and the formats
-    of the fields that follow it."""
-
-    lead: np.ndarray
-    formats: tuple
-
-
-def _formats(fmt, width) -> tuple:
-    return (fmt,) * width if isinstance(fmt, str) else tuple(fmt)
 
 
 def _strings_text(strings) -> np.ndarray:
@@ -142,21 +128,9 @@ def text_rows(columns, end=b"\n", lead=None) -> np.ndarray:
     return text
 
 
-def row_templates(prefixes: np.ndarray, fmt, width) -> list:
-    """Leading columns for :func:`write_csv`, one :class:`RowTemplate` per
-    block of rows: row i starts with ``prefixes[i]`` (leading columns already
-    formatted, ending in a comma) and goes on with ``width`` fields of
-    ``fmt``.  ``prefixes`` is a text matrix from :func:`text_rows`."""
-    formats = _formats(fmt, width)
-    return [RowTemplate(prefixes[s:s + _CSV_BLOCK_ROWS], formats)
-            for s in range(0, len(prefixes), _CSV_BLOCK_ROWS)]
-
-
-def _block_bytes(block, formats, template) -> bytes:
-    if len(formats) != block.shape[1] or template is not None and (
-            template.formats != formats or len(template.lead) != len(block)):
-        raise TypeError(f"{len(formats)} formats and a row template that do not fit "
-                        f"{block.shape[0]} rows of {block.shape[1]} values")
+def _block_bytes(block, formats, lead) -> bytes:
+    if len(formats) != block.shape[1]:
+        raise TypeError(f"{len(formats)} formats for rows of {block.shape[1]} values")
     columns = [None] * len(formats)
     try:
         for fmt in dict.fromkeys(formats):   # the columns of one format together
@@ -169,32 +143,31 @@ def _block_bytes(block, formats, template) -> bytes:
         for values in block.tolist():   # raise what np.savetxt raises, at its value
             row % tuple(values)
         raise
-    lead = np.empty((len(block), 0), np.uint8) if template is None else template.lead
     text = text_rows(columns, lead=lead)
     return text[text != 0].tobytes()
 
 
-def write_csv(path, rows, fmt, header=None, templates=None) -> None:
+def write_csv(path, rows, fmt, header=None, lead=None) -> None:
     """Write the bytes of ``np.savetxt(path, rows, delimiter=",", fmt=fmt,
     header=header or "", comments="")`` for 1-D or 2-D numeric rows.
 
     Each block of rows is formatted one column at a time into a text matrix
     (:func:`text_column`), and the matrices and separators are joined with
-    the zero padding dropped.  ``templates``, from :func:`row_templates`
-    with the same ``fmt``, give each block's leading columns already
-    formatted, so columns shared by many files are formatted once; ``rows``
-    then holds only the trailing columns."""
+    the zero padding dropped.  ``lead``, a (rows, width) text matrix from
+    :func:`text_rows` ending in a comma, gives every row's leading columns
+    already formatted, so columns shared by many files are formatted once;
+    ``rows`` then holds only the trailing columns."""
     values = np.asarray(rows)
     if values.ndim == 1:
         values = values[:, None]
-    formats = _formats(fmt, values.shape[1])
-    starts = range(0, len(values), _CSV_BLOCK_ROWS)
-    if templates is None:
-        templates = [None] * len(starts)
-    elif len(templates) != len(starts):
-        raise ValueError(f"{len(templates)} row templates for {len(starts)} blocks of rows")
+    if lead is None:
+        lead = np.empty((len(values), 0), np.uint8)
+    elif len(lead) != len(values):
+        raise ValueError(f"a lead of {len(lead)} rows for {len(values)} rows of values")
+    formats = (fmt,) * values.shape[1] if isinstance(fmt, str) else tuple(fmt)
     with open(path, "wb") as fh:
         if header:
             fh.write(header.encode("latin1") + b"\n")
-        for start, template in zip(starts, templates):
-            fh.write(_block_bytes(values[start:start + _CSV_BLOCK_ROWS], formats, template))
+        for start in range(0, len(values), _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            fh.write(_block_bytes(values[block], formats, lead[block]))

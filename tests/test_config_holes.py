@@ -10,7 +10,7 @@ import pytest
 from risim import aperture, detection, harness, im_schemes, spacetime
 from risim.cli import main
 from risim.errors import ConfigError
-from risim.harness import (MAX_BATCH_SIZE, MAX_PATTERN_SWEEP_BYTES, MAX_RUN_BYTES,
+from risim.harness import (MAX_BATCH_SIZE, MAX_RUN_BYTES,
                            _codeword_length, parse_config, run_harmonics)
 
 
@@ -291,19 +291,19 @@ def test_pattern_over_the_sweep_budget_exits_2(tmp_path, capsys):
     # 1 deg grid: 32,760 directions at 16 * (rows + cols) + 64 bytes each
     cfg = pattern_config(**{"geometry.rows": 1001, "geometry.cols": 20,
                             "grid.theta_step_deg": 1.0, "grid.phi_step_deg": 1.0})
-    assert aperture.sweep_bytes(1001, 20, 32_760) > MAX_PATTERN_SWEEP_BYTES
+    assert aperture.sweep_bytes(1001, 20, 32_760) > MAX_RUN_BYTES
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(cfg))
     assert main(["pattern", "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "grid" in err and str(MAX_PATTERN_SWEEP_BYTES) in err
+    assert "grid" in err and str(MAX_RUN_BYTES) in err
     assert not (tmp_path / "patterns").exists()
 
 
 def test_pattern_just_under_the_sweep_budget_parses():
     cfg = pattern_config(**{"geometry.rows": 1000, "geometry.cols": 20,
                             "grid.theta_step_deg": 1.0, "grid.phi_step_deg": 1.0})
-    assert aperture.sweep_bytes(1000, 20, 32_760) <= MAX_PATTERN_SWEEP_BYTES
+    assert aperture.sweep_bytes(1000, 20, 32_760) <= MAX_RUN_BYTES
     parse_config(cfg)
 
 

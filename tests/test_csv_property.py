@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from risim.util import _strings_text, row_templates, text_column, text_rows, write_csv
+from risim.util import _strings_text, text_column, text_rows, write_csv
 
 FIXED = ["%.0f", "%.1f", "%.3f", "%.6f", "%.8f"]
 FORMATS = FIXED + ["%d"]
@@ -83,8 +83,8 @@ def test_integer_arrays_write_the_bytes_of_savetxt(tmp_path_factory, ints, fmt):
 
 @settings(max_examples=300, deadline=None)
 @given(tables(), st.integers(1, 2), st.sampled_from(FIXED), st.booleans(), st.data())
-def test_row_templates_write_the_bytes_of_savetxt(tmp_path_factory, table, lead_cols,
-                                                  lead_fmt, as_matrix, data):
+def test_lead_writes_the_bytes_of_savetxt(tmp_path_factory, table, lead_cols, lead_fmt,
+                                          as_matrix, data):
     tail, formats = table
     size = len(tail) * lead_cols
     lead = np.array(data.draw(st.lists(doubles, min_size=size, max_size=size)),
@@ -94,12 +94,11 @@ def test_row_templates_write_the_bytes_of_savetxt(tmp_path_factory, table, lead_
     else:
         prefixes = _strings_text([(lead_fmt + ",") * lead_cols % tuple(r)
                                   for r in lead.tolist()])
-    templates = row_templates(prefixes, formats, len(formats))
     tmp = tmp_path_factory.mktemp("csv")
     full = np.column_stack([lead, tail])
     want = outcome(lambda p: savetxt(p, full, (lead_fmt,) * lead_cols + formats, "h"),
                    tmp / "want.csv")
-    got = outcome(lambda p: write_csv(p, tail, formats, header="h", templates=templates),
+    got = outcome(lambda p: write_csv(p, tail, formats, header="h", lead=prefixes),
                   tmp / "got.csv")
     assert got == want
 

@@ -282,6 +282,34 @@ class TestRunners:
         assert len(summary) == 6
         assert (tmp_path / "harm" / "spectrum_m+1.csv").exists()
 
+    def test_harmonics_files_come_single_then_shift_then_multi(self, tmp_path):
+        config = parse_config({
+            "experiment": "harmonics",
+            "num_steps": 16,
+            "single_harmonics": [1, -1],
+            "shift_fractions": [0.25, 0.0],
+            "multi_targets": [[[1, 0.7], [-1, 0.7]], [[2, 0.5]]],
+            "output_dir": "harm",
+        })
+        files = run_harmonics(config, tmp_path)
+        assert [f.relative_to(tmp_path).as_posix() for f in files] == [f"harm/{name}.csv" for name in [
+            "sequence_m+1", "spectrum_m+1", "sequence_m-1", "spectrum_m-1",
+            "spectrum_shift0.250", "spectrum_shift0.000",
+            "sequence_multi0", "spectrum_multi0", "sequence_multi1", "spectrum_multi1",
+            "summary"]]
+        summary = (tmp_path / "harm" / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in summary] == [
+            ["single", "1"], ["single", "-1"], ["shift", "0.25"], ["shift", "0.0"],
+            ["multi", "0"], ["multi", "1"]]
+        assert [row.endswith(",") for row in summary] == [True] * 4 + [False] * 2
+
+    def test_harmonics_of_two_steps_build_no_shift_base(self, tmp_path):
+        # harmonic 1, the ramp every shift delays, aliases at num_steps 2
+        config = parse_config({"experiment": "harmonics", "num_steps": 2,
+                               "single_harmonics": [0], "output_dir": "harm"})
+        files = run_harmonics(config, tmp_path)
+        assert [f.name for f in files] == ["sequence_m+0.csv", "spectrum_m+0.csv", "summary.csv"]
+
     def test_harmonics_rejects_fractional_step(self):
         with pytest.raises(ConfigError, match="integer"):
             parse_config({

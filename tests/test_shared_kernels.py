@@ -18,7 +18,7 @@ from risim.aperture import (
     radiation_pattern,
 )
 from risim.harness import parse_config, run_pattern
-from risim.util import _CSV_BLOCK_ROWS, _strings_text, row_templates, write_csv
+from risim.util import _CSV_BLOCK_ROWS, _strings_text, write_csv
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 GEOM_A = ApertureGeometry(20, 20, 2.8e-3, 2.8e-3, 28e9)
@@ -152,25 +152,23 @@ def test_grid_text_serves_many_patterns_and_refuses_another_grid(tmp_path):
 
 
 @pytest.mark.parametrize("n", [0, 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
-def test_row_templates_write_the_bytes_of_the_full_rows(tmp_path, n):
+def test_lead_writes_the_bytes_of_the_full_rows(tmp_path, n):
     rng = np.random.default_rng(n)
     lead = rng.normal(size=(n, 2))
     tail = rng.normal(size=(n, 3))
-    templates = row_templates(_strings_text(["%.4f,%d," % (a, b) for a, b in lead]), "%.6f", 3)
-    assert len(templates) == len(range(0, n, _CSV_BLOCK_ROWS))
-    write_csv(tmp_path / "t.csv", tail, "%.6f", header="a,b,c,d,e", templates=templates)
+    prefixes = _strings_text(["%.4f,%d," % (a, b) for a, b in lead])
+    write_csv(tmp_path / "t.csv", tail, "%.6f", header="a,b,c,d,e", lead=prefixes)
     write_csv(tmp_path / "r.csv", np.column_stack([lead, tail]), ("%.4f", "%d", "%.6f", "%.6f", "%.6f"),
               header="a,b,c,d,e")
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
 
 
-def test_templates_for_another_row_count_are_refused(tmp_path):
-    templates = row_templates(_strings_text(["1,"] * (_CSV_BLOCK_ROWS + 1)), "%.6f", 1)
-    with pytest.raises(ValueError, match="2 row templates for 1 blocks"):
-        write_csv(tmp_path / "t.csv", np.zeros(5), "%.6f", templates=templates)
-    with pytest.raises(TypeError):
-        write_csv(tmp_path / "t.csv", np.zeros((_CSV_BLOCK_ROWS + 1, 2)), "%.6f",
-                  templates=templates)
+@pytest.mark.parametrize("rows", [0, 5, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 2])
+def test_a_lead_of_another_row_count_is_refused(tmp_path, rows):
+    lead = _strings_text(["1,"] * (_CSV_BLOCK_ROWS + 1))
+    with pytest.raises(ValueError, match=f"a lead of {_CSV_BLOCK_ROWS + 1} rows for {rows} rows"):
+        write_csv(tmp_path / "t.csv", np.zeros(rows), "%.6f", lead=lead)
+    assert not (tmp_path / "t.csv").exists()
 
 
 # 2^16 / cols directions, unrounded, would leave BLAS column groups split

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from risim.aperture import FarFieldGrid
 from risim.spacetime import (
     HarmonicSpectrum,
     harmonic_coefficients,
@@ -9,6 +10,7 @@ from risim.spacetime import (
     synthesize_multi_harmonic,
     synthesize_single_harmonic,
 )
+from risim.util import mag_to_db
 
 
 def quadrature_coefficient(steps, m):
@@ -193,3 +195,15 @@ def test_spectrum_export(tmp_path):
     seq_path = tmp_path / "seq.csv"
     sequence_to_csv(np.array([1.0, 1j]), seq_path)
     assert seq_path.read_text().splitlines()[0] == "step,phase_deg,mag"
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-16, 1e-15, np.nan])
+def test_one_minus_300_db_floor_for_every_export(tmp_path, x):
+    assert mag_to_db(x) == -300.0
+    assert mag_to_db(1.0) == 0.0
+    assert mag_to_db(np.array([x, 1.0])).tolist() == [-300.0, 0.0]
+    grid = FarFieldGrid(np.zeros(1), np.array([0.0, 1.0]), [[x, 1.0]])
+    assert grid.mag_db().tolist() == [[-300.0, 0.0]]
+    HarmonicSpectrum({0: complex(x), 1: 1.0 + 0j}).to_csv(tmp_path / "s.csv")
+    rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["-300.000000", "0.000000"]

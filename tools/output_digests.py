@@ -4,22 +4,25 @@
 Runs each ``configs/*.json`` through the risim command line of this
 checkout (``src/`` is put first on the import path), each into its own
 subdirectory of a temporary directory, and prints one
-``sha256  relative/path`` line per written file, sorted by path.  Two
-checkouts write byte-identical results exactly when their outputs are
-equal:
+``sha256  relative/path`` line per written file, sorted by path, after
+two ``# numpy ...`` and ``# blas ...`` lines naming the versions the
+bytes were made under.
 
-    python3 tools/output_digests.py > after.txt    # in each checkout
-    diff before.txt after.txt
+``--threads N`` is passed to every ``ber`` run.  Given several counts
+(``--threads 1 2``), each ``ber`` config runs at each of them, and a file
+whose bytes differ between two counts is reported on stderr and makes the
+script exit 1; the listing is that of the first count.
 
-``--threads N`` is passed to every ``ber`` run, so the listings at two
-thread counts of one checkout must be identical as well:
+``tests/output_digests.txt`` holds the listing of the committed outputs,
+and ``tests/test_output_digests.py`` checks it with ``--threads 1 2``.  A
+change that alters result bytes on purpose writes the listing anew and
+names each changed file:
 
-    python3 tools/output_digests.py --threads 1 > t1.txt
-    python3 tools/output_digests.py --threads 2 > t2.txt
-    diff t1.txt t2.txt
+    python3 tools/output_digests.py > tests/output_digests.txt
+    git diff tests/output_digests.txt
 
 A config whose run does not exit 0 is reported on stderr and makes the
-script exit 1.
+script exit 1 as well.
 """
 
 import argparse
@@ -31,14 +34,21 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from risim.cli import main  # noqa: E402
 
 
-def run_config(config: Path, out_dir: Path, threads: int) -> int:
-    experiment = json.loads(config.read_text())["experiment"]
+def environment() -> list:
+    """The versions the result bytes depend on, as listing lines."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# numpy {np.__version__}", f"# blas {blas['name']} {blas['version']}"]
+
+
+def run_config(config: Path, experiment: str, out_dir: Path, threads: int) -> int:
     argv = [experiment, "--config", str(config)]
     if experiment != "rate":  # rate prints its number and writes no file
         argv += ["--out", str(out_dir)]
@@ -55,20 +65,30 @@ def digests(out_base: Path):
 
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description="sha256 of every file the shipped configs write")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads of every ber run (default 1)")
-    threads = parser.parse_args(argv).threads
-    failed = []
+    parser.add_argument("--threads", type=int, nargs="+", default=[1],
+                        help="worker threads of every ber run (default 1); given several "
+                             "counts, each ber config runs at each and must write the same bytes")
+    counts = parser.parse_args(argv).threads
+    problems = []
+    print("\n".join(environment()))
     with tempfile.TemporaryDirectory() as tmp:
-        out_base = Path(tmp)
+        bases = [Path(tmp) / str(i) for i in range(len(counts))]
         for config in sorted((ROOT / "configs").glob("*.json")):
-            if run_config(config, out_base / config.stem, threads) != 0:
-                failed.append(config.name)
-        for digest, rel in digests(out_base):
+            experiment = json.loads(config.read_text())["experiment"]
+            for base, threads in zip(bases, counts if experiment == "ber" else counts[:1]):
+                if run_config(config, experiment, base / config.stem, threads) != 0:
+                    problems.append(f"run failed: configs/{config.name} at --threads {threads}")
+        listing = {rel: digest for digest, rel in digests(bases[0])}
+        for base, threads in zip(bases[1:], counts[1:]):
+            for digest, rel in digests(base):   # the ber files
+                if listing.get(rel) != digest:
+                    problems.append(f"{rel.as_posix()} differs at --threads {threads} "
+                                    f"and {counts[0]}")
+        for rel, digest in listing.items():
             print(f"{digest}  {rel.as_posix()}")
-    for name in failed:
-        print(f"run failed: configs/{name}", file=sys.stderr)
-    return 1 if failed else 0
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
