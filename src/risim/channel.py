@@ -1,4 +1,4 @@
-"""Statistical channel generators: CN(0, 1) draws, Rayleigh, Rician and LoS.
+"""Statistical channel generators: CN(0, 1) (Rayleigh) draws, Rician and LoS.
 
 Every complex sample has unit total variance (1/2 per real dimension).
 All generators are pure functions of an explicit numpy Generator;
@@ -40,11 +40,6 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
             draw = rng.standard_normal(out=buf[:min(_NORMAL_CHUNK, flat.size - lo)])
             np.multiply(draw, 1 / np.sqrt(2.0), out=part[lo:lo + len(draw)])
     return out
-
-
-def rayleigh(n_rx: int, n_tx: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. CN(0, 1) fading matrix of shape (n_rx, n_tx)."""
-    return complex_normal(rng, (n_rx, n_tx))
 
 
 def rician(k_factor: float, h_los: np.ndarray, h_nlos: np.ndarray) -> np.ndarray:

@@ -36,24 +36,12 @@ _CAPACITY_BLOCK = 1 << 16
 class CandidateSet:
     """Transmit hypotheses in label order.
 
-    ``labels`` are strictly ascending integers (others are refused);
-    ``vectors`` holds one column per candidate (shape (dim, count)).
+    ``labels`` are strictly ascending integers; ``vectors`` holds one
+    column per candidate (shape (dim, count)).
     """
 
     labels: np.ndarray
     vectors: np.ndarray
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        vectors = np.asarray(self.vectors, dtype=complex)
-        if labels.ndim != 1 or labels.size == 0:
-            raise ValueError("candidate set must be non-empty")
-        if vectors.ndim != 2 or vectors.shape[1] != labels.size:
-            raise ValueError("vectors must be (dim, n_candidates)")
-        if np.any(np.diff(labels) <= 0):
-            raise ValueError("candidate labels must be unique and ascending")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "vectors", vectors)
 
     @property
     def count(self) -> int:
@@ -158,40 +146,6 @@ def _metric(zh: np.ndarray, gram: np.ndarray, table: MetricTable, snr: float) ->
     return left @ table.rows.T
 
 
-def mld(y: np.ndarray, h: np.ndarray, candidates: CandidateSet) -> int:
-    """Maximum-likelihood label for received vector y under channel h."""
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (y.size, candidates.vectors.shape[0]):
-        raise ValueError(
-            f"channel shape {h.shape} inconsistent with y ({y.size}) and "
-            f"candidates ({candidates.vectors.shape[0]})"
-        )
-    table = MetricTable(candidates.vectors)
-    idx = ml_detect(*matched_filter(y[None], h[None], table), table, 1.0)[0]
-    return int(candidates.labels[idx])
-
-
-def detect_ofdm_im(y, h, scheme) -> np.ndarray:
-    """Joint index+symbol ML detection of subcarrier-IM blocks.
-
-    ``y`` and ``h`` have shape (n_blocks, n) (or (n,) for a single block)
-    with one flat-fading coefficient per subcarrier.  Only valid activation
-    sets (rank below the index-bit budget) are ever returned.
-    """
-    y = np.atleast_2d(np.asarray(y, dtype=complex))
-    h = np.atleast_2d(np.asarray(h, dtype=complex))
-    if y.shape != h.shape or y.shape[1] != scheme.block_size:
-        raise ValueError(
-            f"y/h must be (n_blocks, {scheme.block_size}), got {y.shape} and {h.shape}"
-        )
-    codebook = scheme.codebook()
-    table = MetricTable(codebook.vectors, diagonal=True)
-    words = codebook.labels[ml_detect(np.conj(y) * h, np.abs(h) ** 2, table, 1.0)]
-    shifts = np.arange(scheme.bits_per_interval - 1, -1, -1)
-    return ((words[:, None] >> shifts) & 1).astype(np.int8).ravel()
-
-
 @dataclass(frozen=True)
 class CapacityEstimate:
     mean: float      # bit/s/Hz
@@ -233,11 +187,6 @@ def capacity_batch_bytes(n_tx: int, n_rx: int, trials: int, points: int = 1) -> 
     n = min(CAPACITY_BATCH, trials)
     k = min(n, max(1, _CAPACITY_BLOCK // (n_rx * n_tx)))
     return 8 * (n * n_rx * n_tx + k * n_rx * (5 * n_tx + 6 * n_rx + 5) + k * (points + 2))
-
-
-def instantaneous_capacity(h: np.ndarray, snr_linear: float) -> float:
-    """log2 det(I + gamma/Nt * H H^H) for one channel realization."""
-    return float(_log2_det_gram(np.asarray(h, dtype=complex), snr_linear))
 
 
 def ergodic_capacity(n_tx: int, n_rx: int, snr_linear, trials: int,

@@ -186,6 +186,20 @@ class CapacityConfig:
         return cls(tuple(map(tuple, antennas)), snr_db, trials, seed, sec.take("output", kind=str))
 
 
+_FILE_TAGS = {   # the file tag of each entry of a listed key; runs name their files by it
+    "scan_angles_deg": lambda angle: f"scan{angle:+06.1f}".replace(".", "p"),
+    "single_harmonics": lambda m: f"m{m:+d}",
+    "shift_fractions": lambda frac: f"shift{frac:.3f}",
+}
+
+
+def _distinct_files(key: str, values) -> None:
+    first = {}
+    for i, tag in enumerate(map(_FILE_TAGS[key], values)):
+        if first.setdefault(tag, i) != i:
+            raise ConfigError(f"{key}: {values[first[tag]]!r} and {values[i]!r} write {tag} files")
+
+
 @dataclass(frozen=True)
 class PatternConfig:
     """Steered far-field patterns of one aperture (``run_pattern``)."""
@@ -216,6 +230,7 @@ class PatternConfig:
                      f"the per-angle element arrays of a {rows}x{cols} aperture")
         # SteeringSpec takes a non-negative phase range, so only 0..90 deg steer
         angles = sec.bounded("scan_angles_deg", 0.0, required=True, high=90.0, listed=True)
+        _distinct_files("scan_angles_deg", angles)
         grid = sec.section("grid")
         # at least two elevations in 0..90 deg and two azimuths in 0..360 deg
         theta_step = float(grid.bounded("theta_step_deg", 0, 1.0, strict=True, high=90))
@@ -265,6 +280,7 @@ class HarmonicsConfig:
         # the synthesized harmonic aliases from |m| = L/2 on
         top = (num_steps - 1) // 2
         singles = sec.bounded("single_harmonics", -top, [], kind=int, high=top, listed=True)
+        _distinct_files("single_harmonics", singles)
         shifts = sec.bounded("shift_fractions", None, [], listed=True)
         if shifts and num_steps < 3:
             raise ConfigError(f"shift_fractions: a shift delays the ramp of harmonic 1, which "
@@ -274,6 +290,7 @@ class HarmonicsConfig:
             if not _is_number(ticks) or abs(ticks - round(ticks)) > 1e-9:
                 raise ConfigError(f"shift_fractions: {f!r} is not an integer number of steps "
                                   f"for num_steps = {num_steps}")
+        _distinct_files("shift_fractions", shifts)
         targets = []
         for group in sec.take("multi_targets", [], kind=list):
             if not isinstance(group, list):
@@ -657,14 +674,11 @@ def run_pattern(config: ExperimentConfig, out_base: Path):
             peak_dbi = aperture.peak_directivity(grid)[1]
             norm = aperture.directivity_normalization(grid)
 
-            tag = f"scan{angle_deg:+06.1f}".replace(".", "p")
-            coding_path = out_dir / f"coding_{tag}.csv"
-            field_path = out_dir / f"farfield_{tag}.csv"
-            uv_path = out_dir / f"farfield_uv_{tag}.csv"
-            aperture.coding_to_csv(coding, coding_path)
-            grid.to_csv(field_path, text)
-            grid.to_uv_csv(uv_path, text)
-            written += [coding_path, field_path, uv_path]
+            tag = _FILE_TAGS["scan_angles_deg"](angle_deg)
+            written += [out_dir / f"{name}_{tag}.csv" for name in ("coding", "farfield", "farfield_uv")]
+            aperture.coding_to_csv(coding, written[-3])
+            grid.to_csv(written[-2], text)
+            grid.to_uv_csv(written[-1], text)
             summary.append((angle_deg, np.rad2deg(predicted), np.rad2deg(peak_theta),
                             np.rad2deg(peak_phi), peak_dbi, norm))
     summary_path = out_dir / "summary.csv"
@@ -679,13 +693,14 @@ def _harmonic_codings(config: HarmonicsConfig):
     every coding of a harmonics run, in file order, built one at a time."""
     num = config.num_steps
     for m in config.single_harmonics:
-        yield "single", m, f"m{m:+d}", spacetime.synthesize_single_harmonic(m, num), "", True
+        steps = spacetime.synthesize_single_harmonic(m, num)
+        yield "single", m, _FILE_TAGS["single_harmonics"](m), steps, "", True
     if config.shift_fractions:   # harmonic 1 aliases at num_steps 2
         base = spacetime.synthesize_single_harmonic(1, num)
         for frac in config.shift_fractions:
             # parse_config checked that frac * num is a whole number of steps
             shifted = spacetime.phase_shift_harmonic(base, round(frac * num) % num)
-            yield "shift", frac, f"shift{frac:.3f}", shifted, "", False
+            yield "shift", frac, _FILE_TAGS["shift_fractions"](frac), shifted, "", False
     for i, targets in enumerate(config.multi_targets):
         result = spacetime.synthesize_multi_harmonic(list(targets), num, seed=config.seed)
         yield "multi", i, f"multi{i}", result.steps, f"{result.residual:.8f}", True

@@ -32,6 +32,7 @@ from .modulation import Constellation, int_to_bits, is_power_of_two
 
 # the one point of schemes whose only message is the index
 _UNIT_POINT = np.ones(1, dtype=complex)
+MAX_INDEX_BITS = (1 << 16) - 1   # of a k-of-n activation: C(n, k) < 2^(2^16)
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,18 @@ def _int_log2(value: int, what: str) -> int:
     return int(log2(value))
 
 
-def _subset_bits(n: int, k: int) -> int:
-    """Index bits of a k-of-n activation: floor(log2 C(n, k)), exactly."""
-    return comb(n, k).bit_length() - 1
+def _subset_bits(n: int, k: int, least: int = 0) -> int:
+    """Index bits of a k-of-n activation, floor(log2 C(n, k)), refused unless
+    ``least`` to MAX_INDEX_BITS.  comb's cost grows faster than its result, so
+    a count past the cap is refused first from C(n, m) >= (n/m)^m >= 2^m,
+    m = min(k, n - k), testing m alone while it may be past float range."""
+    m = min(k, n - k)
+    huge = m > MAX_INDEX_BITS or m and m * (log2(n) - log2(m)) > MAX_INDEX_BITS
+    bits = MAX_INDEX_BITS + 1 if huge else comb(n, k).bit_length() - 1
+    if not least <= bits <= MAX_INDEX_BITS:
+        raise ConfigError(f"scheme: C({n}, {k}) activations must carry {least} to "
+                          f"{MAX_INDEX_BITS} index bits")
+    return bits
 
 
 class Scheme:
@@ -236,9 +246,7 @@ class GeneralizedSM(Scheme):
     def __init__(self, n_tx: int, n_active: int, order: int, constellation: str = "psk"):
         if not 1 <= n_active <= n_tx:
             raise ConfigError(f"need 1 <= n_active <= n_tx, got {n_active} of {n_tx}")
-        self.index_bits = _subset_bits(n_tx, n_active)
-        if self.index_bits < 1:
-            raise ConfigError(f"C({n_tx}, {n_active}) leaves no room for index bits")
+        self.index_bits = _subset_bits(n_tx, n_active, 1)
         self._set_constellation(constellation, order)
         self.n_tx = self.dim = n_tx
         self.n_active = n_active
@@ -439,9 +447,7 @@ class SpaceTimeShiftKeying(Scheme):
                  n_slots: int, constellation: str = "psk", dispersion_seed: int = 1):
         if not 1 <= p_active <= q_matrices:
             raise ConfigError(f"need 1 <= P <= Q, got P = {p_active}, Q = {q_matrices}")
-        self.index_bits = _subset_bits(q_matrices, p_active)
-        if self.index_bits < 1:
-            raise ConfigError(f"C({q_matrices}, {p_active}) leaves no room for index bits")
+        self.index_bits = _subset_bits(q_matrices, p_active, 1)
         self._set_constellation(constellation, order)
         self.q_matrices = q_matrices
         self.p_active = self.n_symbols = p_active

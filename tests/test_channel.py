@@ -7,7 +7,6 @@ from risim.channel import (
     _NORMAL_CHUNK,
     complex_normal,
     los_matrix,
-    rayleigh,
     rician,
     stream_rng,
 )
@@ -15,12 +14,12 @@ from risim.channel import (
 
 class TestRayleigh:
     def test_seeded_reproducibility(self):
-        a = rayleigh(4, 4, stream_rng(3, 0))
-        b = rayleigh(4, 4, stream_rng(3, 0))
+        a = complex_normal(stream_rng(3, 0), (4, 4))
+        b = complex_normal(stream_rng(3, 0), (4, 4))
         assert np.array_equal(a, b)
 
     def test_unit_power_and_split_variance(self):
-        h = rayleigh(1000, 1000, stream_rng(1, 2))
+        h = complex_normal(stream_rng(1, 2), (1000, 1000))
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=0.01)
         assert np.var(h.real) == pytest.approx(0.5, abs=0.01)
         assert np.var(h.imag) == pytest.approx(0.5, abs=0.01)
@@ -30,20 +29,20 @@ class TestRician:
     def test_k_zero_returns_scattered_exactly(self):
         rng = stream_rng(9)
         h_los = los_matrix(4, 4)
-        h_nlos = rayleigh(4, 4, rng)
+        h_nlos = complex_normal(rng, (4, 4))
         assert rician(0.0, h_los, h_nlos) is h_nlos
 
     def test_large_k_approaches_los(self):
         rng = stream_rng(9)
         h_los = los_matrix(4, 4)
-        h_nlos = rayleigh(4, 4, rng)
+        h_nlos = complex_normal(rng, (4, 4))
         mixed = rician(1e12, h_los, h_nlos)
         assert np.max(np.abs(mixed - h_los)) < 1e-5
 
     @pytest.mark.parametrize("k_factor", [0.0, 0.5, 1.0, 5.0])
     def test_power_preserved(self, k_factor):
         rng = stream_rng(4, int(k_factor * 10))
-        h_nlos = rayleigh(1000, 1000, rng)
+        h_nlos = complex_normal(rng, (1000, 1000))
         mixed = rician(k_factor, los_matrix(1000, 1000), h_nlos)
         assert np.mean(np.abs(mixed) ** 2) == pytest.approx(1.0, abs=0.01)
 
@@ -84,10 +83,6 @@ def test_complex_normal_bitwise_equals_two_draws(shape):
     two = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     assert one.shape == two.shape and one.dtype == two.dtype
     assert one.tobytes() == two.tobytes()
-
-
-def test_rayleigh_is_one_complex_normal_draw():
-    assert rayleigh(3, 5, stream_rng(2)).tobytes() == complex_normal(stream_rng(2), (3, 5)).tobytes()
 
 
 @pytest.mark.parametrize("size", [0, 1, _NORMAL_CHUNK - 1, _NORMAL_CHUNK, _NORMAL_CHUNK + 1,

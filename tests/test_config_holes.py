@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -94,6 +95,9 @@ def assert_exit_2(tmp_path, capsys, command, cfg, key):
     ("geometry.dx_mm", 5e-324),
     ("geometry.dy_mm", 5e-324),
     ("geometry.fc_ghz", 1e308),
+    # two angles with one file tag: the second used to overwrite the first's files
+    ("scan_angles_deg", [15.0, 15.04]),
+    ("scan_angles_deg", [10, 10.0]),
 ])
 def test_bad_pattern_values_exit_2(tmp_path, capsys, key, value):
     assert_exit_2(tmp_path, capsys, "pattern", pattern_config(**{key: value}), key)
@@ -200,6 +204,10 @@ def harmonics_config(**changes):
     ("multi_targets", [[[1, 0.8], [2, 0.8]]]),
     ("harmonic_range", -1),
     ("num_steps", 1),
+    # two entries with one file tag
+    ("single_harmonics", [1, 1]),
+    ("shift_fractions", [0.5, 0.5]),
+    ("shift_fractions", [0.25, 0.25 + 1e-11]),
 ])
 def test_bad_harmonics_values_exit_2(tmp_path, capsys, key, value):
     # output_dir "patterns" lets assert_exit_2 check that nothing was written
@@ -331,6 +339,39 @@ BIG_GSM = {"type": "gsm", "n_tx": 30, "n_active": 15, "order": 4}  # 2^29 codewo
 def test_scheme_with_too_many_codewords_exits_2(tmp_path, capsys, command, cfg):
     assert_exit_2(tmp_path, capsys, command, cfg, "scheme")
     assert not list(tmp_path.glob("*.csv"))
+
+
+def subset_scheme(kind, log_n):
+    """A scheme of ``kind`` activating half of 2^log_n resources."""
+    n, k = 1 << log_n, 1 << (log_n - 1)
+    return {"gsm": {"type": "gsm", "n_tx": n, "n_active": k, "order": 2},
+            "ofdm_im": {"type": "ofdm_im", "n": n, "k": k, "order": 2},
+            "stsk": {"type": "stsk", "q_matrices": n, "p_active": k, "order": 2, "n_tx": 2,
+                     "n_slots": 2}}[kind]
+
+
+@pytest.mark.parametrize("command", ["ber", "rate"])
+@pytest.mark.parametrize("kind, log_n, seconds", [
+    ("gsm", 17, 0.5), ("gsm", 20, 0.1), ("gsm", 40, 0.5), ("ofdm_im", 20, 0.1),
+    ("stsk", 40, 0.1),
+])
+def test_k_of_n_scheme_past_the_index_bit_cap_is_refused_at_once(tmp_path, capsys, command,
+                                                                  kind, log_n, seconds):
+    # comb(n, n/2) used to run first: 15 s at n = 2^20, and without end at 2^40
+    scheme = subset_scheme(kind, log_n)
+    cfg = ber_config(scheme) if command == "ber" else {"experiment": "rate", "scheme": scheme}
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="index bits"):
+        parse_config(cfg)
+    assert time.perf_counter() - start < seconds
+    assert_exit_2(tmp_path, capsys, command, cfg, "scheme")
+
+
+def test_rate_just_under_the_index_bit_cap(tmp_path, capsys):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"experiment": "rate", "scheme": subset_scheme("gsm", 16)}))
+    assert main(["rate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "65528.000000"   # 65527 index bits + BPSK
 
 
 @pytest.mark.parametrize("command", ["ber", "codebook", "rate"])

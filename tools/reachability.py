@@ -51,12 +51,8 @@ EXCEPTIONS = {
     "im_schemes.Scheme.channel_uses": _ACCEPTANCE,
     "detection.CandidateSet.count": _ACCEPTANCE,
     "channel.rician": "reference for the in-place Rician mix of harness._BerModel._draw_channel",
-    "channel.rayleigh": "single-draw reference the channel tests compare complex_normal with",
     "im_schemes.Scheme.transmit_vector": "per-word reference for Scheme.codebook",
     "modulation.gray_decode": "inverse the Gray-label tests check gray_encode against",
-    "detection.mld": "single-trial ML entry point tested against an exhaustive search",
-    "detection.detect_ofdm_im": "single-block OFDM-IM detector tested against a naive search",
-    "detection.instantaneous_capacity": "single-channel capacity tested against slogdet",
     "aperture.pseudo_random_codings": "aperture states for RIS-aided MBM (ROADMAP item 9)",
     "aperture.PhaseCoding.uniform": "test fixture for uniform aperture states",
     "aperture.compose_phase": _ACCEPTANCE,
