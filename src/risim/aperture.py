@@ -14,18 +14,18 @@ positive surface gradient compensates it on the -x side).
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .util import SPEED_OF_LIGHT, mag_to_db, text_column, text_rows, wrap_phase, write_csv
 
 # complex entries of one block's wider kernel, which bounds its other kernel
-# and its excitation.T @ ex product (1 MB each).  BLAS
+# and its excitation.T @ ex product (256 kB each, so a block's temporaries
+# stay within a 2 MB L2 cache).  BLAS
 # treats a product's columns in groups, so blocks are whole multiples of
 # _BLOCK_ALIGN directions: each direction then takes the same path as in one
 # product over a 65,536-direction chunk, and the fields stay bitwise equal.
-_BLOCK_ENTRIES = 1 << 16
+_BLOCK_ENTRIES = 1 << 14
 _BLOCK_ALIGN = 64
 # Upper bound on the text GridText keeps per direction: its text matrices hold
 # "90.000000,359.000000," and "-0.999848,-0.999848," at most, 41 bytes.  It
@@ -162,11 +162,12 @@ class FarFieldGrid:
         return text
 
 
-def direction_cosines(theta, phi):
-    """u = sin(theta)cos(phi) and v = sin(theta)sin(phi) of every grid
-    direction, flattened theta-major."""
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
-    return (np.sin(th) * np.cos(ph)).ravel(), (np.sin(th) * np.sin(ph)).ravel()
+def direction_cosines(theta, phi, lo=0, hi=None):
+    """u = sin(theta)cos(phi) and v = sin(theta)sin(phi) of the grid
+    directions lo..hi (default: every one), flattened theta-major."""
+    it, ip = np.divmod(np.arange(lo, len(theta) * len(phi) if hi is None else hi), len(phi))
+    rho = np.sin(theta)[it]
+    return rho * np.cos(phi)[ip], rho * np.sin(phi)[ip]
 
 
 class GridText:
@@ -177,25 +178,20 @@ class GridText:
     text matrix of the leading columns, ending in a comma, which
     :func:`util.write_csv` takes as ``lead``.  So a sweep that writes many
     patterns on one grid formats only mag_db and phase_deg per pattern.
-    Each matrix is formatted on first use.
+    Both matrices are formatted here, so a sweep that builds its GridText
+    before its fields never holds their formatting temporaries on top of
+    the fields.
     """
 
     def __init__(self, theta, phi):
         self.theta = np.asarray(theta, dtype=float)
         self.phi = np.asarray(phi, dtype=float)
-
-    @cached_property
-    def field_rows(self) -> np.ndarray:
         th = text_column(np.rad2deg(self.theta), "%.6f")
         ph = text_column(np.rad2deg(self.phi), "%.6f")
         lead = text_rows([th[:, None], ph[None]], end=b",")   # (theta, phi, width)
-        return lead.reshape(th.shape[0] * ph.shape[0], -1)
-
-    @cached_property
-    def uv_rows(self) -> np.ndarray:
+        self.field_rows = lead.reshape(th.shape[0] * ph.shape[0], -1)
         u, v = direction_cosines(self.theta, self.phi)
-        columns = [text_column(u, "%.6f"), text_column(v, "%.6f")]
-        return text_rows(columns, end=b",")
+        self.uv_rows = text_rows([text_column(u, "%.6f"), text_column(v, "%.6f")], end=b",")
 
 
 _THETA_STOP_DEG = 90.0 + 1e-9   # theta includes 90 deg
@@ -320,9 +316,9 @@ def radiation_pattern(coding, geom: ApertureGeometry, theta=None, phi=None,
     for every direction of the grid (default: :func:`direction_grid`).
     ``coding`` is one :class:`PhaseCoding`, giving a (theta, phi) field, or
     a sequence of them on the same geometry, giving a stacked
-    (codings, theta, phi) field.  The direction kernels are built one block
-    of directions at a time, used for every coding and dropped, so a call
-    holds its fields and one block of kernels.
+    (codings, theta, phi) field.  The direction cosines and kernels are
+    built one block of directions at a time, used for every coding and
+    dropped, so a call holds its fields and one block of kernels.
     """
     single = isinstance(coding, PhaseCoding)
     excitations = [c.excitation for c in ([coding] if single else coding)]
@@ -338,15 +334,15 @@ def radiation_pattern(coding, geom: ApertureGeometry, theta=None, phi=None,
         phi = default_phi if phi is None else phi
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    u, v = direction_cosines(theta, phi)
     kc = geom.wavenumber
     x = np.arange(geom.rows) * geom.dx
     y = np.arange(geom.cols) * geom.dy
 
-    out = np.empty((len(excitations), u.size), dtype=complex)
-    edges = _block_edges(u.size, max(geom.rows, geom.cols))
+    out = np.empty((len(excitations), len(theta) * len(phi)), dtype=complex)
+    edges = _block_edges(out.shape[1], max(geom.rows, geom.cols))
     for lo, hi in zip(edges, edges[1:]):
-        ex, ey = _kernel(x, u[lo:hi], kc), _kernel(y, v[lo:hi], kc)   # (rows, B), (cols, B)
+        u, v = direction_cosines(theta, phi, lo, hi)
+        ex, ey = _kernel(x, u, kc), _kernel(y, v, kc)   # (rows, B), (cols, B)
         for row, excitation in zip(out, excitations):
             row[lo:hi] = np.einsum("qd,qd->d", excitation.T @ ex, ey)
 

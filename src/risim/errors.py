@@ -3,12 +3,27 @@ key of an experiment file or of a scheme config that is missing, unknown,
 of the wrong JSON type, out of bounds or not one of its choices raises
 ``ConfigError`` naming its dotted path."""
 
+import math
 import sys
 
 
 class ConfigError(ValueError):
     """Invalid or infeasible configuration (bad scheme parameters, malformed
     experiment file, unknown keys). Maps to CLI exit code 2."""
+
+
+def shown(value) -> str:
+    """repr of a config value for a message, but an int past float range as
+    its approximate size, "~1.0e+5000": str() refuses an int of more than
+    4,300 digits, and no message needs the digits of one past float range."""
+    if type(value) is list:
+        return f"[{', '.join(map(shown, value))}]"
+    if type(value) is dict:
+        return f"{{{', '.join(f'{k!r}: {shown(v)}' for k, v in value.items())}}}"
+    if type(value) is int and value.bit_length() > 1024:
+        size = math.log10(abs(value))   # exact enough for any int
+        return f"~{'-' if value < 0 else ''}{10 ** (size % 1):.1f}e+{int(size)}"
+    return repr(value)
 
 
 class _Section:
@@ -61,7 +76,7 @@ class _Section:
                     limits.insert(0, "finite")
                 what = f"{self._name(key)}{' entries' if listed else ''}"
                 must = " ".join(["/".join(k.__name__ for k in names), " and ".join(limits)])
-                raise ConfigError(f"{what} must be {must.rstrip()}, got {v!r}")
+                raise ConfigError(f"{what} must be {must.rstrip()}, got {shown(v)}")
         return value
 
     def choice(self, key, options, default=None, required=False):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import aperture, detection, im_schemes, metaatom, spacetime
 from .channel import complex_normal, los_matrix, stream_rng
-from .errors import ConfigError, _Section
+from .errors import ConfigError, _Section, shown
 from .util import db_to_linear, write_csv
 
 DEFAULT_MAX_TRIALS = 10_000_000
@@ -68,9 +68,12 @@ def _parse_scheme(raw) -> im_schemes.Scheme:
     return scheme
 
 
-def _check_bytes(key: str, need: int, what: str) -> None:
+def _check_bytes(key: str, need: int, what: str, *values) -> None:
+    """Refuse ``need`` bytes over the run budget; ``what`` is a str.format
+    template of ``values``, which are formatted only for the message."""
     if need > MAX_RUN_BYTES:
-        raise ConfigError(f"{key}: {what} would take {need} bytes, over the budget "
+        what = what.format(*map(shown, values))
+        raise ConfigError(f"{key}: {what} would take {shown(need)} bytes, over the budget "
                           f"of {MAX_RUN_BYTES}")
 
 
@@ -146,11 +149,11 @@ class BerConfig:
             trial_sec.bounded("batch_size", 1, DEFAULT_BATCH_SIZE, kind=int, high=MAX_BATCH_SIZE))
         trial_sec.finish()
         dim, count = _codeword_length(scheme), 1 << scheme.bits_per_interval
-        _check_bytes("scheme", 16 * dim * count,
-                     f"a codebook of {count} codewords of length {dim}")
+        _check_bytes("scheme", 16 * dim * count, "a codebook of {} codewords of length {}",
+                     count, dim)
         batch = min(trials.batch_size, trials.max_trials)
         _check_bytes("n_rx", _draw_bytes(trials, n_rx, scheme),
-                     f"one batch's channel draw ({batch} x {n_rx} x {dim})")
+                     "one batch's channel draw ({} x {} x {})", batch, n_rx, dim)
         snr_db = _snr_grid(sec)
         return cls(dict(scheme_cfg), channel, n_rx, snr_db, trials, seed, sec.take("output", kind=str))
 
@@ -178,11 +181,11 @@ class CapacityConfig:
         snr_db = _snr_grid(sec)
         trials = sec.bounded("trials", 2, 50_000, kind=int)
         _check_bytes("trials", 8 * len(snr_db) * trials,
-                     f"one capacity value per SNR point and trial ({len(snr_db)} x {trials})")
+                     "one capacity value per SNR point and trial ({} x {})", len(snr_db), trials)
         for n_tx, n_rx in antennas:
             _check_bytes("antennas",
                          detection.capacity_batch_bytes(n_tx, n_rx, trials, len(snr_db)),
-                         f"one batch of {n_tx}x{n_rx} channels")
+                         "one batch of {}x{} channels", n_tx, n_rx)
         return cls(tuple(map(tuple, antennas)), snr_db, trials, seed, sec.take("output", kind=str))
 
 
@@ -227,7 +230,7 @@ class PatternConfig:
                 raise ConfigError(f"geometry.{key} = {geometry[key]!r} is out of range in SI units")
         geo_sec.finish()
         _check_bytes("geometry", aperture.element_bytes(rows, cols),
-                     f"the per-angle element arrays of a {rows}x{cols} aperture")
+                     "the per-angle element arrays of a {}x{} aperture", rows, cols)
         # SteeringSpec takes a non-negative phase range, so only 0..90 deg steer
         angles = sec.bounded("scan_angles_deg", 0.0, required=True, high=90.0, listed=True)
         _distinct_files("scan_angles_deg", angles)
@@ -239,8 +242,8 @@ class PatternConfig:
         grid.finish()
         directions = aperture.direction_count(theta_step, phi_step)
         _check_bytes("grid", aperture.sweep_bytes(rows, cols, directions),
-                     f"the fields of {rows + cols} scan angles and the text of "
-                     f"{directions} directions on a {rows}x{cols} aperture")
+                     "the fields of {} scan angles and the text of {} directions on a "
+                     "{}x{} aperture", rows + cols, directions, rows, cols)
         quantize_bits = sec.bounded("quantize_bits", 1, kind=int, high=MAX_QUANTIZE_BITS)
         period_cells = sec.bounded("period_cells", 1, 4, kind=int)
         geom = _aperture_geometry(geometry)
@@ -276,7 +279,7 @@ class HarmonicsConfig:
                         else (harmonic_range, "harmonic_range"))
         # checked before the lists, so num_steps is small enough for float arithmetic
         _check_bytes(key, spacetime.spectrum_bytes(num_steps, m_range),
-                     f"one spectrum of {2 * m_range + 1} harmonics over {num_steps} steps")
+                     "one spectrum of {} harmonics over {} steps", 2 * m_range + 1, num_steps)
         # the synthesized harmonic aliases from |m| = L/2 on
         top = (num_steps - 1) // 2
         singles = sec.bounded("single_harmonics", -top, [], kind=int, high=top, listed=True)
@@ -294,22 +297,22 @@ class HarmonicsConfig:
         targets = []
         for group in sec.take("multi_targets", [], kind=list):
             if not isinstance(group, list):
-                raise ConfigError(f"multi_targets groups must be lists, got {group!r}")
+                raise ConfigError(f"multi_targets groups must be lists, got {shown(group)}")
             one = []
             for entry in group:
                 w = entry[1] if isinstance(entry, list) and len(entry) == 2 else None
                 parts = w if isinstance(w, list) and len(w) == 2 else [w]
                 if not all(_is_number(v) for v in parts):
                     raise ConfigError("multi_targets entries must be [m, weight] pairs with a "
-                                      f"number or [re, im] weight, got {entry!r}")
+                                      f"number or [re, im] weight, got {shown(entry)}")
                 if type(entry[0]) is not int or abs(entry[0]) > top:
                     raise ConfigError(f"multi_targets harmonics must be int >= {-top} and "
-                                      f"<= {top}, got {entry[0]!r}")
+                                      f"<= {top}, got {shown(entry[0])}")
                 one.append((entry[0], complex(*parts)))
             if len({m for m, _ in one}) != len(one):
-                raise ConfigError(f"multi_targets group repeats a harmonic: {group!r}")
+                raise ConfigError(f"multi_targets group repeats a harmonic: {shown(group)}")
             if sum(abs(w) ** 2 for _, w in one) > 1.0 + 1e-12:
-                raise ConfigError(f"multi_targets group asks for more than unit power: {group!r}")
+                raise ConfigError(f"multi_targets group asks for more than unit power: {shown(group)}")
             targets.append(tuple(one))
         return cls(num_steps, tuple(singles), tuple(float(f) for f in shifts), tuple(targets),
                    harmonic_range, sec.take("output_dir", "harmonics", kind=str), seed)
@@ -508,7 +511,7 @@ def run_ber(config: ExperimentConfig, threads: int = 1) -> BerCurve:
     n_batches = -(-policy.max_trials // policy.batch_size)   # exact for any int
     in_flight = min(width, n_batches * len(config.snr_db))
     _check_bytes("--threads", in_flight * _draw_bytes(policy, config.n_rx, scheme),
-                 f"{in_flight} batches' channel draws in flight")
+                 "{} batches' channel draws in flight", in_flight)
     model = _BerModel(scheme, config.channel, config.n_rx)
     bits = scheme.bits_per_interval
     # one scalar power per point: the vectorised power rounds differently
@@ -648,7 +651,8 @@ def run_pattern(config: ExperimentConfig, out_base: Path):
     """
     geom = _aperture_geometry(config.geometry)
     theta, phi = aperture.direction_grid(*config.grid_step_deg)
-    # the grid-column text every scan angle shares
+    # the grid-column text every scan angle shares, formatted before any
+    # field exists so that its temporaries never sit on top of a group's
     text = aperture.GridText(theta, phi)
     table = metaatom.default_response_table() if config.couple_atom_loss else None
     out_dir = out_base / config.output_dir

@@ -27,7 +27,7 @@ from math import comb, gcd, log2
 import numpy as np
 
 from .detection import CandidateSet
-from .errors import ConfigError, _Section
+from .errors import ConfigError, _Section, shown
 from .modulation import Constellation, int_to_bits, is_power_of_two
 
 # the one point of schemes whose only message is the index
@@ -58,7 +58,7 @@ class IMSymbol:
 
 def _int_log2(value: int, what: str) -> int:
     if not is_power_of_two(value):
-        raise ConfigError(f"{what} must be a power of two, got {value}")
+        raise ConfigError(f"{what} must be a power of two, got {shown(value)}")
     return int(log2(value))
 
 
@@ -71,7 +71,7 @@ def _subset_bits(n: int, k: int, least: int = 0) -> int:
     huge = m > MAX_INDEX_BITS or m and m * (log2(n) - log2(m)) > MAX_INDEX_BITS
     bits = MAX_INDEX_BITS + 1 if huge else comb(n, k).bit_length() - 1
     if not least <= bits <= MAX_INDEX_BITS:
-        raise ConfigError(f"scheme: C({n}, {k}) activations must carry {least} to "
+        raise ConfigError(f"scheme: C({shown(n)}, {shown(k)}) activations must carry {least} to "
                           f"{MAX_INDEX_BITS} index bits")
     return bits
 
@@ -245,7 +245,7 @@ class GeneralizedSM(Scheme):
 
     def __init__(self, n_tx: int, n_active: int, order: int, constellation: str = "psk"):
         if not 1 <= n_active <= n_tx:
-            raise ConfigError(f"need 1 <= n_active <= n_tx, got {n_active} of {n_tx}")
+            raise ConfigError(f"need 1 <= n_active <= n_tx, got {shown(n_active)} of {shown(n_tx)}")
         self.index_bits = _subset_bits(n_tx, n_active, 1)
         self._set_constellation(constellation, order)
         self.n_tx = self.dim = n_tx
@@ -325,10 +325,10 @@ class SimOok(Scheme):
         self.symbol_bits = 0 if order == 1 else _int_log2(order, "PSK order")
         for m in self.harmonics:
             if 2 * abs(m) >= num_steps:
-                raise ConfigError(f"harmonic {m} aliases for L = {num_steps}")
+                raise ConfigError(f"harmonic {shown(m)} aliases for L = {shown(num_steps)}")
         if order > 1:
             if num_steps % order:
-                raise ConfigError(f"PSK order {order} needs L divisible by M (L = {num_steps})")
+                raise ConfigError(f"PSK order {shown(order)} needs L divisible by M (L = {shown(num_steps)})")
             for m in self.harmonics:
                 self._solve_shift(m, 1)  # raises if infeasible
         self.dim = len(self.harmonics)
@@ -365,7 +365,7 @@ class _SubsetBlockScheme(Scheme):
 
     def __init__(self, n: int, k: int, order: int, constellation: str = "psk"):
         if not 1 <= k <= n:
-            raise ConfigError(f"need 1 <= k <= n, got k = {k}, n = {n}")
+            raise ConfigError(f"need 1 <= k <= n, got k = {shown(k)}, n = {shown(n)}")
         self.block_size = self.dim = n
         self.n_active = self.n_symbols = k
         self._set_constellation(constellation, order)
@@ -446,7 +446,7 @@ class SpaceTimeShiftKeying(Scheme):
     def __init__(self, q_matrices: int, p_active: int, order: int, n_tx: int,
                  n_slots: int, constellation: str = "psk", dispersion_seed: int = 1):
         if not 1 <= p_active <= q_matrices:
-            raise ConfigError(f"need 1 <= P <= Q, got P = {p_active}, Q = {q_matrices}")
+            raise ConfigError(f"need 1 <= P <= Q, got P = {shown(p_active)}, Q = {shown(q_matrices)}")
         self.index_bits = _subset_bits(q_matrices, p_active, 1)
         self._set_constellation(constellation, order)
         self.q_matrices = q_matrices
@@ -512,7 +512,7 @@ def rate_ra_ssk(n_tx: int, states_per_antenna: list) -> float:
     """log2 nT + mean over antennas of log2 of their pattern-state counts."""
     states = list(states_per_antenna)
     if len(states) != n_tx:
-        raise ConfigError(f"need one state count per antenna ({n_tx}), got {len(states)}")
+        raise ConfigError(f"need one state count per antenna ({shown(n_tx)}), got {len(states)}")
     return float(log2(n_tx) + sum(log2(s) for s in states) / n_tx)
 
 

@@ -14,7 +14,7 @@ from math import isqrt, log2
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, shown
 
 
 def is_power_of_two(m: int) -> bool:
@@ -43,13 +43,13 @@ def gray_decode(g: int) -> int:
 
 def _check_psk(order: int) -> None:
     if not is_power_of_two(order) or order < 2:
-        raise ConfigError(f"PSK order must be a power of two >= 2, got {order}")
+        raise ConfigError(f"PSK order must be a power of two >= 2, got {shown(order)}")
 
 
 def _qam_side(order: int) -> int:
     side = isqrt(order) if is_power_of_two(order) else 0   # exact for any int
     if side * side != order or order < 4:
-        raise ConfigError(f"QAM order must be an even power of two >= 4, got {order}")
+        raise ConfigError(f"QAM order must be an even power of two >= 4, got {shown(order)}")
     return side
 
 

@@ -21,7 +21,7 @@ def mag_to_db(x):
     return 20.0 * np.log10(np.fmax(x, 1e-15))
 
 
-_CSV_BLOCK_ROWS = 1 << 14  # rows per block of text, which bounds memory
+_CSV_BLOCK_ROWS = 1 << 12  # rows per block of text, which bounds memory
 # "%.Nf" (N <= 15) and "%d" go by digit arithmetic on integers below 2**52
 _DIGIT_FORMAT = re.compile(r"%(?:\.(\d|1[0-5])f|d)\Z")
 _EXACT_LIMIT = 2.0 ** 52

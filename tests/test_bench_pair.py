@@ -45,3 +45,35 @@ def test_medians_quartiles_and_bound():
     assert not summary["worse_than_bound"]          # 1.4 <= 1.2 * 1.25
     slower = load_tool().summarize([pair(1.0, 1.3)], DECLARED)["wall_s"]
     assert slower["worse_than_bound"] and slower["parent"]["iqr"] == 0.0
+
+
+def test_gain_shown_needs_nine_wins_in_ten_and_a_median_gap_past_the_parent_iqr():
+    tool = load_tool()
+    # parent 1.00..1.09 (IQR 0.05); the change wins 9 of 10 pairs
+    wins_nine = [pair(1.0 + i / 100, 0.9 + i / 100) for i in range(9)] + [pair(1.09, 1.2)]
+    shown = tool.summarize(wins_nine, DECLARED)
+    assert shown["wall_s"]["change_wins"] == 9 and shown["wall_s"]["gain_shown"]
+    assert shown["trials_per_s"]["gain_shown"]           # the higher-is-better mirror
+    wins_eight = wins_nine[:8] + [pair(1.08, 1.2), pair(1.09, 1.2)]
+    assert not tool.summarize(wins_eight, DECLARED)["wall_s"]["gain_shown"]
+    # every pair won, by less than the parent's spread
+    close = [pair(1.0 + i / 10, 0.99 + i / 10) for i in range(10)]
+    summary = tool.summarize(close, DECLARED)["wall_s"]
+    assert summary["change_wins"] == 10 and not summary["gain_shown"]
+    # a change that is worse shows no gain
+    assert not tool.summarize([pair(1.0, 0.5 + i) for i in range(10)], DECLARED)["wall_s"][
+        "gain_shown"]
+
+
+def test_unresolved_when_the_parent_spreads_past_the_bound_and_the_sides_overlap():
+    tool = load_tool()
+    # parent IQR 0.5 against a bound of 0.25 x median 1.0
+    wide = [1.0, 0.5, 1.5, 0.6, 1.4]
+    overlapping = tool.summarize([pair(p, 1.0) for p in wide], DECLARED)["wall_s"]
+    assert overlapping["parent"]["iqr"] > 0.25 * overlapping["parent"]["median"]
+    assert overlapping["unresolved"]
+    # every change run beats every parent run: resolved however wide
+    assert not tool.summarize([pair(p, 0.4) for p in wide], DECLARED)["wall_s"]["unresolved"]
+    # a narrow parent is resolved even where the sides overlap
+    narrow = [pair(1.0 + i / 100, 1.0) for i in range(5)]
+    assert not tool.summarize(narrow, DECLARED)["wall_s"]["unresolved"]

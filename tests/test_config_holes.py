@@ -649,3 +649,28 @@ def test_max_trials_past_float_range_runs_to_its_stop_rule(tmp_path, capsys):
 def test_int_past_float_range_in_a_number_key_exits_2(tmp_path, capsys, command, cfg, key):
     # math.isfinite and float() used to raise OverflowError on such an int
     assert_exit_2(tmp_path, capsys, command, cfg, key)
+
+
+# an int of more than 4,300 digits, which str() refuses; only an in-process
+# dict can carry one, since JSON files are refused as not valid JSON
+PAST_STR = 10 ** 5000
+
+
+@pytest.mark.parametrize("cfg, key, shown", [
+    (capacity_config([[1, 1]], PAST_STR), "trials", "(1 x ~1.0e+5000)"),
+    (ber_config({"type": "psk", "order": -PAST_STR}), "scheme.order", "got ~-1.0e+5000"),
+    (capacity_config([[PAST_STR, 1]], 100), "antennas", "of ~1.0e+5000x1 channels"),
+    ({**ber_config({"type": "psk", "order": 4}), "n_rx": PAST_STR}, "n_rx", "1000 x ~1.0e+5000"),
+    (pattern_config(**{"geometry.rows": PAST_STR}), "geometry", "a ~1.0e+5000x4 aperture"),
+    (pattern_config(scan_angles_deg=[-PAST_STR]), "scan_angles_deg", "got ~-1.0e+5000"),
+    (harmonics_config(num_steps=PAST_STR), "num_steps", "over ~1.0e+5000 steps"),
+    (harmonics_config(multi_targets=[[[1, PAST_STR]]]), "multi_targets", "[1, ~1.0e+5000]"),
+    (harmonics_config(multi_targets=[[[PAST_STR, 0.5]]]), "multi_targets", "got ~1.0e+5000"),
+    (ber_config({"type": "gsm", "n_tx": PAST_STR, "n_active": PAST_STR // 2, "order": 2}),
+     "scheme", "C(~1.0e+5000, ~5.0e+4999)"),
+], ids=["trials", "order", "antennas", "n_rx", "rows", "angle", "num_steps", "weight",
+        "harmonic", "gsm"])
+def test_int_past_str_limit_is_refused_by_its_size(cfg, key, shown):
+    with pytest.raises(ConfigError, match=rf"^{key}\b") as info:
+        parse_config(cfg)
+    assert shown in str(info.value)

@@ -7,8 +7,10 @@ runs each side's own ``perfbench/run.py --workload W --seed S --trace 0``
 in each pair.  Both sides run for the ``run_seconds`` of this checkout's
 BENCHMARK.json.  The output file holds every run's result line and ``env``
 line and, per end-to-end metric, each side's median and quartiles, the
-number of pairs the change won (ties count for neither), and whether the
-change's median is worse than the parent's by more than the metric's bound:
+number of pairs the change won (ties count for neither), whether the
+change's median is worse than the parent's by more than the metric's bound,
+whether a gain is shown and whether the runs spread too widely to tell
+(see ``summarize``):
 
     python3 tools/bench_pair.py --parent HEAD~1 --workload ber_ofdm_im_threads \\
         --seed 1 7 --pairs 10 --out BENCH_18.json
@@ -67,21 +69,32 @@ def quartiles(values) -> dict:
 def summarize(pairs, declared) -> dict:
     """Per end-to-end metric: each side's median and quartiles, the pairs the
     change won, and whether its median is worse than the parent's by more
-    than the bound (a fraction of the parent's median)."""
+    than the bound (a fraction of the parent's median).  ``gain_shown``: the
+    change won at least 9 in 10 pairs and its median is better by more than
+    the parent's IQR.  ``unresolved``: the parent's IQR is wider than the
+    bound, and some change run is no better than some parent run, so the
+    runs spread too widely to tell a change within the bound."""
     summary = {}
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [p[side]["result"]["metrics"][name]["value"] for p in pairs]
                   for side in SIDES}
-        wins = sum((c < p) if lower else (c > p)
-                   for p, c in zip(values["parent"], values["change"]))
+
+        def better(a, b):
+            return a < b if lower else a > b
+
+        wins = sum(better(c, p) for p, c in zip(values["parent"], values["change"]))
         stats = {side: quartiles(values[side]) for side in SIDES}
         parent, change = stats["parent"]["median"], stats["change"]["median"]
         worse = (change - parent) if lower else (parent - change)
+        bound = metric["bound"] * abs(parent)
         summary[name] = {
             "unit": metric["unit"], "better": metric["better"], **stats,
             "change_wins": wins, "pairs": len(pairs),
-            "worse_than_bound": worse > metric["bound"] * abs(parent),
+            "worse_than_bound": worse > bound,
+            "gain_shown": 10 * wins >= 9 * len(pairs) and -worse > stats["parent"]["iqr"],
+            "unresolved": stats["parent"]["iqr"] > bound and not all(
+                better(c, p) for c in values["change"] for p in values["parent"]),
         }
     return summary
 
