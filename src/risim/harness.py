@@ -312,7 +312,8 @@ class HarmonicsConfig:
             if len({m for m, _ in one}) != len(one):
                 raise ConfigError(f"multi_targets group repeats a harmonic: {shown(group)}")
             if sum(abs(w) ** 2 for _, w in one) > 1.0 + 1e-12:
-                raise ConfigError(f"multi_targets group asks for more than unit power: {shown(group)}")
+                raise ConfigError("multi_targets group asks for more than unit power: "
+                                  f"{shown(group)}")
             targets.append(tuple(one))
         return cls(num_steps, tuple(singles), tuple(float(f) for f in shifts), tuple(targets),
                    harmonic_range, sec.take("output_dir", "harmonics", kind=str), seed)

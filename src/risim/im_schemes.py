@@ -328,7 +328,8 @@ class SimOok(Scheme):
                 raise ConfigError(f"harmonic {shown(m)} aliases for L = {shown(num_steps)}")
         if order > 1:
             if num_steps % order:
-                raise ConfigError(f"PSK order {shown(order)} needs L divisible by M (L = {shown(num_steps)})")
+                raise ConfigError(f"PSK order {shown(order)} needs L divisible by M "
+                                  f"(L = {shown(num_steps)})")
             for m in self.harmonics:
                 self._solve_shift(m, 1)  # raises if infeasible
         self.dim = len(self.harmonics)
@@ -446,7 +447,8 @@ class SpaceTimeShiftKeying(Scheme):
     def __init__(self, q_matrices: int, p_active: int, order: int, n_tx: int,
                  n_slots: int, constellation: str = "psk", dispersion_seed: int = 1):
         if not 1 <= p_active <= q_matrices:
-            raise ConfigError(f"need 1 <= P <= Q, got P = {shown(p_active)}, Q = {shown(q_matrices)}")
+            raise ConfigError(f"need 1 <= P <= Q, got P = {shown(p_active)}, "
+                              f"Q = {shown(q_matrices)}")
         self.index_bits = _subset_bits(q_matrices, p_active, 1)
         self._set_constellation(constellation, order)
         self.q_matrices = q_matrices

@@ -666,10 +666,11 @@ PAST_STR = 10 ** 5000
     (harmonics_config(num_steps=PAST_STR), "num_steps", "over ~1.0e+5000 steps"),
     (harmonics_config(multi_targets=[[[1, PAST_STR]]]), "multi_targets", "[1, ~1.0e+5000]"),
     (harmonics_config(multi_targets=[[[PAST_STR, 0.5]]]), "multi_targets", "got ~1.0e+5000"),
+    (harmonics_config(multi_targets=[{"m": PAST_STR}]), "multi_targets", "{'m': ~1.0e+5000}"),
     (ber_config({"type": "gsm", "n_tx": PAST_STR, "n_active": PAST_STR // 2, "order": 2}),
      "scheme", "C(~1.0e+5000, ~5.0e+4999)"),
 ], ids=["trials", "order", "antennas", "n_rx", "rows", "angle", "num_steps", "weight",
-        "harmonic", "gsm"])
+        "harmonic", "group", "gsm"])
 def test_int_past_str_limit_is_refused_by_its_size(cfg, key, shown):
     with pytest.raises(ConfigError, match=rf"^{key}\b") as info:
         parse_config(cfg)
