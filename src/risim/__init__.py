@@ -11,4 +11,9 @@ detection  maximum-likelihood detection and ergodic capacity
 harness    config-driven Monte Carlo experiments and CSV outputs
 """
 
+import os
+
+# --threads is the only parallelism: one OpenBLAS thread unless the user sets a count
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"

@@ -9,22 +9,18 @@ byte-identical result files.
 
 import json
 import math
-import sys
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import ClassVar
+from typing import Annotated, ClassVar, NamedTuple, TypedDict
 
 import numpy as np
 
 from . import aperture, detection, im_schemes, metaatom, spacetime
 from .channel import complex_normal, los_matrix, stream_rng
-from .errors import ConfigError, _Section, shown
+from .errors import ConfigError, Key, _Section, shown
 from .util import db_to_linear, write_csv
 
-DEFAULT_MAX_TRIALS = 10_000_000
-DEFAULT_MIN_ERRORS = 200
-DEFAULT_BATCH_SIZE = 65_536
 # 2**52 levels already space phases in [0, 2 pi) at about one double ulp
 MAX_QUANTIZE_BITS = 52
 # bytes one run may hold in any of its largest arrays, estimated from the
@@ -38,25 +34,44 @@ MAX_BATCH_SIZE = 1 << 20
 # largest |snr_db|: 10**(snr/10) overflows to inf past about 3082 dB; at
 # 1e30 the metric, Gram and noise arithmetic stays far from overflow
 MAX_SNR_DB = 300.0
+# ints up to 2**53 are exact floats, so a steering range is a finite product
+MAX_PERIOD_CELLS = 1 << 53
 # series resistance of the varactor states a pattern run's atom loss uses
 ATOM_RESISTANCE_OHM = 0.5
 
 # --------------------------------------------------------------------------
-# configuration
+# configuration: each key declared once, on the attribute of the config type
+# it fills (errors.Key); a type's check() holds the rules tying keys together
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TrialPolicy:
-    max_trials: int
-    min_errors: int
-    batch_size: int
+    max_trials: Annotated[int, Key(1)] = 10_000_000
+    min_errors: Annotated[int, Key(1)] = 200
+    batch_size: Annotated[int, Key(1, MAX_BATCH_SIZE)] = 65_536
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    model: str                    # "awgn" | "rayleigh" | "rician"
-    k_factor: float = 0.0
-    los_structure: str = "dft"
+    model: Annotated[str, Key(choices=("awgn", "rayleigh", "rician"))]
+    # the keys of a rician channel only; any other model refuses them as unknown
+    k_factor: Annotated[float, Key(0, json="K", required=True, when=("model", "rician"))] = 0.0
+    los_structure: Annotated[str, Key(choices=("dft", "ones"), json="los.structure",
+                                      when=("model", "rician"))] = "dft"
+
+
+_POSITIVE = Annotated[float, Key(0, strict=True)]
+Geometry = TypedDict("Geometry", {"rows": Annotated[int, Key(1)], "cols": Annotated[int, Key(1)],
+                                  "dx_mm": _POSITIVE, "dy_mm": _POSITIVE, "fc_ghz": _POSITIVE})
+
+
+class GridSteps(NamedTuple):
+    # at least two elevations in 0..90 deg and two azimuths in 0..360 deg
+    theta_step_deg: Annotated[float, Key(0, 90, strict=True)] = 1.0
+    phi_step_deg: Annotated[float, Key(0, 360, strict=True, strict_high=True)] = 1.0
+
+
+_SNR_DB = Annotated[tuple[float, ...], Key(-MAX_SNR_DB, MAX_SNR_DB)]
 
 
 def _parse_scheme(raw) -> im_schemes.Scheme:
@@ -69,8 +84,7 @@ def _parse_scheme(raw) -> im_schemes.Scheme:
 
 
 def _check_bytes(key: str, need: int, what: str, *values) -> None:
-    """Refuse ``need`` bytes over the run budget; ``what`` is a str.format
-    template of ``values``, which are formatted only for the message."""
+    """Refuse ``need`` bytes over the run budget; ``values`` fill ``what``."""
     if need > MAX_RUN_BYTES:
         what = what.format(*map(shown, values))
         raise ConfigError(f"{key}: {what} would take {shown(need)} bytes, over the budget "
@@ -82,111 +96,70 @@ def _codeword_length(scheme) -> int:
     return scheme.dim * scheme.n_slots
 
 
-def _parse_channel(parent: _Section) -> ChannelSpec:
-    sec = parent.section("channel", {"model": "rayleigh"})
-    model = sec.choice("model", ("awgn", "rayleigh", "rician"), required=True)
-    if model != "rician":
-        sec.finish()
-        return ChannelSpec(model)
-    k_factor = float(sec.bounded("K", 0, required=True))
-    los = sec.section("los")
-    structure = los.choice("structure", ("dft", "ones"), "dft")
-    los.finish()
-    sec.finish()
-    return ChannelSpec(model, k_factor, structure)
-
-
-def _is_number(value) -> bool:
-    """A JSON number that fits a finite float; true/false would pass
-    isinstance(value, int)."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
-def _snr_grid(sec: _Section) -> tuple:
-    return tuple(float(v) for v in sec.bounded("snr_db", -MAX_SNR_DB, required=True,
-                                               high=MAX_SNR_DB, listed=True))
-
-
 def _draw_bytes(trials: TrialPolicy, n_rx: int, scheme) -> int:
     """Bytes of one batch's channel draw."""
     return 16 * min(trials.batch_size, trials.max_trials) * n_rx * _codeword_length(scheme)
 
 
-@dataclass(frozen=True)
-class BerConfig:
+@dataclass(frozen=True, kw_only=True)
+class _Experiment:
+    seed: Annotated[int, Key(0)] = 1   # every experiment's key besides "experiment"
+
+
+@dataclass(frozen=True, kw_only=True)
+class BerConfig(_Experiment):
     """A BER curve of one scheme over one channel model (``run_ber``)."""
     experiment: ClassVar[str] = "ber"
     scheme: dict
-    channel: ChannelSpec
-    n_rx: int
-    snr_db: tuple
-    trials: TrialPolicy
-    seed: int
-    output: str | None
+    channel: ChannelSpec = ChannelSpec("rayleigh")
+    n_rx: Annotated[int, Key(1)] = 1
+    trials: TrialPolicy = TrialPolicy()
+    snr_db: _SNR_DB
+    output: str | None = None
 
-    @classmethod
-    def parse(cls, sec: _Section, seed: int) -> "BerConfig":
-        scheme_cfg = sec.take("scheme", required=True)
-        scheme = _parse_scheme(scheme_cfg)  # validates feasibility
+    def check(self):
+        scheme = _parse_scheme(self.scheme)  # validates feasibility
         if scheme.model == "analytic":
-            raise ConfigError(f"scheme type {scheme_cfg.get('type')!r} has no statistical-channel "
+            raise ConfigError(f"scheme type {self.scheme.get('type')!r} has no statistical-channel "
                               "transmit model; it is exercised through the harmonic toolchain")
-        channel = _parse_channel(sec)
-        n_rx = sec.bounded("n_rx", 1, 1, kind=int)
-        if scheme.model == "subcarrier" and n_rx != 1:
-            raise ConfigError(f"n_rx must be 1 for subcarrier schemes, got {n_rx}")
-        if channel.model == "awgn" and scheme.model not in ("vector", "subcarrier"):
+        if scheme.model == "subcarrier" and self.n_rx != 1:
+            raise ConfigError(f"n_rx must be 1 for subcarrier schemes, got {self.n_rx}")
+        model = self.channel.model
+        if model == "awgn" and scheme.model not in ("vector", "subcarrier"):
             raise ConfigError("awgn channel supports only single-stream schemes")
-        if channel.model == "awgn" and getattr(scheme, "n_tx", 1) != 1:
+        if model == "awgn" and getattr(scheme, "n_tx", 1) != 1:
             raise ConfigError("awgn channel cannot separate transmit antennas; use fading")
-        if channel.model == "rician" and scheme.model == "state":
+        if model == "rician" and scheme.model == "state":
             raise ConfigError("channel-state schemes define their own per-state fading draws; "
                               "use the rayleigh model")
-        trial_sec = sec.section("trials")
-        trials = TrialPolicy(
-            trial_sec.bounded("max_trials", 1, DEFAULT_MAX_TRIALS, kind=int),
-            trial_sec.bounded("min_errors", 1, DEFAULT_MIN_ERRORS, kind=int),
-            trial_sec.bounded("batch_size", 1, DEFAULT_BATCH_SIZE, kind=int, high=MAX_BATCH_SIZE))
-        trial_sec.finish()
         dim, count = _codeword_length(scheme), 1 << scheme.bits_per_interval
         _check_bytes("scheme", 16 * dim * count, "a codebook of {} codewords of length {}",
                      count, dim)
-        batch = min(trials.batch_size, trials.max_trials)
-        _check_bytes("n_rx", _draw_bytes(trials, n_rx, scheme),
-                     "one batch's channel draw ({} x {} x {})", batch, n_rx, dim)
-        snr_db = _snr_grid(sec)
-        return cls(dict(scheme_cfg), channel, n_rx, snr_db, trials, seed, sec.take("output", kind=str))
+        batch = min(self.trials.batch_size, self.trials.max_trials)
+        _check_bytes("n_rx", _draw_bytes(self.trials, self.n_rx, scheme),
+                     "one batch's channel draw ({} x {} x {})", batch, self.n_rx, dim)
 
 
-@dataclass(frozen=True)
-class CapacityConfig:
+@dataclass(frozen=True, kw_only=True)
+class CapacityConfig(_Experiment):
     """Ergodic Rayleigh capacity per antenna pair and SNR (``run_capacity``)."""
     experiment: ClassVar[str] = "capacity"
-    antennas: tuple
-    snr_db: tuple
-    capacity_trials: int
-    seed: int
-    output: str | None
+    antennas: Annotated[tuple[tuple[int, int], ...], Key(1)]    # [n_tx, n_rx] pairs
+    # read as in a BER config, but the sweep draws Rayleigh channels only
+    channel: ChannelSpec = ChannelSpec("rayleigh")
+    snr_db: _SNR_DB
+    capacity_trials: Annotated[int, Key(2, json="trials")] = 50_000
+    output: str | None = None
 
-    @classmethod
-    def parse(cls, sec: _Section, seed: int) -> "CapacityConfig":
-        antennas = sec.take("antennas", required=True, kind=list)
-        if not antennas or not all(isinstance(pair, list) and len(pair) == 2 and all(
-                type(v) is int and v >= 1 for v in pair) for pair in antennas):
-            raise ConfigError("antennas must be a non-empty list of [n_tx, n_rx] int pairs, "
-                              "each count >= 1")
-        # parsed as in a BER config, but the sweep draws Rayleigh channels only
-        if _parse_channel(sec).model != "rayleigh":
+    def check(self):
+        if self.channel.model != "rayleigh":
             raise ConfigError("channel.model: capacity sweeps support only the rayleigh model")
-        snr_db = _snr_grid(sec)
-        trials = sec.bounded("trials", 2, 50_000, kind=int)
-        _check_bytes("trials", 8 * len(snr_db) * trials,
-                     "one capacity value per SNR point and trial ({} x {})", len(snr_db), trials)
-        for n_tx, n_rx in antennas:
-            _check_bytes("antennas",
-                         detection.capacity_batch_bytes(n_tx, n_rx, trials, len(snr_db)),
+        points, trials = len(self.snr_db), self.capacity_trials
+        _check_bytes("trials", 8 * points * trials,
+                     "one capacity value per SNR point and trial ({} x {})", points, trials)
+        for n_tx, n_rx in self.antennas:
+            _check_bytes("antennas", detection.capacity_batch_bytes(n_tx, n_rx, trials, points),
                          "one batch of {}x{} channels", n_tx, n_rx)
-        return cls(tuple(map(tuple, antennas)), snr_db, trials, seed, sec.take("output", kind=str))
 
 
 _FILE_TAGS = {   # the file tag of each entry of a listed key; runs name their files by it
@@ -203,111 +176,88 @@ def _distinct_files(key: str, values) -> None:
             raise ConfigError(f"{key}: {values[first[tag]]!r} and {values[i]!r} write {tag} files")
 
 
-@dataclass(frozen=True)
-class PatternConfig:
+@dataclass(frozen=True, kw_only=True)
+class PatternConfig(_Experiment):
     """Steered far-field patterns of one aperture (``run_pattern``)."""
     experiment: ClassVar[str] = "pattern"
-    geometry: dict
-    scan_angles_deg: tuple
-    period_cells: int
-    grid_step_deg: tuple
-    element_exponent: float
-    couple_atom_loss: bool
-    quantize_bits: int | None
-    output_dir: str
-    seed: int
+    geometry: Geometry
+    # SteeringSpec takes a non-negative phase range, so only 0..90 deg steer
+    scan_angles_deg: Annotated[tuple[float, ...], Key(0.0, 90.0)]
+    grid_step_deg: Annotated[GridSteps, Key(json="grid")] = GridSteps()
+    quantize_bits: Annotated[int | None, Key(1, MAX_QUANTIZE_BITS)] = None
+    period_cells: Annotated[int, Key(1, MAX_PERIOD_CELLS)] = 4
+    element_exponent: Annotated[float, Key(0)] = 0.0
+    couple_atom_loss: bool = False
+    output_dir: str = "patterns"
 
-    @classmethod
-    def parse(cls, sec: _Section, seed: int) -> "PatternConfig":
-        geo_sec = _Section(sec.take("geometry", required=True), "geometry")
-        rows, cols = (geo_sec.bounded(k, 1, required=True, kind=int) for k in ("rows", "cols"))
-        geometry = {"rows": rows, "cols": cols}
+    def check(self):
+        geometry = self.geometry
         for key, to_si in (("dx_mm", 1e-3), ("dy_mm", 1e-3), ("fc_ghz", 1e9)):
-            geometry[key] = float(geo_sec.bounded(key, 0, required=True, strict=True))
             # in metres a subnormal spacing underflows to 0; in Hz a carrier
             # past 1.8e299 GHz overflows to inf, a wavelength of 0
             if not 0 < geometry[key] * to_si < math.inf:
                 raise ConfigError(f"geometry.{key} = {geometry[key]!r} is out of range in SI units")
-        geo_sec.finish()
+        rows, cols = geometry["rows"], geometry["cols"]
         _check_bytes("geometry", aperture.element_bytes(rows, cols),
                      "the per-angle element arrays of a {}x{} aperture", rows, cols)
-        # SteeringSpec takes a non-negative phase range, so only 0..90 deg steer
-        angles = sec.bounded("scan_angles_deg", 0.0, required=True, high=90.0, listed=True)
-        _distinct_files("scan_angles_deg", angles)
-        grid = sec.section("grid")
-        # at least two elevations in 0..90 deg and two azimuths in 0..360 deg
-        theta_step = float(grid.bounded("theta_step_deg", 0, 1.0, strict=True, high=90))
-        phi_step = float(grid.bounded("phi_step_deg", 0, 1.0, strict=True,
-                                      high=360, strict_high=True))
-        grid.finish()
-        directions = aperture.direction_count(theta_step, phi_step)
+        _distinct_files("scan_angles_deg", self.scan_angles_deg)
+        directions = aperture.direction_count(*self.grid_step_deg)
         _check_bytes("grid", aperture.sweep_bytes(rows, cols, directions),
                      "the fields of {} scan angles and the text of {} directions on a "
                      "{}x{} aperture", rows + cols, directions, rows, cols)
-        quantize_bits = sec.bounded("quantize_bits", 1, kind=int, high=MAX_QUANTIZE_BITS)
-        period_cells = sec.bounded("period_cells", 1, 4, kind=int)
         geom = _aperture_geometry(geometry)
-        for a in angles:
-            phase_range = _steering_range(geom, float(a), period_cells)
-            if phase_range > 2.0 * np.pi + 1e-12:
-                raise ConfigError(f"scan_angles_deg: scan angle {float(a)} deg needs "
+        for a in self.scan_angles_deg:
+            phase_range = _steering_range(geom, a, self.period_cells)
+            if not phase_range <= 2.0 * np.pi + 1e-12:   # nan: k dx overflows at 0 deg
+                raise ConfigError(f"scan_angles_deg: scan angle {a} deg needs "
                                   f"{np.rad2deg(phase_range):.1f} deg of range over "
-                                  f"{period_cells} cells; reduce period_cells")
-        return cls(geometry, tuple(float(a) for a in angles), period_cells, (theta_step, phi_step),
-                   float(sec.bounded("element_exponent", 0, 0.0)),
-                   sec.take("couple_atom_loss", False, kind=bool), quantize_bits,
-                   sec.take("output_dir", "patterns", kind=str), seed)
+                                  f"{self.period_cells} cells; reduce period_cells")
 
 
-@dataclass(frozen=True)
-class HarmonicsConfig:
+@dataclass(frozen=True, kw_only=True)
+class HarmonicsConfig(_Experiment):
     """Harmonic spectra of time-coded atoms (``run_harmonics``)."""
     experiment: ClassVar[str] = "harmonics"
-    num_steps: int
-    single_harmonics: tuple
-    shift_fractions: tuple
-    multi_targets: tuple
-    harmonic_range: int | None    # None reports |m| <= num_steps
-    output_dir: str
-    seed: int
+    num_steps: Annotated[int, Key(2)] = 16
+    harmonic_range: Annotated[int | None, Key(0)] = None    # None reports |m| <= num_steps
+    single_harmonics: tuple[int, ...] = ()
+    shift_fractions: tuple[float, ...] = ()
+    multi_targets: tuple = ()   # groups of [m, weight] pairs, read by check()
+    output_dir: str = "harmonics"
 
-    @classmethod
-    def parse(cls, sec: _Section, seed: int) -> "HarmonicsConfig":
-        num_steps = sec.bounded("num_steps", 2, 16, kind=int)
-        harmonic_range = sec.bounded("harmonic_range", 0, kind=int)
-        m_range, key = ((num_steps, "num_steps") if harmonic_range is None
-                        else (harmonic_range, "harmonic_range"))
+    def check(self):
+        num_steps, shifts = self.num_steps, self.shift_fractions
+        m_range, key = ((num_steps, "num_steps") if self.harmonic_range is None
+                        else (self.harmonic_range, "harmonic_range"))
         # checked before the lists, so num_steps is small enough for float arithmetic
         _check_bytes(key, spacetime.spectrum_bytes(num_steps, m_range),
                      "one spectrum of {} harmonics over {} steps", 2 * m_range + 1, num_steps)
         # the synthesized harmonic aliases from |m| = L/2 on
         top = (num_steps - 1) // 2
-        singles = sec.bounded("single_harmonics", -top, [], kind=int, high=top, listed=True)
-        _distinct_files("single_harmonics", singles)
-        shifts = sec.bounded("shift_fractions", None, [], listed=True)
+        harmonic = Key(-top, top)
+        harmonic.check(self.single_harmonics, "single_harmonics entries", (int,))
+        _distinct_files("single_harmonics", self.single_harmonics)
         if shifts and num_steps < 3:
             raise ConfigError(f"shift_fractions: a shift delays the ramp of harmonic 1, which "
                               f"aliases for num_steps = {num_steps}; need num_steps >= 3")
         for f in shifts:
             ticks = f * num_steps  # a shift is a whole number of the L steps
-            if not _is_number(ticks) or abs(ticks - round(ticks)) > 1e-9:
+            if not math.isfinite(ticks) or abs(ticks - round(ticks)) > 1e-9:
                 raise ConfigError(f"shift_fractions: {f!r} is not an integer number of steps "
                                   f"for num_steps = {num_steps}")
         _distinct_files("shift_fractions", shifts)
         targets = []
-        for group in sec.take("multi_targets", [], kind=list):
+        for group in self.multi_targets:
             if not isinstance(group, list):
                 raise ConfigError(f"multi_targets groups must be lists, got {shown(group)}")
             one = []
             for entry in group:
                 w = entry[1] if isinstance(entry, list) and len(entry) == 2 else None
                 parts = w if isinstance(w, list) and len(w) == 2 else [w]
-                if not all(_is_number(v) for v in parts):
+                if not all(Key().fits(v, (int, float)) for v in parts):
                     raise ConfigError("multi_targets entries must be [m, weight] pairs with a "
                                       f"number or [re, im] weight, got {shown(entry)}")
-                if type(entry[0]) is not int or abs(entry[0]) > top:
-                    raise ConfigError(f"multi_targets harmonics must be int >= {-top} and "
-                                      f"<= {top}, got {shown(entry[0])}")
+                harmonic.check(entry[:1], "multi_targets harmonics", (int,))
                 one.append((entry[0], complex(*parts)))
             if len({m for m, _ in one}) != len(one):
                 raise ConfigError(f"multi_targets group repeats a harmonic: {shown(group)}")
@@ -315,32 +265,27 @@ class HarmonicsConfig:
                 raise ConfigError("multi_targets group asks for more than unit power: "
                                   f"{shown(group)}")
             targets.append(tuple(one))
-        return cls(num_steps, tuple(singles), tuple(float(f) for f in shifts), tuple(targets),
-                   harmonic_range, sec.take("output_dir", "harmonics", kind=str), seed)
+        object.__setattr__(self, "multi_targets", tuple(targets))   # as (m, complex weight)
 
 
-@dataclass(frozen=True)
-class CodebookConfig:
+@dataclass(frozen=True, kw_only=True)
+class CodebookConfig(_Experiment):
     """A scheme's whole codeword table (``codebook_csv``)."""
     experiment: ClassVar[str] = "codebook"
     scheme: dict
-    seed: int
-    output: str | None
+    output: str | None = None
 
-    _check_scheme = staticmethod(_parse_scheme)  # the whole codebook must fit
-
-    @classmethod
-    def parse(cls, sec: _Section, seed: int) -> "CodebookConfig":
-        scheme = sec.take("scheme", required=True)
-        cls._check_scheme(scheme)
-        return cls(dict(scheme), seed, sec.take("output", kind=str))
+    def check(self):
+        _parse_scheme(self.scheme)   # the whole codebook must fit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RateConfig(CodebookConfig):
     """A scheme's throughput (``im_schemes.rate_of``)."""
     experiment: ClassVar[str] = "rate"
-    _check_scheme = staticmethod(im_schemes.rate_of)  # a formula: no codebook is built
+
+    def check(self):
+        im_schemes.rate_of(self.scheme)   # a formula: no codebook is built
 
 
 # experiment name -> config type; parse_config dispatches on the name
@@ -367,13 +312,7 @@ def parse_config(source) -> ExperimentConfig:
     else:
         raw = source
     sec = _Section(raw, "")
-    experiment = sec.take("experiment", required=True, kind=str)
-    seed = sec.bounded("seed", 0, 1, kind=int)
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be {'/'.join(EXPERIMENTS)}, got {experiment!r}")
-    config = EXPERIMENTS[experiment].parse(sec, seed)
-    sec.finish()
-    return config
+    return sec.read(EXPERIMENTS[sec.value("experiment", str, Key(choices=tuple(EXPERIMENTS)))])
 
 
 # --------------------------------------------------------------------------
@@ -579,9 +518,8 @@ def run_capacity(config: ExperimentConfig):
     snrs = [db_to_linear(snr_db) for snr_db in config.snr_db]
     rows = []
     for n_tx, n_rx in config.antennas:
-        estimates = detection.ergodic_capacity(
-            n_tx, n_rx, snrs, config.capacity_trials, config.seed
-        )
+        estimates = detection.ergodic_capacity(n_tx, n_rx, snrs, config.capacity_trials,
+                                               config.seed)
         rows.extend((n_tx, n_rx, snr_db, est.mean, est.std_err, est.trials)
                     for snr_db, est in zip(config.snr_db, estimates))
     return rows
@@ -599,10 +537,8 @@ def _atom_loss_amplitudes(phases: np.ndarray, table, freq_ghz: float) -> np.ndar
     closest (wrapped distance) and returns that state's amplitude, modeling
     the finite tuning range of the physical cell.
     """
-    states = [
-        table.lookup(freq_ghz, metaatom.DiodeState(float(c), ATOM_RESISTANCE_OHM))
-        for c in table.c_pf
-    ]
+    states = [table.lookup(freq_ghz, metaatom.DiodeState(float(c), ATOM_RESISTANCE_OHM))
+              for c in table.c_pf]
     # a running argmin over the states (the first state wins ties, as in
     # np.argmin) keeps the work arrays to a few per element instead of one
     # per element and state
@@ -617,10 +553,8 @@ def _atom_loss_amplitudes(phases: np.ndarray, table, freq_ghz: float) -> np.ndar
 
 
 def _aperture_geometry(geo: dict) -> aperture.ApertureGeometry:
-    return aperture.ApertureGeometry(
-        geo["rows"], geo["cols"], geo["dx_mm"] * 1e-3, geo["dy_mm"] * 1e-3,
-        geo["fc_ghz"] * 1e9,
-    )
+    return aperture.ApertureGeometry(geo["rows"], geo["cols"], geo["dx_mm"] * 1e-3,
+                                     geo["dy_mm"] * 1e-3, geo["fc_ghz"] * 1e9)
 
 
 def _steering_range(geom, angle_deg: float, period_cells: int) -> float:
@@ -735,8 +669,6 @@ def run_harmonics(config: ExperimentConfig, out_base: Path):
 
 
 def codebook_csv(scheme_config: dict, path) -> None:
-    scheme = im_schemes.build_scheme(scheme_config)
-    rows = im_schemes.codebook_rows(scheme)
-    lines = ["bits,indices,symbols"]
-    lines += [f"{bits},{indices},{symbols}" for bits, indices, symbols in rows]
+    rows = im_schemes.codebook_rows(im_schemes.build_scheme(scheme_config))
+    lines = ["bits,indices,symbols", *map(",".join, rows)]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -27,7 +27,7 @@ from math import comb, gcd, log2
 import numpy as np
 
 from .detection import CandidateSet
-from .errors import ConfigError, _Section, shown
+from .errors import ConfigError, Key, _Section, shown
 from .modulation import Constellation, int_to_bits, is_power_of_two
 
 # the one point of schemes whose only message is the index
@@ -62,16 +62,16 @@ def _int_log2(value: int, what: str) -> int:
     return int(log2(value))
 
 
-def _subset_bits(n: int, k: int, least: int = 0) -> int:
-    """Index bits of a k-of-n activation, floor(log2 C(n, k)), refused unless
-    ``least`` to MAX_INDEX_BITS.  comb's cost grows faster than its result, so
-    a count past the cap is refused first from C(n, m) >= (n/m)^m >= 2^m,
-    m = min(k, n - k), testing m alone while it may be past float range."""
+def _subset_bits(n: int, k: int, least: int = 0, key: str = "k") -> int:
+    """Index bits of a k-of-n activation, floor(log2 C(n, k)), refused naming
+    ``key`` unless ``least`` to MAX_INDEX_BITS.  comb's cost grows faster than
+    its result, so a count past the cap is refused first from C(n, m) >=
+    (n/m)^m >= 2^m, m = min(k, n - k), testing m alone while it may be past float range."""
     m = min(k, n - k)
     huge = m > MAX_INDEX_BITS or m and m * (log2(n) - log2(m)) > MAX_INDEX_BITS
     bits = MAX_INDEX_BITS + 1 if huge else comb(n, k).bit_length() - 1
     if not least <= bits <= MAX_INDEX_BITS:
-        raise ConfigError(f"scheme: C({shown(n)}, {shown(k)}) activations must carry {least} to "
+        raise ConfigError(f"{key}: C({shown(n)}, {shown(k)}) activations must carry {least} to "
                           f"{MAX_INDEX_BITS} index bits")
     return bits
 
@@ -220,7 +220,7 @@ class SpatialModulation(Scheme):
     model = "vector"
 
     def __init__(self, n_tx: int, order: int, constellation: str = "psk"):
-        self.index_bits = _int_log2(n_tx, "number of transmit antennas")
+        self.index_bits = _int_log2(n_tx, "n_tx")
         self._set_constellation(constellation, order)
         self.n_tx = self.dim = n_tx
 
@@ -233,7 +233,7 @@ class SpaceShiftKeying(Scheme):
     points = _UNIT_POINT
 
     def __init__(self, n_tx: int):
-        self.index_bits = _int_log2(n_tx, "number of transmit antennas")
+        self.index_bits = _int_log2(n_tx, "n_tx")
         self.n_tx = self.dim = n_tx
 
 
@@ -245,8 +245,9 @@ class GeneralizedSM(Scheme):
 
     def __init__(self, n_tx: int, n_active: int, order: int, constellation: str = "psk"):
         if not 1 <= n_active <= n_tx:
-            raise ConfigError(f"need 1 <= n_active <= n_tx, got {shown(n_active)} of {shown(n_tx)}")
-        self.index_bits = _subset_bits(n_tx, n_active, 1)
+            raise ConfigError(f"n_active must be >= 1 and <= n_tx = {shown(n_tx)}, "
+                              f"got {shown(n_active)}")
+        self.index_bits = _subset_bits(n_tx, n_active, 1, "n_active")
         self._set_constellation(constellation, order)
         self.n_tx = self.dim = n_tx
         self.n_active = n_active
@@ -273,11 +274,11 @@ class QuadratureSM(Scheme):
     model = "vector"
 
     def __init__(self, n_tx: int, order: int, constellation: str = "qam"):
-        antenna_bits = _int_log2(n_tx, "number of transmit antennas")
+        antenna_bits = _int_log2(n_tx, "n_tx")
         self._set_constellation(constellation, order)
         if constellation != "qam":   # every PSK has the point 1; no square-QAM point is on an axis
-            raise ConfigError("quadrature SM needs nonzero I and Q in every constellation point "
-                              "(use square QAM)")
+            raise ConfigError("constellation must be qam: quadrature SM needs nonzero I and Q "
+                              "in every constellation point")
         self.index_bits = 2 * antenna_bits
         self.n_tx = self.dim = n_tx
 
@@ -316,19 +317,21 @@ class SimOok(Scheme):
     def __init__(self, harmonics: list, order: int = 1, num_steps: int = 16):
         self.harmonics = tuple(harmonics)
         if len(set(self.harmonics)) != len(self.harmonics) or not self.harmonics:
-            raise ConfigError("harmonic alphabet must be non-empty and unique")
+            raise ConfigError("harmonics must be non-empty and unique")
         if 0 in self.harmonics:
-            raise ConfigError("harmonic 0 (the unmodulated carrier) cannot carry index bits")
-        self.index_bits = _int_log2(len(self.harmonics), "harmonic alphabet size")
+            raise ConfigError("harmonics: harmonic 0 (the unmodulated carrier) cannot carry "
+                              "index bits")
+        self.index_bits = _int_log2(len(self.harmonics), "harmonics count")
         self.order = order
         self.num_steps = num_steps
-        self.symbol_bits = 0 if order == 1 else _int_log2(order, "PSK order")
+        self.symbol_bits = 0 if order == 1 else _int_log2(order, "order")
         for m in self.harmonics:
             if 2 * abs(m) >= num_steps:
-                raise ConfigError(f"harmonic {shown(m)} aliases for L = {shown(num_steps)}")
+                raise ConfigError(f"harmonics: harmonic {shown(m)} aliases for "
+                                  f"L = {shown(num_steps)}")
         if order > 1:
             if num_steps % order:
-                raise ConfigError(f"PSK order {shown(order)} needs L divisible by M "
+                raise ConfigError(f"order: PSK order {shown(order)} needs L divisible by M "
                                   f"(L = {shown(num_steps)})")
             for m in self.harmonics:
                 self._solve_shift(m, 1)  # raises if infeasible
@@ -352,10 +355,8 @@ class SimOok(Scheme):
         a = m % num
         g = gcd(a, num)
         if c % g:
-            raise ConfigError(
-                f"phase index {phase_index} of M = {self.order} unreachable on "
-                f"harmonic {m} with L = {num}"
-            )
+            raise ConfigError(f"order: phase index {phase_index} of M = {self.order} "
+                              f"unreachable on harmonic {m} with L = {num}")
         reduced = num // g
         s = (c // g) * pow(a // g, -1, reduced) % reduced
         return int(s)
@@ -366,7 +367,7 @@ class _SubsetBlockScheme(Scheme):
 
     def __init__(self, n: int, k: int, order: int, constellation: str = "psk"):
         if not 1 <= k <= n:
-            raise ConfigError(f"need 1 <= k <= n, got k = {shown(k)}, n = {shown(n)}")
+            raise ConfigError(f"k must be >= 1 and <= the block size {shown(n)}, got {shown(k)}")
         self.block_size = self.dim = n
         self.n_active = self.n_symbols = k
         self._set_constellation(constellation, order)
@@ -447,9 +448,9 @@ class SpaceTimeShiftKeying(Scheme):
     def __init__(self, q_matrices: int, p_active: int, order: int, n_tx: int,
                  n_slots: int, constellation: str = "psk", dispersion_seed: int = 1):
         if not 1 <= p_active <= q_matrices:
-            raise ConfigError(f"need 1 <= P <= Q, got P = {shown(p_active)}, "
-                              f"Q = {shown(q_matrices)}")
-        self.index_bits = _subset_bits(q_matrices, p_active, 1)
+            raise ConfigError(f"p_active must be >= 1 and <= q_matrices = {shown(q_matrices)}, "
+                              f"got {shown(p_active)}")
+        self.index_bits = _subset_bits(q_matrices, p_active, 1, "p_active")
         self._set_constellation(constellation, order)
         self.q_matrices = q_matrices
         self.p_active = self.n_symbols = p_active
@@ -496,12 +497,12 @@ class MediaBasedModulation(Scheme):
     model = "state"
 
     def __init__(self, num_states: int, order: int = 1, constellation: str = "psk"):
-        self.index_bits = _int_log2(num_states, "number of pattern states")
+        self.index_bits = _int_log2(num_states, "num_states")
         self.num_states = self.dim = num_states
         if order == 1:
             self.order, self.constellation, self.points = 1, None, _UNIT_POINT
         else:
-            _int_log2(order, "constellation order")
+            _int_log2(order, "order")
             self._set_constellation(constellation, order)
 
 
@@ -514,15 +515,15 @@ def rate_ra_ssk(n_tx: int, states_per_antenna: list) -> float:
     """log2 nT + mean over antennas of log2 of their pattern-state counts."""
     states = list(states_per_antenna)
     if len(states) != n_tx:
-        raise ConfigError(f"need one state count per antenna ({shown(n_tx)}), got {len(states)}")
+        raise ConfigError(f"states_per_antenna must hold one count per antenna "
+                          f"(n_tx = {shown(n_tx)}), got {len(states)}")
     return float(log2(n_tx) + sum(log2(s) for s in states) / n_tx)
 
 
 def qsm_rate(n_tx: int, order: int, constellation: str = "qam") -> float:
     """2 log2 nT + log2 M, whatever the constellation: the formula stays
     defined for constellations the quadrature mapper cannot carry (BPSK)."""
-    return float(2 * _int_log2(n_tx, "number of transmit antennas")
-                 + _int_log2(order, "constellation order"))
+    return float(2 * _int_log2(n_tx, "n_tx") + _int_log2(order, "order"))
 
 
 # scheme type -> constructor; a config's keys are the constructor's parameters
@@ -543,29 +544,29 @@ SCHEME_TYPES = {
 # types whose rate is a formula of their keys; RA-SSK has no mapper at all
 _RATE_FORMULAS = {"ra_ssk": rate_ra_ssk, "qsm": qsm_rate}
 
-# the integer keys, and integer-list keys by entry, whose lower bound is not
-# 1 (None: no bound)
+# the integer keys, and integer-list keys by entry, not bounded below by 1
 _LOW = {"cp_length": 0, "dispersion_seed": 0, "harmonics": None}
 
 
 def _from_keys(config, types: dict):
     """``types[config["type"]]`` called with the scheme config's other keys
-    as its keyword arguments.  Each key is read as its parameter's
-    annotation says: ``int``, ``list`` of ints (each >= 1 unless ``_LOW``
-    says otherwise) or ``str``, a constellation kind; a parameter without a
-    default is required, and every key must name a parameter."""
+    as its keyword arguments, each read as its parameter's annotation says:
+    ``int`` or ``list`` of ints (each >= 1 unless ``_LOW`` says otherwise),
+    or ``str``, a constellation kind.  A parameter without a default is
+    required.  The constructor's value rules name their parameter, which
+    gets its ``scheme.`` path here."""
     sec = _Section(config, "scheme")
-    kind = sec.choice("type", sorted(types), required=True)
+    kind = sec.value("type", str, Key(choices=tuple(sorted(types))))
     args = {}
     for name, param in inspect.signature(types[kind]).parameters.items():
-        default, required = param.default, param.default is param.empty
-        if param.annotation in (int, list):
-            args[name] = sec.bounded(name, _LOW.get(name, 1), default, required, kind=int,
-                                     listed=param.annotation is list)
-        else:   # str: the constellation kind
-            args[name] = sec.choice(name, Constellation.KINDS, default, required)
+        hint = tuple[int, ...] if param.annotation is list else param.annotation
+        key = Key(choices=Constellation.KINDS) if hint is str else Key(_LOW.get(name, 1))
+        args[name] = sec.value(name, hint, key, param.default)
     sec.finish()
-    return types[kind](**args)
+    try:
+        return types[kind](**args)
+    except ConfigError as exc:
+        raise ConfigError(f"scheme.{exc}") from None
 
 
 def build_scheme(config: dict) -> Scheme:

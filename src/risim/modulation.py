@@ -43,13 +43,13 @@ def gray_decode(g: int) -> int:
 
 def _check_psk(order: int) -> None:
     if not is_power_of_two(order) or order < 2:
-        raise ConfigError(f"PSK order must be a power of two >= 2, got {shown(order)}")
+        raise ConfigError(f"order must be a power of two >= 2 for PSK, got {shown(order)}")
 
 
 def _qam_side(order: int) -> int:
     side = isqrt(order) if is_power_of_two(order) else 0   # exact for any int
     if side * side != order or order < 4:
-        raise ConfigError(f"QAM order must be an even power of two >= 4, got {shown(order)}")
+        raise ConfigError(f"order must be an even power of two >= 4 for QAM, got {shown(order)}")
     return side
 
 
@@ -77,7 +77,7 @@ class Constellation:
 
     def __init__(self, kind: str, order: int):
         if kind not in self.KINDS:
-            raise ConfigError(f"unknown constellation kind {kind!r}")
+            raise ConfigError(f"constellation must be {'/'.join(self.KINDS)}, got {kind!r}")
         (_check_psk if kind == "psk" else _qam_side)(order)
         self.kind = kind
         self.order = order

@@ -18,7 +18,9 @@ decorated with ``@cli.command()``).  From the roots the walk follows names:
 
 A reached class brings its bases, decorators and class-body statements,
 and its dunder methods, which Python calls implicitly; a method counts
-only once its class is reached.  Annotations reach nothing.
+only once its class is reached.  Annotations reach nothing, but for those
+of class attributes: ``errors._Section.read`` reads a config type's keys
+from them.
 
 ``EXCEPTIONS`` lists the definitions kept although no root reaches them,
 each with its reason.  They are walked as further roots, so the helpers
@@ -233,6 +235,8 @@ class Walk:
         if isinstance(node, ast.AnnAssign):
             if node.value is not None:
                 self.scan(node.value, mod, class_scope, owner)
+            if class_scope is not None:   # a declared config key (errors._Section.read)
+                self.scan(node.annotation, mod, class_scope, owner)
             return
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             if class_scope is not None and node.id in class_scope.methods:
