@@ -104,12 +104,31 @@ def _draw_bytes(trials: TrialPolicy, n_rx: int, scheme) -> int:
 @dataclass(frozen=True, kw_only=True)
 class _Experiment:
     seed: Annotated[int, Key(0)] = 1   # every experiment's key besides "experiment"
+    # the options of the experiment's risim command besides --config, and its help
+    options: ClassVar[tuple[str, ...]] = ("--seed", "--out")
+    help: ClassVar[str]
+
+    def run(self, out_base: Path, threads: int = 1) -> list[str]:
+        """Run the experiment, writing its files against ``out_base``, and
+        return the lines its command prints."""
+        raise NotImplementedError
+
+
+def _write(out_base: Path, name: str, write) -> list[str]:
+    """``write(path)`` of ``name`` against ``out_base``, which is made first
+    (an absolute ``name`` stands alone); the line the command prints."""
+    out_base.mkdir(parents=True, exist_ok=True)
+    path = out_base / name
+    write(path)
+    return [f"wrote {path}"]
 
 
 @dataclass(frozen=True, kw_only=True)
 class BerConfig(_Experiment):
     """A BER curve of one scheme over one channel model (``run_ber``)."""
     experiment: ClassVar[str] = "ber"
+    options = ("--seed", "--out", "--threads")
+    help = "Monte Carlo bit-error-rate sweep."
     scheme: dict
     channel: ChannelSpec = ChannelSpec("rayleigh")
     n_rx: Annotated[int, Key(1)] = 1
@@ -139,11 +158,16 @@ class BerConfig(_Experiment):
         _check_bytes("n_rx", _draw_bytes(self.trials, self.n_rx, scheme),
                      "one batch's channel draw ({} x {} x {})", batch, self.n_rx, dim)
 
+    def run(self, out_base, threads=1):
+        curve = run_ber(self, threads=threads)   # the directory is made once it is done
+        return _write(out_base, self.output or "ber.csv", curve.to_csv)
+
 
 @dataclass(frozen=True, kw_only=True)
 class CapacityConfig(_Experiment):
     """Ergodic Rayleigh capacity per antenna pair and SNR (``run_capacity``)."""
     experiment: ClassVar[str] = "capacity"
+    help = "Ergodic capacity sweep over antenna counts and SNR."
     antennas: Annotated[tuple[tuple[int, int], ...], Key(1)]    # [n_tx, n_rx] pairs
     # read as in a BER config, but the sweep draws Rayleigh channels only
     channel: ChannelSpec = ChannelSpec("rayleigh")
@@ -160,6 +184,10 @@ class CapacityConfig(_Experiment):
         for n_tx, n_rx in self.antennas:
             _check_bytes("antennas", detection.capacity_batch_bytes(n_tx, n_rx, trials, points),
                          "one batch of {}x{} channels", n_tx, n_rx)
+
+    def run(self, out_base, threads=1):
+        rows = run_capacity(self)
+        return _write(out_base, self.output or "capacity.csv", lambda p: capacity_csv(rows, p))
 
 
 _FILE_TAGS = {   # the file tag of each entry of a listed key; runs name their files by it
@@ -180,6 +208,7 @@ def _distinct_files(key: str, values) -> None:
 class PatternConfig(_Experiment):
     """Steered far-field patterns of one aperture (``run_pattern``)."""
     experiment: ClassVar[str] = "pattern"
+    help = "Far-field pattern exports for commanded scan angles."
     geometry: Geometry
     # SteeringSpec takes a non-negative phase range, so only 0..90 deg steer
     scan_angles_deg: Annotated[tuple[float, ...], Key(0.0, 90.0)]
@@ -206,18 +235,26 @@ class PatternConfig(_Experiment):
                      "the fields of {} scan angles and the text of {} directions on a "
                      "{}x{} aperture", rows + cols, directions, rows, cols)
         geom = _aperture_geometry(geometry)
+        if not math.isfinite(geom.wavenumber * geom.dx):   # a steering range would be nan
+            raise ConfigError(f"geometry: dx_mm = {geometry['dx_mm']!r} at fc_ghz = "
+                              f"{geometry['fc_ghz']!r} puts the phase step k dx past float range")
         for a in self.scan_angles_deg:
-            phase_range = _steering_range(geom, a, self.period_cells)
-            if not phase_range <= 2.0 * np.pi + 1e-12:   # nan: k dx overflows at 0 deg
+            with np.errstate(over="ignore"):   # an inf range is refused as any too large
+                phase_range = _steering_range(geom, a, self.period_cells)
+            if not phase_range <= 2.0 * np.pi + 1e-12:
                 raise ConfigError(f"scan_angles_deg: scan angle {a} deg needs "
                                   f"{np.rad2deg(phase_range):.1f} deg of range over "
                                   f"{self.period_cells} cells; reduce period_cells")
+
+    def run(self, out_base, threads=1):
+        return [f"wrote {path}" for path in run_pattern(self, out_base)]
 
 
 @dataclass(frozen=True, kw_only=True)
 class HarmonicsConfig(_Experiment):
     """Harmonic spectra of time-coded atoms (``run_harmonics``)."""
     experiment: ClassVar[str] = "harmonics"
+    help = "Harmonic spectrum exports (single tones, shifts, multi-tone)."
     num_steps: Annotated[int, Key(2)] = 16
     harmonic_range: Annotated[int | None, Key(0)] = None    # None reports |m| <= num_steps
     single_harmonics: tuple[int, ...] = ()
@@ -267,25 +304,39 @@ class HarmonicsConfig(_Experiment):
             targets.append(tuple(one))
         object.__setattr__(self, "multi_targets", tuple(targets))   # as (m, complex weight)
 
+    def run(self, out_base, threads=1):
+        return [f"wrote {path}" for path in run_harmonics(self, out_base)]
+
 
 @dataclass(frozen=True, kw_only=True)
 class CodebookConfig(_Experiment):
     """A scheme's whole codeword table (``codebook_csv``)."""
     experiment: ClassVar[str] = "codebook"
+    options = ("--out",)
+    help = "Dump a scheme's full codeword table for audit."
     scheme: dict
     output: str | None = None
 
     def check(self):
         _parse_scheme(self.scheme)   # the whole codebook must fit
 
+    def run(self, out_base, threads=1):
+        return _write(out_base, self.output or "codebook.csv",
+                      lambda path: codebook_csv(self.scheme, path))
+
 
 @dataclass(frozen=True, kw_only=True)
 class RateConfig(CodebookConfig):
     """A scheme's throughput (``im_schemes.rate_of``)."""
     experiment: ClassVar[str] = "rate"
+    options = ()
+    help = "Print the throughput of the configured scheme."
 
     def check(self):
         im_schemes.rate_of(self.scheme)   # a formula: no codebook is built
+
+    def run(self, out_base, threads=1):
+        return [f"{im_schemes.rate_of(self.scheme):.6f}"]
 
 
 # experiment name -> config type; parse_config dispatches on the name

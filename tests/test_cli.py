@@ -66,6 +66,17 @@ def test_seed_override_changes_output(tmp_path):
     assert a != b
 
 
+def test_negative_seed_override_exits_2_naming_it(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "experiment": "ber",
+        "scheme": {"type": "psk", "order": 2},
+        "snr_db": [0.0],
+    })
+    assert main(["ber", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("RISIM_OUT_DIR", str(tmp_path / "env_out"))
     cfg = write_config(tmp_path, {

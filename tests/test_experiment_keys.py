@@ -176,7 +176,7 @@ def test_steering_range_past_float_range_exits_2(tmp_path, capsys):
                                    "fc_ghz": 1e290}, scan_angles_deg=[0])
     code, captured = run(tmp_path, capsys, "pattern", cfg)
     assert code == 2
-    assert "config error: scan_angles_deg" in captured.err
+    assert "config error: geometry" in captured.err
     assert not (tmp_path / "patterns").exists()
 
 

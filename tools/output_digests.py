@@ -8,10 +8,12 @@ subdirectory of a temporary directory, and prints one
 two ``# numpy ...`` and ``# blas ...`` lines naming the versions the
 bytes were made under.
 
-``--threads N`` is passed to every ``ber`` run.  Given several counts
-(``--threads 1 2``), each ``ber`` config runs at each of them, and a file
-whose bytes differ between two counts is reported on stderr and makes the
-script exit 1; the listing is that of the first count.
+Each config runs with the options its experiment declares
+(``harness.EXPERIMENTS``): ``--out`` its subdirectory, and ``--threads N``.
+Given several counts (``--threads 1 2``), each config whose command takes
+``--threads`` runs at each of them, and a file whose bytes differ between
+two counts is reported on stderr and makes the script exit 1; the listing
+is that of the first count.
 
 ``tests/output_digests.txt`` holds the listing of the committed outputs,
 and ``tests/test_output_digests.py`` checks it with ``--threads 1 2``.  A
@@ -40,6 +42,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from risim.cli import main  # noqa: E402
+from risim.harness import EXPERIMENTS  # noqa: E402
 
 
 def environment() -> list:
@@ -49,11 +52,11 @@ def environment() -> list:
 
 
 def run_config(config: Path, experiment: str, out_dir: Path, threads: int) -> int:
+    given = {"--out": str(out_dir), "--threads": str(threads)}
     argv = [experiment, "--config", str(config)]
-    if experiment != "rate":  # rate prints its number and writes no file
-        argv += ["--out", str(out_dir)]
-    if experiment == "ber":
-        argv += ["--threads", str(threads)]
+    for option in EXPERIMENTS[experiment].options:
+        if option in given:   # a --seed is left to the config
+            argv += [option, given[option]]
     with contextlib.redirect_stdout(io.StringIO()):
         return main(argv)
 
@@ -66,8 +69,9 @@ def digests(out_base: Path):
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description="sha256 of every file the shipped configs write")
     parser.add_argument("--threads", type=int, nargs="+", default=[1],
-                        help="worker threads of every ber run (default 1); given several "
-                             "counts, each ber config runs at each and must write the same bytes")
+                        help="worker threads of every run that takes them (default 1); given "
+                             "several counts, each such config runs at each and must write "
+                             "the same bytes")
     counts = parser.parse_args(argv).threads
     problems = []
     print("\n".join(environment()))
@@ -75,12 +79,13 @@ def run(argv=None) -> int:
         bases = [Path(tmp) / str(i) for i in range(len(counts))]
         for config in sorted((ROOT / "configs").glob("*.json")):
             experiment = json.loads(config.read_text())["experiment"]
-            for base, threads in zip(bases, counts if experiment == "ber" else counts[:1]):
+            threaded = "--threads" in EXPERIMENTS[experiment].options
+            for base, threads in zip(bases, counts if threaded else counts[:1]):
                 if run_config(config, experiment, base / config.stem, threads) != 0:
                     problems.append(f"run failed: configs/{config.name} at --threads {threads}")
         listing = {rel: digest for digest, rel in digests(bases[0])}
         for base, threads in zip(bases[1:], counts[1:]):
-            for digest, rel in digests(base):   # the ber files
+            for digest, rel in digests(base):   # the files of the threaded runs
                 if listing.get(rel) != digest:
                     problems.append(f"{rel.as_posix()} differs at --threads {threads} "
                                     f"and {counts[0]}")

@@ -2,10 +2,12 @@
 """List the definitions of ``src/risim`` that no entry point reaches.
 
 Walks the syntax tree of every module of the package, without importing
-it.  The roots are the module-level code of each module (its top-level
+it.  The roots are the module-level code of each module: its top-level
 statements other than definitions, such as the scheme type table
-``im_schemes.SCHEME_TYPES``) and the ``risim`` commands (functions
-decorated with ``@cli.command()``).  From the roots the walk follows names:
+``im_schemes.SCHEME_TYPES`` and the loop of ``cli`` that builds one
+``risim`` command per experiment of ``harness.EXPERIMENTS``, whose
+``config.run`` reaches each config type's ``run``.  From the roots the walk
+follows names:
 
 - a bare name reaches the function or class it is bound to at module
   level, directly or through ``from .module import name``; in a class
@@ -39,9 +41,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "risim"
-
-# (module, decorator) pairs whose function is registered, so called from outside
-ROOT_DECORATORS = {("cli", "cli.command")}
 
 _ACCEPTANCE = "called by tests/test_acceptance.py, which is not edited"
 EXCEPTIONS = {
@@ -154,12 +153,7 @@ class Walk:
     def run(self, roots):
         for mod in self.modules.values():
             for node in mod.tree.body:
-                if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
-                    decorators = {ast.unparse(getattr(dec, "func", dec))
-                                  for dec in node.decorator_list}
-                    if any((mod.name, dec) in ROOT_DECORATORS for dec in decorators):
-                        self.reach(mod.defs[node.name])
-                elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                if not isinstance(node, (*_FUNCTIONS, ast.ClassDef, ast.Import, ast.ImportFrom)):
                     self.scan(node, mod, None, None)
         for d in roots:
             self.reach(d)
