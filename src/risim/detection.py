@@ -27,9 +27,12 @@ from . import channel as channel_mod
 _HYPOTHESIS_BUDGET = 1 << 16
 # trials per Gaussian draw of the capacity engine; part of its random stream
 CAPACITY_BATCH = 4096
-# complex channel entries per capacity block (1 MB), so that a block's
-# channel, Gram matrix and Cholesky factor stay in L2 together
-_CAPACITY_BLOCK = 1 << 16
+# complex channel entries per capacity block (128 kB).  A block's working set
+# is six block-sized arrays (imaginary draw, channel, conjugate transpose,
+# Gram matrix, scaled copy, Cholesky factor), about 0.7 MB for a square
+# pair, within a 2 MB L2.  Every size gives the same bytes; below 2^13 the
+# budget edges of capacity_batch_bytes move (a 1x2364 pair would fit)
+_CAPACITY_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,10 @@ def _log2_det_gram(h: np.ndarray, snr_linear) -> np.ndarray:
         np.multiply(gram, snr / n_tx, out=scaled)
         scaled[..., d, d] += 1.0
         diag = np.linalg.cholesky(scaled)[..., d, d].real
-        out[i] = 2.0 * np.log2(diag).sum(axis=-1)
+        # left to right, as sum() adds the column-major diagonals of a stack;
+        # sum() would add a lone matrix's pairwise, so the bytes would depend
+        # on the block size
+        out[i] = 2.0 * np.log2(diag).cumsum(axis=-1)[..., -1]
     return out
 
 

@@ -114,11 +114,18 @@ class _Experiment:
         raise NotImplementedError
 
 
+def _check_output(output: str | None) -> None:
+    """Refuse an ``output`` that names no file: its last component is "." or
+    "..", or it has none ("/"); "" and None mean the default name."""
+    if output and output.rstrip("/").rpartition("/")[2] in ("", ".", ".."):
+        raise ConfigError(f"output must name a file, got {output!r}")
+
+
 def _write(out_base: Path, name: str, write) -> list[str]:
-    """``write(path)`` of ``name`` against ``out_base``, which is made first
-    (an absolute ``name`` stands alone); the line the command prints."""
-    out_base.mkdir(parents=True, exist_ok=True)
+    """``write(path)`` of ``name`` against ``out_base`` (an absolute ``name``
+    stands alone), whose directory is made first; the line the command prints."""
     path = out_base / name
+    path.parent.mkdir(parents=True, exist_ok=True)
     write(path)
     return [f"wrote {path}"]
 
@@ -137,6 +144,7 @@ class BerConfig(_Experiment):
     output: str | None = None
 
     def check(self):
+        _check_output(self.output)
         scheme = _parse_scheme(self.scheme)  # validates feasibility
         if scheme.model == "analytic":
             raise ConfigError(f"scheme type {self.scheme.get('type')!r} has no statistical-channel "
@@ -176,6 +184,7 @@ class CapacityConfig(_Experiment):
     output: str | None = None
 
     def check(self):
+        _check_output(self.output)
         if self.channel.model != "rayleigh":
             raise ConfigError("channel.model: capacity sweeps support only the rayleigh model")
         points, trials = len(self.snr_db), self.capacity_trials
@@ -318,6 +327,7 @@ class CodebookConfig(_Experiment):
     output: str | None = None
 
     def check(self):
+        _check_output(self.output)
         _parse_scheme(self.scheme)   # the whole codebook must fit
 
     def run(self, out_base, threads=1):
@@ -564,16 +574,19 @@ def _ber_point(snr_db: float, trials: int, errors: int, bits_per_trial: int) -> 
 
 def run_capacity(config: ExperimentConfig):
     """Ergodic capacity for every (n_tx, n_rx) pair over the SNR grid, one
-    channel draw per pair for the whole grid."""
+    channel draw per pair for the whole grid.  Pairs run largest n_tx n_rx
+    first (ties in config order), before smaller pairs have grown the heap,
+    and a repeated pair runs once; each pair has its own stream, so the rows,
+    in config order, are those of running the pairs in turn."""
     # one scalar power per point: the vectorised power rounds differently
     snrs = [db_to_linear(snr_db) for snr_db in config.snr_db]
-    rows = []
-    for n_tx, n_rx in config.antennas:
-        estimates = detection.ergodic_capacity(n_tx, n_rx, snrs, config.capacity_trials,
-                                               config.seed)
-        rows.extend((n_tx, n_rx, snr_db, est.mean, est.std_err, est.trials)
-                    for snr_db, est in zip(config.snr_db, estimates))
-    return rows
+    estimates = {}
+    for n_tx, n_rx in sorted(dict.fromkeys(config.antennas), key=lambda p: -p[0] * p[1]):
+        estimates[n_tx, n_rx] = detection.ergodic_capacity(n_tx, n_rx, snrs,
+                                                           config.capacity_trials, config.seed)
+    return [(n_tx, n_rx, snr_db, est.mean, est.std_err, est.trials)
+            for n_tx, n_rx in config.antennas
+            for snr_db, est in zip(config.snr_db, estimates[n_tx, n_rx])]
 
 
 def capacity_csv(rows, path) -> None:

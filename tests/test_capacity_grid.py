@@ -171,3 +171,54 @@ def test_traced_1x1_peak_leaves_no_trial_sized_temporary(snr_db):
 def test_grid_must_be_one_dimensional():
     with pytest.raises(ValueError, match="1-D"):
         ergodic_capacity(2, 2, [[1.0, 10.0]], 10, seed=1)
+
+
+# the capacity_sweep benchmark's pairs and those of the shipped asymmetric config
+SWEEP_PAIRS = [[1, 1], [2, 2], [4, 4], [8, 8], [16, 16]]
+ASYM_PAIRS = [[1, 4], [4, 1], [3, 2], [5, 17], [20, 12]]
+
+
+@pytest.mark.parametrize("pairs", [SWEEP_PAIRS, ASYM_PAIRS])
+def test_rows_are_bitwise_the_same_at_every_block_size(monkeypatch, pairs):
+    config = parse_config({"experiment": "capacity", "antennas": pairs,
+                           "snr_db": [0, 10, 20], "trials": 4097, "seed": 8})
+    rows = {}
+    for block in (1 << 8, 1 << 13, 1 << 16):
+        monkeypatch.setattr(detection, "_CAPACITY_BLOCK", block)
+        rows[block] = hex_rows(run_capacity(config))
+    assert rows[1 << 8] == rows[1 << 13] == rows[1 << 16]
+    assert [row[:2] for row in rows[1 << 13]] == [tuple(p) for p in pairs for _ in range(3)]
+
+
+@pytest.mark.parametrize("pairs, order", [
+    (SWEEP_PAIRS, [[16, 16], [8, 8], [4, 4], [2, 2], [1, 1]]),
+    # the tied 1x4 and 4x1 keep their config order
+    (ASYM_PAIRS, [[20, 12], [5, 17], [3, 2], [1, 4], [4, 1]]),
+    # a repeated pair runs once and fills each of its rows
+    ([[2, 2], [4, 4], [2, 2]], [[4, 4], [2, 2]]),
+])
+def test_pairs_run_largest_first(monkeypatch, pairs, order):
+    calls = []
+    original = detection.ergodic_capacity
+
+    def recording(n_tx, n_rx, *args):
+        calls.append([n_tx, n_rx])
+        return original(n_tx, n_rx, *args)
+
+    monkeypatch.setattr(detection, "ergodic_capacity", recording)
+    config = parse_config({"experiment": "capacity", "antennas": pairs,
+                           "snr_db": [10], "trials": 2, "seed": 8})
+    assert [row[:2] for row in run_capacity(config)] == [tuple(p) for p in pairs]
+    assert calls == order
+
+
+def test_traced_16x16_sweep_peak_stays_under_10_5_mb():
+    # 7.6 MB of batch real parts and per-trial values; 2^16-entry blocks
+    # held 13.5 MB, 2^13-entry blocks hold about 9.7 MB
+    tracemalloc.start()
+    try:
+        ergodic_capacity(16, 16, db_to_linear(GRID_DB), 20_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10.5e6

@@ -145,6 +145,30 @@ def test_capacity_command(tmp_path):
     assert (tmp_path / "cap.csv").exists()
 
 
+OUTPUT_CONFIGS = {   # one small config of each command that writes its config's output
+    "ber": {"experiment": "ber", "scheme": {"type": "psk", "order": 2},
+            "channel": {"model": "awgn"}, "snr_db": [0.0],
+            "trials": {"max_trials": 1000, "min_errors": 10}},
+    "capacity": {"experiment": "capacity", "antennas": [[2, 2]], "snr_db": [10.0],
+                 "trials": 100},
+    "codebook": {"experiment": "codebook", "scheme": {"type": "ssk", "n_tx": 4}},
+}
+
+
+@pytest.mark.parametrize("output", ["sub/x.csv", "a/b/x.csv", ".", "..", "/", "sub/.", "sub/.."])
+@pytest.mark.parametrize("command", sorted(OUTPUT_CONFIGS))
+def test_config_output_gets_its_directories_or_exits_2(tmp_path, capsys, command, output):
+    cfg = write_config(tmp_path, {**OUTPUT_CONFIGS[command], "output": output})
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    if output.endswith(".csv"):
+        assert code == 0
+        assert (tmp_path / "out" / output).is_file()
+    else:   # names no file: refused at parse, before anything is written
+        assert code == 2
+        assert "output" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", [
     "ber_awgn_bpsk.json",
     "ber_rayleigh_sm4_qpsk.json",
