@@ -13,7 +13,8 @@ positive surface gradient compensates it on the -x side).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -126,6 +127,11 @@ class FarFieldGrid:
         object.__setattr__(self, "theta", th)
         object.__setattr__(self, "phi", ph)
         object.__setattr__(self, "field", f)
+
+    @cached_property
+    def directivity(self) -> np.ndarray:
+        """:func:`directivity_map` of this grid, built once for every reader."""
+        return directivity_map(self)
 
     def peak_direction(self) -> tuple[float, float]:
         """(theta, phi) of the largest |field| sample."""
@@ -284,16 +290,8 @@ def element_bytes(rows: int, cols: int) -> int:
 
 def _kernel(pos, cosines, kc) -> np.ndarray:
     """exp(j kc pos cosines) over the outer product, bitwise equal to
-    np.exp(1j * kc * np.outer(pos, cosines)): ``+= 0.0`` turns -0 into the
-    +0 that expression gives.  The phase is built in a contiguous float
-    array and copied into the imaginary part: a complex exp that runs right
-    after an OpenBLAS zgemm is about 13 times slower unless a vectorised
-    numpy loop runs in between, which strided loops over ``k.imag`` are not."""
-    phase = np.multiply.outer(pos, cosines)
-    phase *= kc
-    phase += 0.0
-    k = np.zeros(phase.shape, dtype=complex)
-    k.imag = phase
+    np.exp(1j * kc * np.outer(pos, cosines)), with the exp in place."""
+    k = np.multiply.outer(pos, cosines) * (1j * kc)
     return np.exp(k, out=k)
 
 
@@ -369,7 +367,7 @@ def directivity_map(grid: FarFieldGrid) -> np.ndarray:
 
 def peak_directivity(grid: FarFieldGrid) -> tuple[float, float]:
     """Peak directivity as (linear, dBi)."""
-    peak = float(directivity_map(grid).max())
+    peak = float(grid.directivity.max())
     return peak, float(10.0 * np.log10(peak))
 
 
@@ -382,7 +380,7 @@ def _hemisphere_integral(values: np.ndarray, theta: np.ndarray, phi: np.ndarray)
 
 def directivity_normalization(grid: FarFieldGrid) -> float:
     """integral(Dir sin(theta) dtheta dphi) / (4*pi); 1.0 for a consistent grid."""
-    return _hemisphere_integral(directivity_map(grid), grid.theta, grid.phi) / (4.0 * np.pi)
+    return _hemisphere_integral(grid.directivity, grid.theta, grid.phi) / (4.0 * np.pi)
 
 
 def quantize_phase(phase, bits: int):

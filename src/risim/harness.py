@@ -177,16 +177,12 @@ class CapacityConfig(_Experiment):
     experiment: ClassVar[str] = "capacity"
     help = "Ergodic capacity sweep over antenna counts and SNR."
     antennas: Annotated[tuple[tuple[int, int], ...], Key(1)]    # [n_tx, n_rx] pairs
-    # read as in a BER config, but the sweep draws Rayleigh channels only
-    channel: ChannelSpec = ChannelSpec("rayleigh")
     snr_db: _SNR_DB
     capacity_trials: Annotated[int, Key(2, json="trials")] = 50_000
     output: str | None = None
 
     def check(self):
         _check_output(self.output)
-        if self.channel.model != "rayleigh":
-            raise ConfigError("channel.model: capacity sweeps support only the rayleigh model")
         points, trials = len(self.snr_db), self.capacity_trials
         _check_bytes("trials", 8 * points * trials,
                      "one capacity value per SNR point and trial ({} x {})", points, trials)
@@ -217,6 +213,7 @@ def _distinct_files(key: str, values) -> None:
 class PatternConfig(_Experiment):
     """Steered far-field patterns of one aperture (``run_pattern``)."""
     experiment: ClassVar[str] = "pattern"
+    options = ("--out",)   # no output depends on the seed
     help = "Far-field pattern exports for commanded scan angles."
     geometry: Geometry
     # SteeringSpec takes a non-negative phase range, so only 0..90 deg steer
@@ -666,22 +663,21 @@ def run_pattern(config: ExperimentConfig, out_base: Path):
     written = []
     angles = config.scan_angles_deg
     for start in range(0, len(angles), group):
-        # every coding is built before the products (see aperture._kernel)
         steered = [(a, *_steered_coding(geom, a, config, table))
                    for a in angles[start:start + group]]
         fields = aperture.radiation_pattern([coding for _, _, coding in steered], geom,
                                             theta, phi, config.element_exponent).field
         for (angle_deg, predicted, coding), field in zip(steered, fields):
             grid = aperture.FarFieldGrid(theta, phi, field)
-            peak_theta, peak_phi = grid.peak_direction()
-            peak_dbi = aperture.peak_directivity(grid)[1]
-            norm = aperture.directivity_normalization(grid)
-
             tag = _FILE_TAGS["scan_angles_deg"](angle_deg)
             written += [out_dir / f"{name}_{tag}.csv" for name in ("coding", "farfield", "farfield_uv")]
             aperture.coding_to_csv(coding, written[-3])
             grid.to_csv(written[-2], text)
             grid.to_uv_csv(written[-1], text)
+            # after the writes, so that the grid's cached directivity map is not held through them
+            peak_theta, peak_phi = grid.peak_direction()
+            peak_dbi = aperture.peak_directivity(grid)[1]
+            norm = aperture.directivity_normalization(grid)
             summary.append((angle_deg, np.rad2deg(predicted), np.rad2deg(peak_theta),
                             np.rad2deg(peak_phi), peak_dbi, norm))
     summary_path = out_dir / "summary.csv"

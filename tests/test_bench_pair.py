@@ -1,6 +1,7 @@
-"""The per-metric summary of tools/bench_pair.py."""
+"""The runs and the per-metric summary of tools/bench_pair.py."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,26 @@ def test_unresolved_when_the_parent_spreads_past_the_bound_and_the_sides_overlap
     # a narrow parent is resolved even where the sides overlap
     narrow = [pair(1.0 + i / 100, 1.0) for i in range(5)]
     assert not tool.summarize(narrow, DECLARED)["wall_s"]["unresolved"]
+
+
+def test_both_sides_run_from_fresh_exports_that_write_no_bytecode(tmp_path, monkeypatch):
+    # a __pycache__ in this checkout would favour the change side
+    tool = load_tool()
+    exported, envs = [], []
+    monkeypatch.setattr(tool, "export", lambda rev, into: exported.append((rev, into)))
+    for stash, change_rev in (("abc123", "abc123"), ("", "HEAD")):   # "" for a clean tree
+        monkeypatch.setattr(tool, "git", lambda *args: stash if args == ("stash", "create")
+                            else pytest.fail(f"git {args}"))
+        sides = tool.checkouts("HEAD~1", tmp_path)
+        assert exported[-2:] == [("HEAD~1", sides["parent"]), (change_rev, sides["change"])]
+        assert tool.ROOT not in sides.values() and sides["parent"] != sides["change"]
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        envs.append((cwd, env["PYTHONDONTWRITEBYTECODE"]))
+        return subprocess.CompletedProcess(cmd, 0, 'env {"commit": "x"}\n{"metrics": {}}\n', "")
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    for side in tool.SIDES:
+        run = tool.run_once(sides[side], "pattern_export", 1, 1.0)
+        assert run == {"result": {"metrics": {}}, "env": {"commit": "x"}}
+    assert envs == [(sides[side], "1") for side in tool.SIDES]

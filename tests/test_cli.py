@@ -77,6 +77,20 @@ def test_negative_seed_override_exits_2_naming_it(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_capacity_config_with_a_channel_exits_2_naming_it(tmp_path, capsys):
+    # a sweep draws Rayleigh channels only, so a capacity config has no channel key
+    cfg = write_config(tmp_path, {
+        "experiment": "capacity",
+        "antennas": [[1, 1]],
+        "snr_db": [0.0],
+        "trials": 2,
+        "channel": {"model": "rayleigh"},
+    })
+    assert main(["capacity", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "channel" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("RISIM_OUT_DIR", str(tmp_path / "env_out"))
     cfg = write_config(tmp_path, {

@@ -274,3 +274,14 @@ def test_scan_angles_run_in_groups_that_write_the_same_bytes(tmp_path, monkeypat
     assert calls == [4, 1, 3, 2, 1, 1, 1, 1, 1]
     assert outputs[0] == outputs[1] == outputs[2]
     assert len(outputs[0]) == 16
+
+
+def test_run_pattern_builds_one_directivity_map_per_scan_angle(tmp_path, monkeypatch):
+    # peak_directivity and directivity_normalization read the same map
+    config = parse_config(CONFIGS / "pattern_steering.json")
+    calls = []
+    real = aperture.directivity_map
+    monkeypatch.setattr(aperture, "directivity_map",
+                        lambda grid: calls.append(grid) or real(grid))
+    run_pattern(config, tmp_path)
+    assert len(calls) == len(config.scan_angles_deg) == 4

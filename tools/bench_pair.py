@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of a parent revision against this checkout.
 
-Exports ``--parent`` with ``git archive`` into a temporary directory, then
-runs each side's own ``perfbench/run.py --workload W --seed S --trace 0``
-``--pairs`` times per workload and seed, alternating which side goes first
-in each pair.  Both sides run for the ``run_seconds`` of this checkout's
-BENCHMARK.json.  The output file holds every run's result line and ``env``
-line and, per end-to-end metric, each side's median and quartiles, the
-number of pairs the change won (ties count for neither), whether the
-change's median is worse than the parent's by more than the metric's bound,
-whether a gain is shown and whether the runs spread too widely to tell
-(see ``summarize``):
+Exports ``--parent`` and the working tree's tracked files (``git stash
+create``: edits and staged new files count, untracked files do not) with
+``git archive`` into fresh temporary directories, so that no
+``__pycache__`` favours either side.  Then runs each side's own
+``perfbench/run.py --workload W --seed S --trace 0`` ``--pairs`` times per
+workload and seed, alternating which side goes first in each pair.  Both
+sides run for the ``run_seconds`` of this checkout's BENCHMARK.json.  The
+output file holds every run's result line and ``env`` line and, per
+end-to-end metric, each side's median and quartiles, the number of pairs
+the change won (ties count for neither), whether the change's median is
+worse than the parent's by more than the metric's bound, whether a gain is
+shown and whether the runs spread too widely to tell (see ``summarize``):
 
     python3 tools/bench_pair.py --parent HEAD~1 --workload ber_ofdm_im_threads \\
         --seed 1 7 --pairs 10 --out BENCH_18.json
@@ -22,6 +24,7 @@ pairs it finished.  A run that exits non-zero stops the tool with exit 1.
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -46,11 +49,22 @@ def export(rev: str, into: Path) -> None:
         tar.extractall(into, filter="data")
 
 
+def checkouts(parent: str, into: Path) -> dict:
+    """Both sides exported under ``into``, neither with a ``__pycache__``:
+    each run compiles its own source, as in a fresh checkout."""
+    sides = {side: into / side for side in SIDES}
+    export(parent, sides["parent"])
+    export(git("stash", "create") or "HEAD", sides["change"])   # "" for a clean tree
+    return sides
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` invocation: its result and ``env`` lines."""
+    """One ``perfbench/run.py`` invocation, which writes no bytecode into
+    ``checkout``: its result and ``env`` lines."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"bench_pair: {' '.join(cmd)} in {checkout} exited {proc.returncode}")
@@ -119,9 +133,7 @@ def main(argv=None) -> int:
         "sets": [],
     }
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
-        parent_dir = Path(tmp)
-        export(args.parent, parent_dir)
-        checkouts = {"parent": parent_dir, "change": ROOT}
+        sides = checkouts(args.parent, Path(tmp))
         for workload in args.workload:
             for seed in args.seed:
                 current = {"workload": workload, "seed": seed, "pairs": []}
@@ -130,7 +142,7 @@ def main(argv=None) -> int:
                     order = SIDES if index % 2 == 0 else SIDES[::-1]
                     pair = {"first": order[0]}
                     for side in order:
-                        pair[side] = run_once(checkouts[side], workload, seed, seconds)
+                        pair[side] = run_once(sides[side], workload, seed, seconds)
                     current["pairs"].append(pair)
                     current["summary"] = summarize(current["pairs"], bench["end_to_end"])
                     args.out.write_text(json.dumps(record, indent=1) + "\n")
