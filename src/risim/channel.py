@@ -2,15 +2,17 @@
 
 Every complex sample has unit total variance (1/2 per real dimension).
 All generators are pure functions of an explicit numpy Generator;
-experiment code derives per-trial generators from (seed, stream indices)
-via :func:`stream_rng` so results never depend on execution order or
-thread count.
+experiment code keys one generator per stream with :func:`stream_rng`, one
+per (seed, SNR point, batch) for a BER curve and one per (seed, n_tx, n_rx)
+antenna pair for a capacity sweep, so results never depend on execution
+order or thread count.  ``numpy.random`` is imported by the first
+:func:`stream_rng` call, not with this module.
 """
 
 import numpy as np
 
 
-def stream_rng(*key) -> np.random.Generator:
+def stream_rng(*key) -> "np.random.Generator":
     """Deterministic generator keyed by a tuple of non-negative integers."""
     key = [int(k) for k in key]
     if any(k < 0 for k in key):
@@ -22,7 +24,7 @@ def stream_rng(*key) -> np.random.Generator:
 _NORMAL_CHUNK = 1 << 15
 
 
-def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+def complex_normal(rng: "np.random.Generator", shape) -> np.ndarray:
     """i.i.d. CN(0, 1) samples of the given shape, drawn into the result.
 
     Real parts come first in the stream, then imaginary parts.  Each part is

@@ -232,7 +232,7 @@ def ergodic_capacity(n_tx: int, n_rx: int, snr_linear, trials: int,
     return estimates if snrs.ndim else estimates[0]
 
 
-def _block_channel(rng: np.random.Generator, real: np.ndarray) -> np.ndarray:
+def _block_channel(rng: "np.random.Generator", real: np.ndarray) -> np.ndarray:
     """CN(0, 1) channels from a block of standard-normal real parts and one
     draw of as many imaginary parts, each scaled by 1/sqrt(2) as
     :func:`channel.complex_normal` scales them."""

@@ -501,7 +501,9 @@ def run_ber(config: ExperimentConfig, threads: int = 1) -> BerCurve:
     its point's fold, never more than ``threads - 1`` batches past it; a
     speculative batch past the stop is computed but never counted.  Which
     batches are computed depends on timing; which are folded, and so every
-    result, does not.
+    result, does not.  The calling thread makes each batch's generator as it
+    submits the batch, so ``numpy.random`` loads on that thread, not in a
+    worker, where its import leaves about 0.45 MB more resident.
     """
     scheme = im_schemes.build_scheme(config.scheme)
     policy = config.trials
@@ -520,9 +522,6 @@ def run_ber(config: ExperimentConfig, threads: int = 1) -> BerCurve:
     def batch_size(b):
         return min(policy.batch_size, policy.max_trials - b * policy.batch_size)
 
-    def run_batch(p, b):
-        return model.simulate(stream_rng(config.seed, p, b), batch_size(b), snrs[p])
-
     started = [0] * len(snrs)      # batches submitted per point
     folded = [0] * len(snrs)       # batches folded per point
     live = [True] * len(snrs)      # the point has not met its stop rule
@@ -539,7 +538,9 @@ def run_ber(config: ExperimentConfig, threads: int = 1) -> BerCurve:
                 if not ready:
                     break
                 p = min(ready)[1]
-                running[pool.submit(run_batch, p, started[p])] = p, started[p]
+                b = started[p]
+                rng = stream_rng(config.seed, p, b)   # made here, not in the worker
+                running[pool.submit(model.simulate, rng, batch_size(b), snrs[p])] = p, b
                 started[p] += 1
             if not running:
                 break
