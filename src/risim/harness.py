@@ -503,7 +503,7 @@ def run_ber(config: ExperimentConfig, threads: int = 1) -> BerCurve:
     batches are computed depends on timing; which are folded, and so every
     result, does not.  The calling thread makes each batch's generator as it
     submits the batch, so ``numpy.random`` loads on that thread, not in a
-    worker, where its import leaves about 0.45 MB more resident.
+    worker, where its import left up to 0.3 MB more resident.
     """
     scheme = im_schemes.build_scheme(config.scheme)
     policy = config.trials

@@ -466,7 +466,7 @@ class TestBatchScheduler:
 
     def test_calling_thread_makes_every_stream(self, monkeypatch):
         # a worker that makes the first stream imports numpy.random on its
-        # own thread, which leaves about 0.45 MB more resident
+        # own thread, which left up to 0.3 MB more resident
         from risim import harness
 
         makers = []
