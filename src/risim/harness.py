@@ -333,11 +333,12 @@ class CodebookConfig(_Experiment):
 
 
 @dataclass(frozen=True, kw_only=True)
-class RateConfig(CodebookConfig):
+class RateConfig(_Experiment):
     """A scheme's throughput (``im_schemes.rate_of``)."""
     experiment: ClassVar[str] = "rate"
     options = ()
     help = "Print the throughput of the configured scheme."
+    scheme: dict
 
     def check(self):
         im_schemes.rate_of(self.scheme)   # a formula: no codebook is built
@@ -349,14 +350,16 @@ class RateConfig(CodebookConfig):
 # experiment name -> config type; parse_config dispatches on the name
 EXPERIMENTS = {kind.experiment: kind for kind in (BerConfig, CapacityConfig, PatternConfig,
                                                   HarmonicsConfig, CodebookConfig, RateConfig)}
-ExperimentConfig = BerConfig | CapacityConfig | PatternConfig | HarmonicsConfig | CodebookConfig
+ExperimentConfig = (BerConfig | CapacityConfig | PatternConfig | HarmonicsConfig
+                    | CodebookConfig | RateConfig)
 
 
-def parse_config(source) -> ExperimentConfig:
+def parse_config(source, expected: str | None = None) -> ExperimentConfig:
     """Load and strictly validate an experiment file (or pre-parsed dict).
 
     Infeasible scheme parameters surface here, before any trial runs;
-    unknown keys are rejected with their full dotted path.
+    unknown keys are rejected with their full dotted path.  A config of an
+    experiment other than ``expected`` is refused before any other key is read.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -370,7 +373,10 @@ def parse_config(source) -> ExperimentConfig:
     else:
         raw = source
     sec = _Section(raw, "")
-    return sec.read(EXPERIMENTS[sec.value("experiment", str, Key(choices=tuple(EXPERIMENTS)))])
+    experiment = sec.value("experiment", str, Key(choices=tuple(EXPERIMENTS)))
+    if expected is not None and experiment != expected:
+        raise ConfigError(f"config is a {experiment!r} experiment, expected {expected!r}")
+    return sec.read(EXPERIMENTS[experiment])
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from risim import harness
 from risim.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -49,21 +50,23 @@ def test_ber_writes_curve(tmp_path):
     assert (tmp_path / "curve.csv").exists()
 
 
-def test_seed_override_changes_output(tmp_path):
-    cfg = write_config(tmp_path, {
-        "experiment": "ber",
-        "scheme": {"type": "psk", "order": 2},
-        "channel": {"model": "rayleigh"},
-        "snr_db": [5.0],
-        "seed": 2,
-        "trials": {"max_trials": 20000, "min_errors": 10 ** 9},
-        "output": "curve.csv",
-    })
-    main(["ber", "--config", cfg, "--out", str(tmp_path / "a")])
-    main(["ber", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "b")])
-    a = (tmp_path / "a" / "curve.csv").read_bytes()
-    b = (tmp_path / "b" / "curve.csv").read_bytes()
-    assert a != b
+@pytest.mark.parametrize("payload, files", [
+    ({"experiment": "ber", "scheme": {"type": "psk", "order": 2},
+      "channel": {"model": "rayleigh"}, "snr_db": [5.0], "seed": 2,
+      "trials": {"max_trials": 20000, "min_errors": 10 ** 9}, "output": "curve.csv"},
+     ["curve.csv"]),
+    # the seed draws the phase of the samples a multi-tone synthesis leaves at zero
+    ({"experiment": "harmonics", "num_steps": 6, "multi_targets": [[[1, 0.5], [-1, 0.5]]],
+      "seed": 2},
+     ["harmonics/sequence_multi0.csv", "harmonics/spectrum_multi0.csv"]),
+], ids=["ber", "harmonics"])
+def test_seed_override_changes_output(tmp_path, payload, files):
+    cfg = write_config(tmp_path, payload)
+    command = payload["experiment"]
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert main([command, "--config", cfg, "--seed", "3", "--out", str(tmp_path / "b")]) == 0
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() != (tmp_path / "b" / name).read_bytes()
 
 
 def test_negative_seed_override_exits_2_naming_it(tmp_path, capsys):
@@ -77,18 +80,51 @@ def test_negative_seed_override_exits_2_naming_it(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_capacity_config_with_a_channel_exits_2_naming_it(tmp_path, capsys):
+@pytest.mark.parametrize("payload, key", [
     # a sweep draws Rayleigh channels only, so a capacity config has no channel key
-    cfg = write_config(tmp_path, {
-        "experiment": "capacity",
-        "antennas": [[1, 1]],
-        "snr_db": [0.0],
-        "trials": 2,
-        "channel": {"model": "rayleigh"},
-    })
-    assert main(["capacity", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "channel" in capsys.readouterr().err
+    ({"experiment": "capacity", "antennas": [[1, 1]], "snr_db": [0.0], "trials": 2,
+      "channel": {"model": "rayleigh"}}, "channel"),
+    # a rate is printed, so a rate config has no output key
+    ({"experiment": "rate", "scheme": {"type": "sm", "n_tx": 4, "order": 4},
+      "output": "rate.csv"}, "output"),
+], ids=["capacity-channel", "rate-output"])
+def test_capacity_config_with_a_channel_exits_2_naming_it(tmp_path, capsys, monkeypatch,
+                                                          payload, key):
+    cfg = write_config(tmp_path, payload)
+    monkeypatch.setenv("RISIM_OUT_DIR", str(tmp_path / "out"))   # rate takes no --out
+    assert main([payload["experiment"], "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_interrupted_run_exits_3(tmp_path, monkeypatch):
+    def interrupt(config, threads=1):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "run_ber", interrupt)
+    cfg = write_config(tmp_path, {"experiment": "ber", "scheme": {"type": "psk", "order": 2},
+                                  "snr_db": [0.0]})
+    assert main(["ber", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [["--config", "{cfg}", "--thr", "2"],
+                                  ["--conf", "{cfg}"],
+                                  ["--config", "{cfg}", "--se", "3"]],
+                         ids=["thr", "conf", "se"])
+def test_abbreviated_option_exits_2(tmp_path, capsys, args):
+    cfg = write_config(tmp_path, {"experiment": "ber", "scheme": {"type": "psk", "order": 2},
+                                  "channel": {"model": "awgn"}, "snr_db": [0.0],
+                                  "trials": {"max_trials": 1000, "min_errors": 10}})
+    argv = ["ber", *(arg.format(cfg=cfg) for arg in args), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert not capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
+def test_no_command_exits_2(capsys):
+    assert main([]) == 2
+    assert not capsys.readouterr().out
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

@@ -1,10 +1,12 @@
-"""Only a run that makes a random stream loads ``numpy.random``.
+"""Only a run that makes a random stream loads ``numpy.random``, and no run
+loads ``click``.
 
 A fresh interpreter runs ``risim.cli.main`` on the shipped pattern, codebook
 and rate configs, none of which draws a random number, and then on a small
 capacity config, which does.  After each run it reports the exit code and
-whether ``numpy.random`` is in ``sys.modules``, as ``tests/test_blas_threads.py``
-asks a fresh interpreter for its OpenBLAS thread count.
+whether ``numpy.random`` and ``click`` are in ``sys.modules``, as
+``tests/test_blas_threads.py`` asks a fresh interpreter for its OpenBLAS
+thread count.
 """
 
 import json
@@ -15,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 # argv: the output directory, then (command, config path) pairs; prints one
-# [exit code, numpy.random loaded] pair per run, as JSON
+# [exit code, numpy.random loaded, click loaded] triple per run, as JSON
 PROBE = """
 import json, sys
 from risim.cli import main
@@ -23,7 +25,7 @@ out, runs = sys.argv[1], sys.argv[2:]
 report = []
 for command, path in zip(runs[::2], runs[1::2]):
     code = main([command, "--config", path, *([] if command == "rate" else ["--out", out])])
-    report.append([code, "numpy.random" in sys.modules])
+    report.append([code, "numpy.random" in sys.modules, "click" in sys.modules])
 print(json.dumps(report))
 """
 
@@ -42,4 +44,5 @@ def test_only_runs_that_draw_load_numpy_random(tmp_path):
                            *(str(part) for run in runs for part in run)],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     report = json.loads(done.stdout.splitlines()[-1])
-    assert report == [[0, False], [0, False], [0, False], [0, True]]
+    assert report == [[0, False, False], [0, False, False], [0, False, False],
+                      [0, True, False]]

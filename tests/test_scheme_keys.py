@@ -191,7 +191,8 @@ def malformed_keys():
 def run_scheme(tmp_path, capsys, command, scheme):
     """Exit code and captured output of ``command`` on one scheme config."""
     cfg = (ber_config(scheme) if command == "ber"
-           else {"experiment": command, "scheme": scheme, "output": "book.csv"})
+           else {"experiment": command, "scheme": scheme,
+                 **({"output": "book.csv"} if command == "codebook" else {})})
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(cfg))
     out = [] if command == "rate" else ["--out", str(tmp_path)]

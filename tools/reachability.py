@@ -4,16 +4,16 @@
 Walks the syntax tree of every module of the package, without importing
 it.  The roots are the module-level code of each module: its top-level
 statements other than definitions, such as the scheme type table
-``im_schemes.SCHEME_TYPES`` and the loop of ``cli`` that builds one
-``risim`` command per experiment of ``harness.EXPERIMENTS``, whose
-``config.run`` reaches each config type's ``run``.  From the roots the walk
-follows names:
+``im_schemes.SCHEME_TYPES`` and the ``__main__`` block of ``cli``, which
+calls ``main``: it runs the ``risim`` command of an experiment of
+``harness.EXPERIMENTS``, and its ``config.run`` reaches each config type's
+``run``.  From the roots the walk follows names:
 
 - a bare name reaches the function or class it is bound to at module
   level, directly or through ``from .module import name``; in a class
   body it also reaches that class's methods;
 - ``module.name`` reaches that function or class of a risim module and
-  nothing of any other module (numpy, click, ...);
+  nothing of any other module (numpy, argparse, ...);
 - ``self.name`` or ``cls.name`` in a method, and ``Class.name``, reach the
   methods of that name in the class, its bases and its subclasses;
 - any other ``obj.name`` reaches every method of that name.
