@@ -161,14 +161,17 @@ def _log2_det_gram(h: np.ndarray, snr_linear) -> np.ndarray:
     at each SNR of ``snr_linear``, a scalar or a 1-D grid whose axis leads
     the result.
 
-    H H^H is formed once and scaled into one reused copy per SNR.  Each
-    scaled matrix plus I is Hermitian with every eigenvalue >= 1, so its
+    The smaller side's Gram matrix, H^H H if n_tx < n_rx else H H^H, has the
+    same determinant (Sylvester); it is formed once and scaled into one reused
+    copy per SNR.  Each plus I is Hermitian with every eigenvalue >= 1, so its
     Cholesky factor L exists and the log-determinant is 2 sum log2 diag(L).
     """
     n_rx, n_tx = h.shape[-2:]
-    gram = h @ np.conj(np.swapaxes(h, -1, -2))
+    hc = np.conj(np.swapaxes(h, -1, -2))
+    gram = hc @ h if n_tx < n_rx else h @ hc
+    del hc   # a block-sized array the SNR loop below would otherwise hold
     scaled = np.empty_like(gram)
-    d = np.arange(n_rx)
+    d = np.arange(min(n_rx, n_tx))
     snrs = np.asarray(snr_linear)
     out = np.empty(snrs.shape + gram.shape[:-2])
     for i, snr in np.ndenumerate(snrs):
@@ -188,8 +191,8 @@ def capacity_batch_bytes(n_tx: int, n_rx: int, trials: int, points: int = 1) -> 
     each) plus, per block of k matrices, its imaginary draw, channel,
     conjugate transpose, Gram matrix, scaled copy and Cholesky factor, the
     copies of their diagonals, and its k log-determinants per SNR point
-    with their two partial sums.  Counts every block array as if all were
-    held together."""
+    with their two partial sums.  Counts every block array as held together,
+    and n_rx x n_rx Gram arrays even where the n_tx side is formed."""
     n = min(CAPACITY_BATCH, trials)
     k = min(n, max(1, _CAPACITY_BLOCK // (n_rx * n_tx)))
     return 8 * (n * n_rx * n_tx + k * n_rx * (5 * n_tx + 6 * n_rx + 5) + k * (points + 2))

@@ -101,19 +101,6 @@ def _draw_bytes(trials: TrialPolicy, n_rx: int, scheme) -> int:
     return 16 * min(trials.batch_size, trials.max_trials) * n_rx * _codeword_length(scheme)
 
 
-@dataclass(frozen=True, kw_only=True)
-class _Experiment:
-    seed: Annotated[int, Key(0)] = 1   # every experiment's key besides "experiment"
-    # the options of the experiment's risim command besides --config, and its help
-    options: ClassVar[tuple[str, ...]] = ("--seed", "--out")
-    help: ClassVar[str]
-
-    def run(self, out_base: Path, threads: int = 1) -> list[str]:
-        """Run the experiment, writing its files against ``out_base``, and
-        return the lines its command prints."""
-        raise NotImplementedError
-
-
 def _check_output(output: str | None) -> None:
     """Refuse an ``output`` that names no file: its last component is "." or
     "..", or it has none ("/"); "" and None mean the default name."""
@@ -131,11 +118,12 @@ def _write(out_base: Path, name: str, write) -> list[str]:
 
 
 @dataclass(frozen=True, kw_only=True)
-class BerConfig(_Experiment):
+class BerConfig:
     """A BER curve of one scheme over one channel model (``run_ber``)."""
     experiment: ClassVar[str] = "ber"
     options = ("--seed", "--out", "--threads")
     help = "Monte Carlo bit-error-rate sweep."
+    seed: Annotated[int, Key(0)] = 1
     scheme: dict
     channel: ChannelSpec = ChannelSpec("rayleigh")
     n_rx: Annotated[int, Key(1)] = 1
@@ -172,10 +160,12 @@ class BerConfig(_Experiment):
 
 
 @dataclass(frozen=True, kw_only=True)
-class CapacityConfig(_Experiment):
+class CapacityConfig:
     """Ergodic Rayleigh capacity per antenna pair and SNR (``run_capacity``)."""
     experiment: ClassVar[str] = "capacity"
+    options = ("--seed", "--out")
     help = "Ergodic capacity sweep over antenna counts and SNR."
+    seed: Annotated[int, Key(0)] = 1
     antennas: Annotated[tuple[tuple[int, int], ...], Key(1)]    # [n_tx, n_rx] pairs
     snr_db: _SNR_DB
     capacity_trials: Annotated[int, Key(2, json="trials")] = 50_000
@@ -198,23 +188,25 @@ class CapacityConfig(_Experiment):
 _FILE_TAGS = {   # the file tag of each entry of a listed key; runs name their files by it
     "scan_angles_deg": lambda angle: f"scan{angle:+06.1f}".replace(".", "p"),
     "single_harmonics": lambda m: f"m{m:+d}",
-    "shift_fractions": lambda frac: f"shift{frac:.3f}",
+    # decimals enough to tell apart shifts one of num_steps steps apart
+    "shift_fractions": lambda frac, num_steps: f"shift{frac:.{max(3, len(str(num_steps - 1)))}f}",
 }
 
 
-def _distinct_files(key: str, values) -> None:
+def _distinct_files(key: str, values, *args) -> None:
     first = {}
-    for i, tag in enumerate(map(_FILE_TAGS[key], values)):
+    for i, tag in enumerate(_FILE_TAGS[key](value, *args) for value in values):
         if first.setdefault(tag, i) != i:
             raise ConfigError(f"{key}: {values[first[tag]]!r} and {values[i]!r} write {tag} files")
 
 
 @dataclass(frozen=True, kw_only=True)
-class PatternConfig(_Experiment):
+class PatternConfig:
     """Steered far-field patterns of one aperture (``run_pattern``)."""
     experiment: ClassVar[str] = "pattern"
-    options = ("--out",)   # no output depends on the seed
+    options = ("--out",)
     help = "Far-field pattern exports for commanded scan angles."
+    seed: Annotated[int, Key(0)] = 1   # read by nothing; perfbench's pattern_export passes it
     geometry: Geometry
     # SteeringSpec takes a non-negative phase range, so only 0..90 deg steer
     scan_angles_deg: Annotated[tuple[float, ...], Key(0.0, 90.0)]
@@ -257,10 +249,12 @@ class PatternConfig(_Experiment):
 
 
 @dataclass(frozen=True, kw_only=True)
-class HarmonicsConfig(_Experiment):
+class HarmonicsConfig:
     """Harmonic spectra of time-coded atoms (``run_harmonics``)."""
     experiment: ClassVar[str] = "harmonics"
+    options = ("--seed", "--out")
     help = "Harmonic spectrum exports (single tones, shifts, multi-tone)."
+    seed: Annotated[int, Key(0)] = 1
     num_steps: Annotated[int, Key(2)] = 16
     harmonic_range: Annotated[int | None, Key(0)] = None    # None reports |m| <= num_steps
     single_harmonics: tuple[int, ...] = ()
@@ -288,7 +282,7 @@ class HarmonicsConfig(_Experiment):
             if not math.isfinite(ticks) or abs(ticks - round(ticks)) > 1e-9:
                 raise ConfigError(f"shift_fractions: {f!r} is not an integer number of steps "
                                   f"for num_steps = {num_steps}")
-        _distinct_files("shift_fractions", shifts)
+        _distinct_files("shift_fractions", shifts, num_steps)
         targets = []
         for group in self.multi_targets:
             if not isinstance(group, list):
@@ -315,7 +309,7 @@ class HarmonicsConfig(_Experiment):
 
 
 @dataclass(frozen=True, kw_only=True)
-class CodebookConfig(_Experiment):
+class CodebookConfig:
     """A scheme's whole codeword table (``codebook_csv``)."""
     experiment: ClassVar[str] = "codebook"
     options = ("--out",)
@@ -333,7 +327,7 @@ class CodebookConfig(_Experiment):
 
 
 @dataclass(frozen=True, kw_only=True)
-class RateConfig(_Experiment):
+class RateConfig:
     """A scheme's throughput (``im_schemes.rate_of``)."""
     experiment: ClassVar[str] = "rate"
     options = ()
@@ -347,7 +341,8 @@ class RateConfig(_Experiment):
         return [f"{im_schemes.rate_of(self.scheme):.6f}"]
 
 
-# experiment name -> config type; parse_config dispatches on the name
+# experiment name -> config type, on which parse_config dispatches; each type has
+# `options` and `help` for its command, and run(out_base, threads) -> printed lines
 EXPERIMENTS = {kind.experiment: kind for kind in (BerConfig, CapacityConfig, PatternConfig,
                                                   HarmonicsConfig, CodebookConfig, RateConfig)}
 ExperimentConfig = (BerConfig | CapacityConfig | PatternConfig | HarmonicsConfig
@@ -706,7 +701,7 @@ def _harmonic_codings(config: HarmonicsConfig):
         for frac in config.shift_fractions:
             # parse_config checked that frac * num is a whole number of steps
             shifted = spacetime.phase_shift_harmonic(base, round(frac * num) % num)
-            yield "shift", frac, _FILE_TAGS["shift_fractions"](frac), shifted, "", False
+            yield "shift", frac, _FILE_TAGS["shift_fractions"](frac, num), shifted, "", False
     for i, targets in enumerate(config.multi_targets):
         result = spacetime.synthesize_multi_harmonic(list(targets), num, seed=config.seed)
         yield "multi", i, f"multi{i}", result.steps, f"{result.residual:.8f}", True

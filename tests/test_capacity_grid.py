@@ -49,11 +49,12 @@ def test_grid_rows_are_bitwise_the_scalar_calls(snr_db, trials):
 
 
 def single_snr_reference(n_tx, n_rx, snr, trials, seed):
-    """Mean and standard error from one Gram matrix per SNR, scaled in place:
-    the arithmetic of the engine before it shared the Gram matrix over a grid."""
+    """Mean and standard error from one Gram matrix of the smaller side per
+    SNR, scaled in place: the arithmetic of the engine before it shared the
+    Gram matrix over a grid."""
     rng = channel.stream_rng(seed, n_tx, n_rx)
     block = max(1, detection._CAPACITY_BLOCK // (n_rx * n_tx))
-    d = np.arange(n_rx)
+    d = np.arange(min(n_tx, n_rx))
     values = np.empty(trials)
     for done in range(0, trials, CAPACITY_BATCH):
         planes = rng.standard_normal((2, min(CAPACITY_BATCH, trials - done), n_rx, n_tx))
@@ -61,7 +62,8 @@ def single_snr_reference(n_tx, n_rx, snr, trials, seed):
             part = planes[:, lo:lo + block]
             h = np.empty(part.shape[1:], dtype=complex)
             h.real, h.imag = part[0] * (1 / np.sqrt(2.0)), part[1] * (1 / np.sqrt(2.0))
-            gram = h @ np.conj(np.swapaxes(h, -1, -2))
+            hc = np.conj(np.swapaxes(h, -1, -2))
+            gram = hc @ h if n_tx < n_rx else h @ hc
             gram *= snr / n_tx
             gram[..., d, d] += 1.0
             diag = np.linalg.cholesky(gram)[..., d, d].real
@@ -152,6 +154,24 @@ def test_traced_grid_peak_stays_within_the_batch_estimate(n_tx, n_rx):
         tracemalloc.stop()
     # the per-trial values grow to one row of 8-byte values per SNR point
     assert peak <= capacity_batch_bytes(n_tx, n_rx, trials) + 8 * len(snrs) * trials
+
+
+def test_traced_peak_of_a_tall_pair_counts_its_smaller_side():
+    n_tx, n_rx, trials, snrs = 4, 64, 8193, db_to_linear([0.0, 10.0, 20.0])
+    ergodic_capacity(1, 1, snrs, 2, seed=3)   # numpy.random loads outside the trace
+    tracemalloc.start()
+    try:
+        ergodic_capacity(n_tx, n_rx, snrs, trials, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # capacity_batch_bytes with a block's Gram arrays m x m, m = min(n_tx,
+    # n_rx), in place of n_rx x n_rx: 8.5 MiB, where 4x64 factoring its n_rx
+    # side held 14.4 MiB
+    m, n = min(n_tx, n_rx), CAPACITY_BATCH
+    k = max(1, detection._CAPACITY_BLOCK // (n_tx * n_rx))
+    entries = n * n_rx * n_tx + k * (5 * n_rx * n_tx + 6 * m * m + 5 * m) + k * (len(snrs) + 2)
+    assert peak <= 8 * entries + 8 * len(snrs) * trials
 
 
 @pytest.mark.parametrize("snr_db", [[10.0], GRID_DB])

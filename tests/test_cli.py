@@ -87,7 +87,11 @@ def test_negative_seed_override_exits_2_naming_it(tmp_path, capsys):
     # a rate is printed, so a rate config has no output key
     ({"experiment": "rate", "scheme": {"type": "sm", "n_tx": 4, "order": 4},
       "output": "rate.csv"}, "output"),
-], ids=["capacity-channel", "rate-output"])
+    # a codebook is a table and a rate a formula, so neither draws from a seed
+    ({"experiment": "codebook", "scheme": {"type": "sm", "n_tx": 4, "order": 4}, "seed": 1},
+     "seed"),
+    ({"experiment": "rate", "scheme": {"type": "sm", "n_tx": 4, "order": 4}, "seed": 1}, "seed"),
+], ids=["capacity-channel", "rate-output", "codebook-seed", "rate-seed"])
 def test_capacity_config_with_a_channel_exits_2_naming_it(tmp_path, capsys, monkeypatch,
                                                           payload, key):
     cfg = write_config(tmp_path, payload)

@@ -235,6 +235,16 @@ def test_shift_at_three_steps_runs(tmp_path):
     assert (tmp_path / "patterns" / "spectrum_shift0.333.csv").exists()
 
 
+def test_shifts_one_step_apart_past_1000_steps_write_two_files(tmp_path):
+    # at three decimals both shifts were tagged shift0.001, and the config exited 2
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(harmonics_config(num_steps=2000, harmonic_range=4,
+                                                shift_fractions=[0.0005, 0.001])))
+    assert main(["harmonics", "--config", str(path), "--out", str(tmp_path)]) == 0
+    spectra = sorted(p.name for p in (tmp_path / "patterns").glob("spectrum_*"))
+    assert spectra == ["spectrum_shift0.0005.csv", "spectrum_shift0.0010.csv"]
+
+
 @pytest.mark.parametrize("text", [
     '{"experiment": "rate", "seed": 1' + "0" * 5000 + "}",  # past int's digit limit
     '{"experiment": "rate", "scheme": ' + "[" * 200_000 + "]" * 200_000 + "}",
