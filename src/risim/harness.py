@@ -186,11 +186,25 @@ class CapacityConfig:
 
 
 _FILE_TAGS = {   # the file tag of each entry of a listed key; runs name their files by it
-    "scan_angles_deg": lambda angle: f"scan{angle:+06.1f}".replace(".", "p"),
+    # decimals as _scan_decimals finds for the listed angles
+    "scan_angles_deg": lambda angle, decimals: f"scan{angle:+0{5 + decimals}.{decimals}f}"
+    .replace(".", "p"),
     "single_harmonics": lambda m: f"m{m:+d}",
     # decimals enough to tell apart shifts one of num_steps steps apart
     "shift_fractions": lambda frac, num_steps: f"shift{frac:.{max(3, len(str(num_steps - 1)))}f}",
 }
+
+
+# widest scan tags: at 16 decimals any two distinct angles of at least 1 deg differ
+_MAX_SCAN_DECIMALS = 16
+
+
+def _scan_decimals(angles) -> int:
+    """The fewest decimals, at least one, whose scan tags tell the distinct
+    ``angles`` apart, or _MAX_SCAN_DECIMALS if none up to it does."""
+    distinct, tag = set(angles), _FILE_TAGS["scan_angles_deg"]
+    return next((d for d in range(1, _MAX_SCAN_DECIMALS)
+                 if len({tag(a, d) for a in distinct}) == len(distinct)), _MAX_SCAN_DECIMALS)
 
 
 def _distinct_files(key: str, values, *args) -> None:
@@ -227,7 +241,8 @@ class PatternConfig:
         rows, cols = geometry["rows"], geometry["cols"]
         _check_bytes("geometry", aperture.element_bytes(rows, cols),
                      "the per-angle element arrays of a {}x{} aperture", rows, cols)
-        _distinct_files("scan_angles_deg", self.scan_angles_deg)
+        _distinct_files("scan_angles_deg", self.scan_angles_deg,
+                        _scan_decimals(self.scan_angles_deg))
         directions = aperture.direction_count(*self.grid_step_deg)
         _check_bytes("grid", aperture.sweep_bytes(rows, cols, directions),
                      "the fields of {} scan angles and the text of {} directions on a "
@@ -400,6 +415,12 @@ class BerCurve:
                   header="snr_db,trials,bit_errors,ber,ci_low,ci_high")
 
 
+# most trials in one BER detector chunk: the hypothesis budget alone gives a
+# small table (codebook and width under 32) chunks of up to 32,768 trials,
+# whose temporaries sit on top of the batch's draws
+_CHUNK_TRIALS = 2048
+
+
 class _BerModel:
     """Precomputed transmit codebook plus one vectorized batch simulator.
 
@@ -425,11 +446,20 @@ class _BerModel:
         xt = self.table.codewords                               # one codeword per row
         if self.diagonal:
             self.h_shape = self.noise_shape = (self.x.shape[0],)
-            self._propagate = lambda h, w, amp: amp * h * xt[w]
+
+            def propagate(h, w, amp):   # amp * h * xt[w], in one chunk-sized array
+                y = amp * h
+                y *= xt[w]
+                return y
         else:
             mats = xt.reshape(self.count, -1, slots)            # (C, dim, slots)
             self.h_shape, self.noise_shape = (n_rx, mats.shape[1]), (n_rx, slots)
-            self._propagate = lambda h, w, amp: amp * np.einsum("bri,bit->brt", h, mats[w])
+
+            def propagate(h, w, amp):   # amp * (H X), scaled in place
+                y = np.einsum("bri,bit->brt", h, mats[w])
+                y *= amp
+                return y
+        self._propagate = propagate
         if channel.model == "rician":
             self.los = (np.ones(self.h_shape, dtype=complex) if self.diagonal
                         else los_matrix(n_rx, self.h_shape[1], channel.los_structure))
@@ -449,13 +479,14 @@ class _BerModel:
         """Bit errors over one batch of independent trials.
 
         Words, channels and the real parts of the noise are drawn for the
-        whole batch, in that order.  Propagation and detection then run one
-        detector chunk of trials at a time, so their temporaries stay
-        cache-sized; each chunk draws the imaginary parts of its noise and
-        counts its bit errors.  The chunks continue one stream, so the noise
-        is that of one whole-batch complex_normal draw.
+        whole batch, in that order; the words are then held at their smallest
+        unsigned type.  Propagation and detection then run one detector chunk
+        of trials at a time, in place where they can, so their temporaries
+        stay cache-sized; each chunk draws the imaginary parts of its noise
+        and counts its bit errors.  The chunks continue one stream, so the
+        noise is that of one whole-batch complex_normal draw.
         """
-        words = rng.integers(0, self.count, batch)
+        words = rng.integers(0, self.count, batch).astype(np.min_scalar_type(self.count - 1))
         h = self._draw_channel(rng, (batch, *self.h_shape))
         scale = 1 / np.sqrt(2.0)
         noise_real = rng.standard_normal((batch, *self.noise_shape))
@@ -463,11 +494,17 @@ class _BerModel:
         amp = np.sqrt(snr_linear)
         detect = self._detect_subcarrier if self.diagonal else self._detect_vector
         errors = 0
-        edges = detection.chunk_edges(batch, max(self.table.rows.shape))
+        # a table narrower than the budget over _CHUNK_TRIALS counts as that
+        # wide, so its chunks stop at _CHUNK_TRIALS trials
+        width = max(*self.table.rows.shape, detection._HYPOTHESIS_BUDGET // _CHUNK_TRIALS)
+        edges = detection.chunk_edges(batch, width)
         for lo, hi in zip(edges, edges[1:]):
             y = self._propagate(h[lo:hi], words[lo:hi], amp)
             y.real += noise_real[lo:hi]
-            y.imag += rng.standard_normal(y.shape) * scale
+            noise = rng.standard_normal(y.shape)
+            noise *= scale
+            y.imag += noise
+            del noise   # not held through detection
             errors += int(np.bitwise_count(words[lo:hi] ^ detect(y, h[lo:hi], amp)).sum())
         return errors
 
@@ -480,8 +517,13 @@ class _BerModel:
     _detect_matrix = _detect_state = _detect_vector
 
     def _detect_subcarrier(self, y, h, amp):
-        """ML decisions of the diagonal model y = amp diag(h) x + n."""
-        return detection.ml_detect(np.conj(y) * h, np.abs(h) ** 2, self.table, amp * amp)
+        """ML decisions of the diagonal model y = amp diag(h) x + n, from
+        conj(y) h, formed in ``y``, and |h|^2."""
+        np.conj(y, out=y)
+        y *= h
+        energy = np.abs(h)
+        energy *= energy
+        return detection.ml_detect(y, energy, self.table, amp * amp)
 
 
 def run_ber(config: ExperimentConfig, threads: int = 1) -> BerCurve:
@@ -664,6 +706,7 @@ def run_pattern(config: ExperimentConfig, out_base: Path):
     summary = []
     written = []
     angles = config.scan_angles_deg
+    decimals = _scan_decimals(angles)
     for start in range(0, len(angles), group):
         steered = [(a, *_steered_coding(geom, a, config, table))
                    for a in angles[start:start + group]]
@@ -671,7 +714,7 @@ def run_pattern(config: ExperimentConfig, out_base: Path):
                                             theta, phi, config.element_exponent).field
         for (angle_deg, predicted, coding), field in zip(steered, fields):
             grid = aperture.FarFieldGrid(theta, phi, field)
-            tag = _FILE_TAGS["scan_angles_deg"](angle_deg)
+            tag = _FILE_TAGS["scan_angles_deg"](angle_deg, decimals)
             written += [out_dir / f"{name}_{tag}.csv" for name in ("coding", "farfield", "farfield_uv")]
             aperture.coding_to_csv(coding, written[-3])
             grid.to_csv(written[-2], text)

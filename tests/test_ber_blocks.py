@@ -286,6 +286,21 @@ def test_batch_holds_each_draw_once(case):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
+def test_batch_holds_its_draws_plus_one_small_chunk(case):
+    # words held as int64, a noise draw or the propagated chunk scaled out of
+    # place, or chunks of the whole hypothesis budget (up to 32,768 trials for
+    # these small tables) each add enough to break this
+    model = model_of(case)
+    batch = 1 << 16
+    model.simulate(stream_rng(26), batch, SNR)
+    peak = traced_peak(lambda: model.simulate(stream_rng(26), batch, SNR))
+    h_entries, noise_entries = np.prod(model.h_shape), np.prod(model.noise_shape)
+    word_bytes = np.min_scalar_type(model.count - 1).itemsize
+    draws = batch * (16 * h_entries + 8 * noise_entries + word_bytes)
+    assert peak <= draws + (5 << 18)   # 1.25 MiB
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_batch_draws_the_stream_of_whole_batch_draws(case):
     # words, channel, then one complex_normal draw of the whole noise: the
     # per-block imaginary parts must leave the generator where it leaves it

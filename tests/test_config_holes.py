@@ -96,7 +96,8 @@ def assert_exit_2(tmp_path, capsys, command, cfg, key):
     ("geometry.dy_mm", 5e-324),
     ("geometry.fc_ghz", 1e308),
     # two angles with one file tag: the second used to overwrite the first's files
-    ("scan_angles_deg", [15.0, 15.04]),
+    # (scan tags widen to 16 decimals, past which these still share one)
+    ("scan_angles_deg", [0.0, 1e-17]),
     ("scan_angles_deg", [10, 10.0]),
 ])
 def test_bad_pattern_values_exit_2(tmp_path, capsys, key, value):
@@ -243,6 +244,17 @@ def test_shifts_one_step_apart_past_1000_steps_write_two_files(tmp_path):
     assert main(["harmonics", "--config", str(path), "--out", str(tmp_path)]) == 0
     spectra = sorted(p.name for p in (tmp_path / "patterns").glob("spectrum_*"))
     assert spectra == ["spectrum_shift0.0005.csv", "spectrum_shift0.0010.csv"]
+
+
+def test_scan_angles_under_a_tenth_apart_write_two_sets_of_files(tmp_path):
+    # at one decimal both angles were tagged scan+015p0, and the config exited 2
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(pattern_config(scan_angles_deg=[15.0, 15.04])))
+    assert main(["pattern", "--config", str(path), "--out", str(tmp_path)]) == 0
+    names = sorted(p.name for p in (tmp_path / "patterns").glob("farfield_scan*"))
+    assert names == ["farfield_scan+015p00.csv", "farfield_scan+015p04.csv"]
+    codings = [(tmp_path / "patterns" / f"coding_scan+015p0{d}.csv").read_text() for d in "04"]
+    assert codings[0] != codings[1]
 
 
 @pytest.mark.parametrize("text", [
